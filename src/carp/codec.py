@@ -42,8 +42,8 @@ def default_q(sigma: float) -> float:
 
 def _substitute_pruned_means(plane: np.ndarray, tree: MapTree) -> np.ndarray:
     out = plane.copy()
-    for block in tree.pruned_blocks():
-        sl = block.slices()
+    for offset, extent in tree.pruned_regions():
+        sl = tuple(slice(o, o + e) for o, e in zip(offset, extent))
         out[sl] = out[sl].mean()
     return out
 

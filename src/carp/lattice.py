@@ -89,6 +89,14 @@ class BlockStats:
     size: int
 
 
+def _halves(m: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Index tuples selecting the left (even) and right (odd) children along
+    axis d of a per-shape child array with m axes."""
+    left = tuple(slice(0, None, 2) if i == d else slice(None) for i in range(m))
+    right = tuple(slice(1, None, 2) if i == d else slice(None) for i in range(m))
+    return left, right
+
+
 def _check_pow2_dims(dims: tuple[int, ...]) -> list[int]:
     exps = []
     for d in dims:
@@ -151,8 +159,7 @@ class StatsLattice:
             d = next(i for i, a in enumerate(shape) if a > 0)
             child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
             cs, ct = self.sums[child], self.ssts[child]
-            left = tuple(slice(None) if i != d else slice(0, None, 2) for i in range(self.m))
-            right = tuple(slice(None) if i != d else slice(1, None, 2) for i in range(self.m))
+            left, right = _halves(self.m, d)
             sum_l, sum_r = cs[left], cs[right]
             w = (sum_l - sum_r) / math.sqrt(float(2 ** total))
             self.sums[shape] = sum_l + sum_r
@@ -181,8 +188,7 @@ class StatsLattice:
         """Left/right child sums of every block of this shape, split on d."""
         child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
         cs = self.sums[child]
-        left = tuple(slice(None) if i != d else slice(0, None, 2) for i in range(self.m))
-        right = tuple(slice(None) if i != d else slice(1, None, 2) for i in range(self.m))
+        left, right = _halves(self.m, d)
         return cs[left], cs[right]
 
     def haar_array(self, shape: tuple[int, ...], d: int) -> np.ndarray:

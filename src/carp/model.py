@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import PixelGrid
-from .lattice import Block, StatsLattice, build_stats
+from .lattice import Block, StatsLattice, _halves, build_stats
 
 SIGMA_FLOOR = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
@@ -110,8 +110,10 @@ class PosteriorLattice:
     All probabilities are held in log domain: log_prune is the posterior
     probability of stopping at the block, log_split[(shape, d)] the
     posterior split distribution over its divisible axes (summing to one),
-    and log_kappa the best achievable posterior mass of any pruned subtree
-    rooted at the block (filled in by the tree extraction stage).
+    log_kappa the best achievable posterior mass of any pruned subtree
+    rooted at the block, and decisions the int8 choice achieving it (-1 to
+    stop, otherwise the split axis); the last two are filled in by the
+    tree extraction stage.
     """
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):
@@ -124,6 +126,7 @@ class PosteriorLattice:
         self.log_not_prune: dict[tuple[int, ...], np.ndarray] = {}
         self.log_split: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self.log_kappa: dict[tuple[int, ...], np.ndarray] | None = None
+        self.decisions: dict[tuple[int, ...], np.ndarray] | None = None
         self._build()
 
     # -- construction ---------------------------------------------------
@@ -166,10 +169,7 @@ class PosteriorLattice:
                                        log_1m_rho + _log_normal(w, sigma2))
                 child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
                 cp = self.log_psi[child]
-                left = tuple(slice(None) if i != d else slice(0, None, 2)
-                             for i in range(stats.m))
-                right = tuple(slice(None) if i != d else slice(1, None, 2)
-                              for i in range(stats.m))
+                left, right = _halves(stats.m, d)
                 lpd = mix + cp[left] + cp[right]
                 self.log_psi_d[(shape, d)] = lpd
                 d_terms.append(lpd)

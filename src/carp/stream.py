@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader
 from .errors import StreamError
-from .lattice import Block, children, divisible_dims, root_block
 from .model import Hyperparams
-from .tree import MapTree, TreeNode
+from .tree import MapTree
 
 MAGIC = b"CARP"
 VERSION = 1
@@ -48,47 +47,80 @@ def axis_bit_width(m: int) -> int:
 
 def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
     """Preorder walk: one stop bit per non-atomic node, axis bits on splits."""
-    writer = BitWriter()
     nbits_axis = axis_bit_width(len(tree.dims_padded))
-
-    def walk(node: TreeNode) -> None:
-        if node.block.is_atomic:
-            return
-        if node.pruned:
-            writer.write_bit(1)
-            return
-        writer.write_bit(0)
-        if nbits_axis:
-            writer.write(node.split_axis, nbits_axis)
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
-    return writer.getvalue(), writer.bit_length
+    axis = tree.axis[tree.shape.any(axis=1)]  # atomic nodes carry no bits
+    split = axis >= 0
+    lengths = 1 + nbits_axis * split
+    starts = np.cumsum(lengths) - lengths
+    nbits = int(lengths.sum())
+    bits = np.zeros(nbits, dtype=np.uint8)
+    bits[starts[~split]] = 1
+    for k in range(nbits_axis):
+        bits[starts[split] + 1 + k] = (axis[split] >> (nbits_axis - 1 - k)) & 1
+    return np.packbits(bits).tobytes(), nbits
 
 
 def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> MapTree:
-    reader = BitReader(data, nbits)
-    nbits_axis = axis_bit_width(len(dims_padded))
+    """Parse preorder tree bits into a MapTree.
 
-    def walk(block: Block) -> TreeNode:
-        if block.is_atomic:
-            return TreeNode(block=block)
-        if reader.read_bit():
-            return TreeNode(block=block, pruned=True)
-        axis = reader.read(nbits_axis) if nbits_axis else 0
-        if axis not in divisible_dims(block):
+    Every parsed node is either non-atomic, and consumes at least one bit,
+    or a child of a split, so the work and memory are bounded by nbits,
+    whatever the header dims claim.
+    """
+    if nbits > 8 * len(data):
+        raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
+    m = len(dims_padded)
+    exps = tuple(int(d).bit_length() - 1 for d in dims_padded)
+    if sum(exps) > 62:
+        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples")
+    nbits_axis = axis_bit_width(m)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits).tolist()
+    shapes: list[int] = []  # m entries per node
+    indices: list[int] = []
+    positions: list[int] = []
+    axes: list[int] = []
+    stack = [(exps, (0,) * m, 0, sum(exps))]  # (shape, index, pos, log2 size)
+    cursor = 0
+    while stack:
+        shape, index, pos, size_exp = stack.pop()
+        shapes += shape
+        indices += index
+        positions.append(pos)
+        if not size_exp:
+            axes.append(-1)
+            continue
+        if cursor >= nbits:
+            raise StreamError("tree bits end mid-tree")
+        stop = bits[cursor]
+        cursor += 1
+        if stop:
+            axes.append(-1)
+            continue
+        if cursor + nbits_axis > nbits:
+            raise StreamError("tree bits end mid-tree")
+        axis = 0
+        for bit in bits[cursor : cursor + nbits_axis]:
+            axis = (axis << 1) | bit
+        cursor += nbits_axis
+        if axis >= m or not shape[axis]:
             raise StreamError(
-                f"tree names split axis {axis} on extent {block.extent}"
+                f"tree names split axis {axis} on extent "
+                f"{tuple(1 << a for a in shape)}"
             )
-        left, right = children(block, axis)
-        return TreeNode(block=block, split_axis=axis,
-                        left=walk(left), right=walk(right))
-
-    root = walk(root_block(dims_padded))
-    if reader.remaining:
-        raise StreamError(f"{reader.remaining} unread bits after tree")
-    return MapTree(root=root, dims_padded=tuple(dims_padded))
+        axes.append(axis)
+        child = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1 :]
+        left = index[:axis] + (2 * index[axis],) + index[axis + 1 :]
+        right = index[:axis] + (2 * index[axis] + 1,) + index[axis + 1 :]
+        size_exp -= 1
+        stack.append((child, right, pos + (1 << size_exp), size_exp))
+        stack.append((child, left, pos, size_exp))
+    if cursor != nbits:
+        raise StreamError(f"{nbits - cursor} unread bits after tree")
+    return MapTree(dims_padded=tuple(int(d) for d in dims_padded),
+                   shape=np.array(shapes, dtype=np.int64).reshape(-1, m),
+                   index=np.array(indices, dtype=np.int64).reshape(-1, m),
+                   pos=np.array(positions, dtype=np.int64),
+                   axis=np.array(axes, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +159,8 @@ def detokenize(decoder, reader: BitReader, count: int) -> np.ndarray:
     while filled < count:
         token = decoder.decode_one(reader)
         if token & 1:
+            if token < 1:
+                raise StreamError(f"zero run token {token} has no positive length")
             run = (token + 1) >> 1
             if filled + run > count:
                 raise StreamError("zero run crosses a scale boundary")
@@ -196,7 +230,14 @@ class CompressedStream:
 
     @property
     def size_bytes(self) -> int:
-        return len(self.to_bytes())
+        """len(to_bytes()), from the field sizes of the layout above."""
+        size = (len(MAGIC) + struct.calcsize("<BBHB") + struct.calcsize("<7d")
+                + 2 * struct.calcsize(f"<{self.m}I") + struct.calcsize("<I")
+                + len(self.tree_bits))
+        for ch in self.channels:
+            size += (struct.calcsize("<qI") + len(ch.code_lengths) * struct.calcsize("<qB")
+                     + struct.calcsize("<Q") + len(ch.payload))
+        return size
 
     @property
     def compression_ratio(self) -> float:

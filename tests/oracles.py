@@ -6,6 +6,10 @@ directly, not against the package's recursion paths:
 * ``compiled_structures`` materializes every pruned partition tree of a
   small block explicitly; priors and likelihoods are then summed tree by
   tree, giving a brute-force marginal likelihood and posterior argmax.
+* ``reference_extract_map_tree``, ``reference_permutation`` and
+  ``reference_serialize_tree`` are the recursive, one-object-per-node tree
+  path the package's array-native tree replaced; the differential tests
+  require both to agree exactly.
 * ``reference_ms_ssim`` is a second MS-SSIM implementation built on
   scipy.ndimage filtering rather than the package's separable windows.
 """
@@ -16,6 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
+
+from carp.bitio import BitWriter
+from carp.lattice import children, divisible_dims, root_block
+from carp.tree import TreeNode
 
 # ---------------------------------------------------------------------------
 # Exhaustive pruned-tree enumeration
@@ -183,6 +191,112 @@ def tree_to_structure(node):
         return (kind, block.offset, block.extent)
     return ("split", block.offset, block.extent, node.split_axis,
             tree_to_structure(node.left), tree_to_structure(node.right))
+
+
+# ---------------------------------------------------------------------------
+# Reference tree path: one TreeNode per node, built by recursion
+# ---------------------------------------------------------------------------
+# A reference tree is (root TreeNode, dims_padded).  Ties follow the same
+# fixed rules as the package: the lowest axis wins among equal split
+# scores, and a block splits when stopping and splitting score equally.
+
+
+def reference_log_kappa(lattice):
+    """log kappa per shape, bottom-up, without touching the lattice."""
+    stats = lattice.stats
+    log_kappa = {}
+    for shape in stats.shapes:
+        div = [i for i, a in enumerate(shape) if a > 0]
+        if not div:
+            log_kappa[shape] = np.zeros(stats.grid_shape(shape))
+            continue
+        best = None
+        for d in div:
+            child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
+            kc = log_kappa[child]
+            left = tuple(slice(None) if i != d else slice(0, None, 2)
+                         for i in range(stats.m))
+            right = tuple(slice(None) if i != d else slice(1, None, 2)
+                          for i in range(stats.m))
+            t = lattice.log_split[(shape, d)] + kc[left] + kc[right]
+            best = t if best is None else np.maximum(best, t)
+        log_kappa[shape] = np.maximum(
+            lattice.log_prune[shape], lattice.log_not_prune[shape] + best
+        )
+    return log_kappa
+
+
+def reference_extract_map_tree(lattice):
+    """Top-down recursive MAP tree: (root TreeNode, dims_padded)."""
+    log_kappa = reference_log_kappa(lattice)
+    stats = lattice.stats
+
+    def kappa_at(block):
+        return float(log_kappa[stats.shape_of(block)][stats.index_of(block)])
+
+    def build(block):
+        div = divisible_dims(block)
+        if not div:
+            return TreeNode(block=block)
+        shape = stats.shape_of(block)
+        idx = stats.index_of(block)
+        best_d, best_t, best_kids = -1, -np.inf, None
+        for d in div:
+            kids = children(block, d)
+            t = (float(lattice.log_split[(shape, d)][idx])
+                 + kappa_at(kids[0]) + kappa_at(kids[1]))
+            if t > best_t:
+                best_d, best_t, best_kids = d, t, kids
+        log_prune = float(lattice.log_prune[shape][idx])
+        log_not_prune = float(lattice.log_not_prune[shape][idx])
+        if log_prune > log_not_prune + best_t:
+            return TreeNode(block=block, pruned=True)
+        return TreeNode(block=block, split_axis=best_d,
+                        left=build(best_kids[0]), right=build(best_kids[1]))
+
+    return build(root_block(stats.dims)), stats.dims
+
+
+def _reference_leaves(node):
+    if node.is_leaf:
+        return [node]
+    return _reference_leaves(node.left) + _reference_leaves(node.right)
+
+
+def reference_permutation(root, dims):
+    """(order, inverse): leaves left to right, row-major inside each leaf."""
+    chunks = []
+    for leaf in _reference_leaves(root):
+        block = leaf.block
+        ranges = [np.arange(o, o + e) for o, e in zip(block.offset, block.extent)]
+        mesh = np.meshgrid(*ranges, indexing="ij")
+        chunks.append(np.ravel_multi_index([m.ravel() for m in mesh], dims))
+    order = np.concatenate(chunks).astype(np.int64)
+    n = int(np.prod(dims))
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.arange(n, dtype=np.int64)
+    return order, inverse
+
+
+def reference_serialize_tree(root, dims):
+    """Preorder stop bits and axis bits, one BitWriter call per field."""
+    writer = BitWriter()
+    nbits_axis = (len(dims) - 1).bit_length()
+
+    def walk(node):
+        if node.block.is_atomic:
+            return
+        if node.pruned:
+            writer.write_bit(1)
+            return
+        writer.write_bit(0)
+        if nbits_axis:
+            writer.write(node.split_axis, nbits_axis)
+        walk(node.left)
+        walk(node.right)
+
+    walk(root)
+    return writer.getvalue(), writer.bit_length
 
 
 # ---------------------------------------------------------------------------

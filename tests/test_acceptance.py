@@ -21,7 +21,7 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compress,
 from carp.huffman import (build_code_lengths, canonical_codes, decode_symbols,
                           encode_symbols, histogram, kraft_sum)
 from carp.bitio import BitReader, BitWriter
-from carp.lattice import build_stats
+from carp.lattice import _halves, build_stats
 from carp.codec import default_q
 from carp.stream import deserialize_tree, serialize_tree
 
@@ -154,10 +154,7 @@ def test_criterion_04_transform():
     for shape in stats.shapes:
         for d in [i for i, a in enumerate(shape) if a > 0]:
             child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
-            left = tuple(slice(None) if i != d else slice(0, None, 2)
-                         for i in range(3))
-            right = tuple(slice(None) if i != d else slice(1, None, 2)
-                          for i in range(3))
+            left, right = _halves(3, d)
             w = stats.haar_array(shape, d)
             recon = stats.ssts[child][left] + stats.ssts[child][right] + w * w
             denom = np.maximum(np.abs(stats.ssts[shape]), 1.0)

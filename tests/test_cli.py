@@ -1,11 +1,13 @@
 import csv
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from carp import save
+from carp import Hyperparams, compress, save
 from carp.cli import main
 
-from conftest import synthetic_photo
+from conftest import random_grid, synthetic_photo
 
 
 @pytest.fixture()
@@ -101,6 +103,19 @@ class TestExitCodes:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
         assert "StreamError" in capsys.readouterr().err
+
+    def test_negative_zero_run_is_exit_1(self, tmp_path, capsys):
+        # canonical codes: -5 -> "0", 4 -> "1"; the payload opens with the
+        # zero-run token -5 (a run of -2) and then a literal
+        stream = compress(random_grid(np.random.default_rng(7), (4, 4)),
+                          Hyperparams(sigma=1.0))
+        hostile = replace(stream.channels[0], code_lengths={-5: 1, 4: 1},
+                          payload=b"\x40\x00", payload_nbits=16)
+        bad = tmp_path / "hostile.carp"
+        replace(stream, channels=[hostile]).write_file(str(bad))
+        assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert "StreamError" in err and "Traceback" not in err
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from carp import (DimensionError, Hyperparams, PixelGrid, compress, crop,
-                  decompress, decompress_with_bits, default_q, pad, psnr,
-                  target_ratio_search)
+from carp import (Block, DimensionError, Hyperparams, PixelGrid, TreeNode,
+                  codec, compress, crop, decompress, decompress_with_bits,
+                  default_q, pad, psnr, target_ratio_search)
 
 from conftest import random_grid, synthetic_photo
 
@@ -110,6 +113,40 @@ class TestEndToEnd:
         recon = decompress(stream)
         assert recon.dims_original == (4, 4, 2, 2)
         assert psnr(grid, recon) > 40.0
+
+
+class TestResources:
+    def test_posterior_freed_without_gc(self, monkeypatch):
+        refs = []
+        build_posterior = codec.build_posterior
+
+        def recording(*args, **kwargs):
+            post = build_posterior(*args, **kwargs)
+            refs.append(weakref.ref(post))
+            return post
+
+        monkeypatch.setattr(codec, "build_posterior", recording)
+        grid = synthetic_photo(32, seed=4)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            compress(grid, Hyperparams(sigma=1.0))
+            alive = [ref() is not None for ref in refs]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == [False]
+
+    def test_codec_path_builds_no_node_objects(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the codec path")
+
+        grid = synthetic_photo(32, seed=4)
+        monkeypatch.setattr(Block, "__init__", refuse)
+        monkeypatch.setattr(TreeNode, "__init__", refuse)
+        for hp in (Hyperparams(sigma=0.01, eta0=0.0), Hyperparams(sigma=2.0)):
+            stream = compress(grid, hp)
+            decompress(stream.to_bytes())
 
 
 class TestProgressive:

@@ -5,7 +5,7 @@ import pytest
 
 from carp import (Block, DimensionError, PixelGrid, ResourceError, build_stats,
                   children, divisible_dims, haar_coefficient, pad)
-from carp.lattice import root_block
+from carp.lattice import _halves, root_block
 
 from conftest import random_grid
 
@@ -109,10 +109,7 @@ class TestSplitIdentity:
             for d in [i for i, a in enumerate(s) if a > 0]:
                 child = tuple(a - 1 if i == d else a for i, a in enumerate(s))
                 ct = stats.ssts[child]
-                left = tuple(slice(None) if i != d else slice(0, None, 2)
-                             for i in range(stats.m))
-                right = tuple(slice(None) if i != d else slice(1, None, 2)
-                              for i in range(stats.m))
+                left, right = _halves(stats.m, d)
                 w = stats.haar_array(s, d)
                 recon = ct[left] + ct[right] + w * w
                 np.testing.assert_allclose(parent_sst, recon, rtol=1e-9, atol=1e-9)

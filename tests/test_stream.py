@@ -1,10 +1,14 @@
+import struct
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from carp import (CompressedStream, Hyperparams, StreamError, build_posterior,
                   compress, extract_map_tree)
 from carp.stream import (ZERO_RUN_MAX, axis_bit_width, deserialize_tree,
-                         serialize_tree, tokenize_scale)
+                         detokenize, serialize_tree, tokenize_scale)
 
 from conftest import random_grid
 
@@ -58,6 +62,48 @@ class TestTreeBits:
                              tree.dims_padded)
 
 
+    def test_dropping_the_last_bit_raises(self):
+        tree = map_tree_for(np.random.default_rng(4), (8, 8), sigma=0.01, eta0=0.0)
+        bits, nbits = serialize_tree(tree)
+        with pytest.raises(StreamError, match="mid-tree"):
+            deserialize_tree(bits, nbits - 1, tree.dims_padded)
+
+    def test_trailing_bits_raise(self):
+        tree = map_tree_for(np.random.default_rng(5), (8, 8), sigma=2.0)
+        bits, nbits = serialize_tree(tree)
+        with pytest.raises(StreamError, match="unread"):
+            deserialize_tree(bits + b"\x00", nbits + 1, tree.dims_padded)
+
+    def test_bit_count_beyond_data_raises(self):
+        with pytest.raises(StreamError):
+            deserialize_tree(b"\x00", 9, (4, 4))
+
+    @pytest.mark.parametrize("bits,dims", [
+        (0b01000000, (4, 1)),     # axis 1 has extent 1
+        (0b01100000, (4, 4, 4)),  # 2-bit axis 3 names no axis of m = 3
+        (0b00001000, (4, 4, 1)),  # root splits on 0, its left child on 2
+    ])
+    def test_undivisible_axis_raises(self, bits, dims):
+        with pytest.raises(StreamError, match="split axis"):
+            deserialize_tree(bytes([bits]), 8, dims)
+
+    def test_huge_header_dims_fail_fast(self):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(StreamError, match="mid-tree"):
+                deserialize_tree(b"\x00\x00", 16, (2**20, 2**20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 1 << 20
+
+    def test_unaddressable_dims_raise(self):
+        with pytest.raises(StreamError, match="exceed"):
+            deserialize_tree(b"\x80", 1, (2**31, 2**31, 2**31))
+
+
 class TestTokens:
     def test_literals_and_runs(self):
         symbols = np.array([0, 0, 0, 5, -2, 0], dtype=np.int64)
@@ -75,6 +121,27 @@ class TestTokens:
             assert token != 0
             if token % 2 == 0:
                 assert token // 2 != 0
+
+
+class _ScriptedDecoder:
+    """Stands in for a Huffman decoder and returns fixed tokens."""
+
+    def __init__(self, tokens):
+        self._tokens = iter(tokens)
+
+    def decode_one(self, reader):
+        return next(self._tokens)
+
+
+class TestDetokenize:
+    def test_runs_and_literals(self):
+        out = detokenize(_ScriptedDecoder([3, 4]), None, 3)
+        assert out.tolist() == [0, 0, 2]
+
+    @pytest.mark.parametrize("tokens", [[-1, 2, 2], [-5, 4], [-3]])
+    def test_non_positive_runs_raise(self, tokens):
+        with pytest.raises(StreamError, match="zero run"):
+            detokenize(_ScriptedDecoder(tokens), None, 2)
 
 
 class TestContainer:
@@ -121,3 +188,18 @@ class TestContainer:
         assert stream.raw_bytes == grid.raw_bytes == 256
         assert stream.compression_ratio == pytest.approx(
             256 / stream.size_bytes)
+
+    @pytest.mark.parametrize("shape,channels", [((16,), 1), ((8, 8), 1),
+                                                ((4, 4, 4), 1), ((8, 4), 3)])
+    def test_size_bytes_matches_serialization(self, shape, channels):
+        stream, _ = self.make_stream(shape=shape, channels=channels, sigma=1.0)
+        assert stream.size_bytes == len(stream.to_bytes())
+
+    def test_huge_dims_in_header_fail_before_allocating(self):
+        grid = random_grid(np.random.default_rng(6), (4, 4))
+        data = bytearray(compress(grid, Hyperparams(sigma=0.01, eta0=0.0)).to_bytes())
+        dims_at = 4 + 5 + 56  # magic, version/m/channels/depth, 7 doubles
+        data[dims_at : dims_at + 16] = struct.pack("<4I", *(2**20,) * 4)
+        stream = CompressedStream.from_bytes(bytes(data))
+        with pytest.raises(StreamError, match="mid-tree"):
+            stream.decode_tree()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
-                  extract_map_tree, map_tree_log_posterior,
-                  permutation_from_tree)
+                  deserialize_tree, extract_map_tree, map_tree_log_posterior,
+                  permutation_from_tree, serialize_tree)
 from conftest import random_grid
-from oracles import brute_force_map, tree_to_structure
+from oracles import (brute_force_map, reference_extract_map_tree,
+                     reference_permutation, reference_serialize_tree,
+                     tree_to_structure)
 
 
 def grid_of(arr):
@@ -159,3 +161,73 @@ class TestPermutation:
             assert positions[0] % block.size == 0
             np.testing.assert_array_equal(
                 positions, np.arange(positions[0], positions[0] + block.size))
+
+
+def assert_matches_reference(post):
+    """Array-native tree path == recursive reference path, exactly."""
+    tree = extract_map_tree(post)
+    root, dims = reference_extract_map_tree(post)
+    assert tree_to_structure(tree.root) == tree_to_structure(root)
+    assert tree.root == root
+    perm = permutation_from_tree(tree)
+    order, inverse = reference_permutation(root, dims)
+    np.testing.assert_array_equal(perm.order, order)
+    np.testing.assert_array_equal(perm.inverse, inverse)
+    bits, nbits = serialize_tree(tree)
+    assert (bits, nbits) == reference_serialize_tree(root, dims)
+    back = deserialize_tree(bits, nbits, tree.dims_padded)
+    for name in ("shape", "index", "pos", "axis"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
+    return tree
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 4)])
+    @pytest.mark.parametrize("sigma,eta0", [(0.01, 0.0), (0.5, 0.4), (4.0, 0.4),
+                                            (16.0, 0.4), (2.0, 0.9)])
+    def test_random_inputs(self, shape, sigma, eta0):
+        rng = np.random.default_rng(hash((shape, sigma)) % 2**32)
+        for _ in range(2):
+            grid = random_grid(rng, shape)
+            # smooth half so the trees mix pruned and atomic leaves
+            vals = grid.values.copy()
+            vals[0, : shape[0] // 2] = np.round(vals[0, : shape[0] // 2].mean())
+            grid = PixelGrid(values=vals, dims_original=shape)
+            assert_matches_reference(build_posterior(grid, Hyperparams(sigma=sigma, eta0=eta0)))
+
+    @pytest.mark.parametrize("sigma,eta0", [(1.0, 0.0), (1.0, 0.4), (0.01, 0.4)])
+    def test_constant_image(self, sigma, eta0):
+        post = posterior_of(np.full((16, 16), 91.0), sigma=sigma, eta0=eta0)
+        assert_matches_reference(post)
+
+    @pytest.mark.parametrize("sigma,eta0", [(1.0, 0.0), (8.0, 0.4), (200.0, 0.4)])
+    def test_checkerboard(self, sigma, eta0):
+        board = 255.0 * (np.indices((16, 16)).sum(axis=0) % 2)
+        assert_matches_reference(posterior_of(board, sigma=sigma, eta0=eta0))
+
+    def test_axis_tie_takes_lowest_axis(self):
+        # 2x2: both children shapes always split with probability one, so
+        # kappa is exactly 0 below the root and the two axes tie exactly
+        post = posterior_of([[1.0, 2.0], [3.0, 4.0]], sigma=1.0)
+        for child, d in (((0, 1), 1), ((1, 0), 0)):
+            grid_shape = post.log_prune[child].shape
+            post.log_prune[child] = np.full(grid_shape, -np.inf)
+            post.log_not_prune[child] = np.zeros(grid_shape)
+            post.log_split[(child, d)] = np.zeros(grid_shape)
+        post.log_prune[(1, 1)] = np.full((1, 1), -np.inf)
+        post.log_split[((1, 1), 0)] = np.full((1, 1), np.log(0.5))
+        post.log_split[((1, 1), 1)] = np.full((1, 1), np.log(0.5))
+        tree = assert_matches_reference(post)
+        assert tree.root.split_axis == 0
+
+    def test_prune_split_tie_splits(self):
+        # two pixels: atomic children and a single axis make the split
+        # score exactly log_not_prune
+        post = posterior_of([3.0, 5.0], sigma=1.0)
+        post.log_prune[(1,)] = post.log_not_prune[(1,)].copy()
+        tree = assert_matches_reference(post)
+        assert tree.root.split_axis == 0
+        post.log_prune[(1,)] = np.nextafter(post.log_not_prune[(1,)], np.inf)
+        post.log_kappa = None
+        tree = assert_matches_reference(post)
+        assert tree.root.pruned
