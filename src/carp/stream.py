@@ -71,8 +71,9 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
         raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
     m = len(dims_padded)
     exps = tuple(int(d).bit_length() - 1 for d in dims_padded)
-    if sum(exps) > 62:
-        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples")
+    if sum(exps) > 62 or m > 127:
+        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
+                          f"or 127 axes")
     nbits_axis = axis_bit_width(m)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits).tolist()
     shapes: list[int] = []  # m entries per node

@@ -187,11 +187,15 @@ def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray
             if best is None:
                 best, axis = t, np.full(t.shape, d, dtype=np.int8)
             else:
-                axis[t > best] = d  # strict: the first (lowest) axis wins ties
+                # axis = d where t wins; strict, so the lowest axis wins ties.
+                # Arithmetic on the 0/1 mask is several times faster than a
+                # masked store.
+                axis += (d - axis) * (t > best).view(np.int8)
                 best = np.maximum(best, t)
         split = lattice.log_not_prune[shape] + best
         prune = lattice.log_prune[shape]
-        axis[prune > split] = -1  # strict: at equality the block splits
+        # axis = -1 where stopping wins; strict, so at equality the block splits
+        axis -= (axis + 1) * (prune > split).view(np.int8)
         log_kappa[shape] = np.maximum(prune, split)
         decisions[shape] = axis
     lattice.log_kappa = log_kappa
