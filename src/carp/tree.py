@@ -74,17 +74,13 @@ class MapTree:
         return sum(int(d).bit_length() - 1 for d in self.dims_padded)
 
     @property
-    def atomic(self) -> np.ndarray:
-        return ~self.shape.any(axis=1)
-
-    @property
     def pruned(self) -> np.ndarray:
         return (self.axis < 0) & self.shape.any(axis=1)
 
     def node_counts(self) -> dict[str, int]:
         internal = int(np.count_nonzero(self.axis >= 0))
         pruned = int(np.count_nonzero(self.pruned))
-        atomic = int(np.count_nonzero(self.atomic))
+        atomic = len(self.axis) - internal - pruned
         return {
             "internal": internal,
             "pruned_leaves": pruned,

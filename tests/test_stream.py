@@ -99,9 +99,10 @@ class TestTreeBits:
         assert time.perf_counter() - t0 < 1.0
         assert peak < 1 << 20
 
-    def test_unaddressable_dims_raise(self):
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 2**31), (1,) * 128])
+    def test_unaddressable_dims_raise(self, dims):
         with pytest.raises(StreamError, match="exceed"):
-            deserialize_tree(b"\x80", 1, (2**31, 2**31, 2**31))
+            deserialize_tree(b"\x80", 1, dims)
 
 
 class TestTokens:
