@@ -5,6 +5,12 @@ The permutation comes from the MAP estimate of a Bayesian model over
 recursive dyadic partitions of the pixel space; a single knob (sigma)
 controls how aggressively near-constant regions are collapsed, and maps
 monotonically to the achieved compression ratio.
+
+Blocks of the partition lattice, their posteriors and the MAP tree are
+all held as numpy arrays: one array per block shape, indexed by grid
+position (:class:`StatsLattice`, :class:`PosteriorLattice`), and per-node
+arrays in preorder (:class:`MapTree`).  No per-block or per-node objects
+exist.
 """
 
 __version__ = "0.1.0"
@@ -14,21 +20,17 @@ from .codec import (RatioSearchResult, compress, decompress,
 from .errors import (CarpError, DimensionError, NumericError, ParseError,
                      ResourceError, StreamError)
 from .grid import PixelGrid, crop, load, pad, save
-from .lattice import (Block, BlockStats, StatsLattice, build_stats, children,
-                      divisible_dims, haar_coefficient)
+from .lattice import StatsLattice, build_stats
 from .metrics import QualityReport, ms_ssim, psnr, quality_report
 from .model import (Hyperparams, HyperGrid, PosteriorLattice, build_posterior,
                     empirical_bayes_fit)
 from .stream import CompressedStream, deserialize_tree, serialize_tree
 from .transform import (CoefficientPyramid, dequantize, haar_forward,
                         haar_inverse, quantize)
-from .tree import (MapTree, Permutation, TreeNode, compute_kappa,
-                   extract_map_tree, map_tree_log_posterior,
-                   permutation_from_tree)
+from .tree import (MapTree, compute_kappa, extract_map_tree,
+                   map_tree_log_posterior, permutation_from_tree)
 
 __all__ = [
-    "Block",
-    "BlockStats",
     "CarpError",
     "CoefficientPyramid",
     "CompressedStream",
@@ -38,7 +40,6 @@ __all__ = [
     "MapTree",
     "NumericError",
     "ParseError",
-    "Permutation",
     "PixelGrid",
     "PosteriorLattice",
     "QualityReport",
@@ -46,10 +47,8 @@ __all__ = [
     "ResourceError",
     "StatsLattice",
     "StreamError",
-    "TreeNode",
     "build_posterior",
     "build_stats",
-    "children",
     "compress",
     "compute_kappa",
     "crop",
@@ -58,10 +57,8 @@ __all__ = [
     "default_q",
     "dequantize",
     "deserialize_tree",
-    "divisible_dims",
     "empirical_bayes_fit",
     "extract_map_tree",
-    "haar_coefficient",
     "haar_forward",
     "haar_inverse",
     "load",

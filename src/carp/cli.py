@@ -18,7 +18,7 @@ from . import __version__
 from .codec import (compress, decompress, decompress_with_bits,
                     target_ratio_search)
 from .errors import CarpError
-from .grid import PixelGrid, load, pad, save
+from .grid import PixelGrid, load, original_region, pad, save
 from .metrics import psnr, quality_report
 from .model import Hyperparams, empirical_bayes_fit
 from .stream import CompressedStream
@@ -196,13 +196,6 @@ def _sweep_point(payload) -> dict:
         "encode_ms": f"{encode_ms:.3f}",
         "decode_ms": f"{decode_ms:.3f}",
     }
-
-
-def original_region(grid: PixelGrid) -> PixelGrid:
-    """Padded grid restricted back to its original region."""
-    from .grid import crop
-
-    return crop(grid, grid.dims_original) if grid.dims != grid.dims_original else grid
 
 
 def _cmd_sweep(args) -> int:

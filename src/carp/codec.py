@@ -9,6 +9,12 @@ because the low scales of the transform carry them.  Each channel is then
 permuted, Haar-transformed, dead-zone quantized, and Huffman coded scale
 by scale, coarsest first, so prefixes of the payload decode to valid
 coarse reconstructions.
+
+The permutation is a plain int64 index array (``order[i]`` is the
+row-major index of the i-th pixel in tree order), so the encoder gathers
+with it and the decoder scatters with it.  Before it allocates anything
+sized by the header dims, the decoder checks that the order and one
+float64 plane per channel fit in ``lattice.DEFAULT_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bitio import BitReader, BitWriter
-from .errors import DimensionError, StreamError
-from .grid import PixelGrid, _freeze, crop
+from .errors import DimensionError, ResourceError, StreamError
+from .grid import PixelGrid, _freeze, original_region
 from .huffman import (CanonicalDecoder, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
-from .lattice import build_stats
+from .lattice import DEFAULT_MAX_BYTES, build_stats
 from .model import Hyperparams, build_posterior
 from .stream import (ChannelPayload, CompressedStream, detokenize,
                      serialize_tree, tokenize_scale)
@@ -63,12 +69,12 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None) -> Compre
     stats = build_stats(grid)
     posterior = build_posterior(grid, hp, stats=stats)
     tree = extract_map_tree(posterior)
-    perm = permutation_from_tree(tree)
+    order = permutation_from_tree(tree)
 
     channels: list[ChannelPayload] = []
     for c in range(grid.channels):
         plane = _substitute_pruned_means(grid.plane(c), tree)
-        pyramid = haar_forward(plane.ravel()[perm.order])
+        pyramid = haar_forward(plane.ravel()[order])
         scaling_symbol = int(quantize(pyramid.scaling, q))
         scale_tokens = [tokenize_scale(quantize(d, q)) for d in pyramid.details]
         freqs = histogram(t for tokens in scale_tokens for t in tokens)
@@ -144,26 +150,33 @@ def decompress_with_bits(stream: CompressedStream | bytes,
             f"prefix_scales must be in [0, {n_scales}], got {prefix_scales}"
         )
 
-    tree = stream.decode_tree()
-    perm = permutation_from_tree(tree)
     dims_padded = tuple(int(d) for d in stream.dims_padded)
-    n = int(np.prod(dims_padded))
+    n = math.prod(dims_padded)
+    n_channels = len(stream.channels)
+    # the int64 order plus one float64 plane per channel
+    need = 8 * n * (1 + n_channels)
+    if need > DEFAULT_MAX_BYTES:
+        raise ResourceError(
+            f"decoding {'x'.join(map(str, dims_padded))} x{n_channels} would "
+            f"take ~{need / 2**20:.0f} MiB, over the "
+            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
+        )
 
+    tree = stream.decode_tree()
+    order = permutation_from_tree(tree)
     peak = float(2**stream.bit_depth - 1)
-    planes = []
+    values = np.empty((n_channels, n), dtype=np.float64)
     payload_bits_total = sum(ch.payload_nbits for ch in stream.channels)
     bits_used = 8 * stream.size_bytes - payload_bits_total
-    for ch in stream.channels:
+    for c, ch in enumerate(stream.channels):
         vector, consumed = _decode_channel(ch, stream, prefix_scales)
         bits_used += consumed
-        flat = np.empty(n, dtype=np.float64)
-        flat[perm.order] = vector
-        planes.append(flat.reshape(dims_padded))
-    values = _freeze(np.clip(np.stack(planes), 0.0, peak))
-    padded = PixelGrid(values=values,
+        values[c, order] = vector
+    np.clip(values, 0.0, peak, out=values)
+    padded = PixelGrid(values=_freeze(values.reshape((n_channels,) + dims_padded)),
                        dims_original=tuple(int(d) for d in stream.dims_original),
                        bit_depth=stream.bit_depth)
-    return crop(padded, padded.dims_original), bits_used
+    return original_region(padded), bits_used
 
 
 # ---------------------------------------------------------------------------

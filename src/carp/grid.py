@@ -164,6 +164,11 @@ def crop(grid: PixelGrid, dims: tuple[int, ...] | list[int]) -> PixelGrid:
                      bit_depth=grid.bit_depth)
 
 
+def original_region(grid: PixelGrid) -> PixelGrid:
+    """The grid cropped back to its original extent; itself if unpadded."""
+    return grid if grid.dims == grid.dims_original else crop(grid, grid.dims_original)
+
+
 # ---------------------------------------------------------------------------
 # PGM (P5)
 # ---------------------------------------------------------------------------
@@ -219,8 +224,7 @@ def load_pgm(path: str) -> PixelGrid:
 def save_pgm(grid: PixelGrid, path: str) -> None:
     if grid.ndim_spatial != 2 or grid.channels != 1:
         raise DimensionError("PGM output requires a 2D single-channel grid")
-    g = crop(grid, grid.dims_original) if grid.dims != grid.dims_original else grid
-    ints = g.to_int_array()[0]
+    ints = original_region(grid).to_int_array()[0]
     maxval = 2**grid.bit_depth - 1
     height, width = ints.shape
     out_dtype = np.dtype(">u2") if grid.bit_depth == 16 else np.dtype("u1")
@@ -280,8 +284,7 @@ def load_raw(path: str) -> PixelGrid:
 
 
 def save_raw(grid: PixelGrid, path: str) -> None:
-    g = crop(grid, grid.dims_original) if grid.dims != grid.dims_original else grid
-    ints = g.to_int_array()
+    ints = original_region(grid).to_int_array()
     dtype = np.dtype("<u2") if grid.bit_depth == 16 else np.dtype("u1")
     ints.astype(dtype).tofile(path)
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:

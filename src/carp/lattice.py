@@ -6,7 +6,8 @@ power of two 2^a_i and whose offset is a multiple of that extent.  The same
 block is reachable through many ancestor split orders, so aggregates are
 memoized per block, not per tree.  Blocks are grouped by extent shape
 (a_1, ..., a_m) and each shape is stored as one dense array indexed by the
-block's grid position, which keeps the whole sweep vectorized.
+block's grid position, which keeps the whole sweep vectorized.  A block is
+addressed only by that pair: its shape a and its grid index offset >> a.
 
 Sums and corrected sums of squares are accumulated bottom-up from atomic
 blocks via the split identity
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,67 +34,17 @@ _BYTES_PER_NODE = 16
 DEFAULT_MAX_BYTES = 4 << 30
 
 
-@dataclass(frozen=True)
-class Block:
-    """A dyadic sub-rectangle of the padded pixel space.
-
-    offset[i] is a multiple of extent[i]; level counts split steps from the
-    root, so level == J exactly when the block is a single pixel.
-    """
-
-    offset: tuple[int, ...]
-    extent: tuple[int, ...]
-    level: int
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.extent))
-
-    @property
-    def is_atomic(self) -> bool:
-        return all(e == 1 for e in self.extent)
-
-    def slices(self) -> tuple[slice, ...]:
-        return tuple(slice(o, o + e) for o, e in zip(self.offset, self.extent))
-
-
-def divisible_dims(block: Block) -> tuple[int, ...]:
-    """Axes along which the block can still be halved (extent > 1)."""
-    return tuple(i for i, e in enumerate(block.extent) if e > 1)
-
-
-def children(block: Block, d: int) -> tuple[Block, Block]:
-    """Split along axis d; the lower-coordinate half is the left child."""
-    if block.extent[d] < 2:
-        raise ValueError(f"axis {d} of extent {block.extent} is not divisible")
-    half = block.extent[d] // 2
-    ext = tuple(e if i != d else half for i, e in enumerate(block.extent))
-    off_r = tuple(o if i != d else o + half for i, o in enumerate(block.offset))
-    return (
-        Block(offset=block.offset, extent=ext, level=block.level + 1),
-        Block(offset=off_r, extent=ext, level=block.level + 1),
-    )
-
-
-def root_block(dims_padded: tuple[int, ...]) -> Block:
-    return Block(offset=tuple(0 for _ in dims_padded), extent=tuple(dims_padded), level=0)
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Aggregates of one block: intensity sum, corrected sum of squares, size."""
-
-    sum: float
-    sst: float
-    size: int
-
-
 def _halves(m: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     """Index tuples selecting the left (even) and right (odd) children along
     axis d of a per-shape child array with m axes."""
     left = tuple(slice(0, None, 2) if i == d else slice(None) for i in range(m))
     right = tuple(slice(1, None, 2) if i == d else slice(None) for i in range(m))
     return left, right
+
+
+def _child(shape: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Shape of both children of a block of this shape halved along axis d."""
+    return shape[:d] + (shape[d] - 1,) + shape[d + 1 :]
 
 
 def _check_pow2_dims(dims: tuple[int, ...]) -> list[int]:
@@ -157,7 +107,7 @@ class StatsLattice:
                 self.ssts[shape] = np.zeros_like(plane)
                 continue
             d = next(i for i, a in enumerate(shape) if a > 0)
-            child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
+            child = _child(shape, d)
             cs, ct = self.sums[child], self.ssts[child]
             left, right = _halves(self.m, d)
             sum_l, sum_r = cs[left], cs[right]
@@ -165,29 +115,10 @@ class StatsLattice:
             self.sums[shape] = sum_l + sum_r
             self.ssts[shape] = ct[left] + ct[right] + w * w
 
-    # -- per-block access ---------------------------------------------------
-
-    def shape_of(self, block: Block) -> tuple[int, ...]:
-        return tuple(int(e).bit_length() - 1 for e in block.extent)
-
-    def index_of(self, block: Block) -> tuple[int, ...]:
-        shape = self.shape_of(block)
-        return tuple(o >> a for o, a in zip(block.offset, shape))
-
-    def stats_for(self, block: Block) -> BlockStats:
-        shape = self.shape_of(block)
-        idx = self.index_of(block)
-        return BlockStats(
-            sum=float(self.sums[shape][idx]),
-            sst=float(self.ssts[shape][idx]),
-            size=block.size,
-        )
-
     def child_sum_arrays(self, shape: tuple[int, ...], d: int
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Left/right child sums of every block of this shape, split on d."""
-        child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
-        cs = self.sums[child]
+        cs = self.sums[_child(shape, d)]
         left, right = _halves(self.m, d)
         return cs[left], cs[right]
 
@@ -195,14 +126,6 @@ class StatsLattice:
         """w_d(A) for every block of this shape at once."""
         sum_l, sum_r = self.child_sum_arrays(shape, d)
         return (sum_l - sum_r) / math.sqrt(float(2 ** sum(shape)))
-
-
-def haar_coefficient(block: Block, d: int, stats: StatsLattice) -> float:
-    """Scaled child-sum difference (sum_left - sum_right) / sqrt(|A|)."""
-    if block.extent[d] < 2:
-        raise ValueError(f"axis {d} of extent {block.extent} is not divisible")
-    left, right = children(block, d)
-    return (stats.stats_for(left).sum - stats.stats_for(right).sum) / math.sqrt(block.size)
 
 
 def build_stats(grid: PixelGrid, max_bytes: int = DEFAULT_MAX_BYTES) -> StatsLattice:

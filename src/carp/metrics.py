@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import PixelGrid, crop
+from .grid import PixelGrid, original_region
 
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 WINDOW_SIZE = 11
@@ -55,12 +55,6 @@ def _check_compatible(ref: PixelGrid, test: PixelGrid) -> None:
         raise ValueError(f"bit depths differ: {ref.bit_depth} vs {test.bit_depth}")
 
 
-def _original_values(grid: PixelGrid) -> np.ndarray:
-    if grid.dims != grid.dims_original:
-        grid = crop(grid, grid.dims_original)
-    return grid.values
-
-
 def psnr(ref: PixelGrid, test: PixelGrid, aggregate: str = "global") -> float:
     """10 log10(peak^2 / MSE); infinite when the images are identical.
 
@@ -68,7 +62,7 @@ def psnr(ref: PixelGrid, test: PixelGrid, aggregate: str = "global") -> float:
     'frame_mean' averages per-frame PSNR along axis 0 (3D volumes only).
     """
     _check_compatible(ref, test)
-    a, b = _original_values(ref), _original_values(test)
+    a, b = original_region(ref).values, original_region(test).values
     peak = ref.peak
     if aggregate == "global":
         mse = float(np.mean((a - b) ** 2))
@@ -159,7 +153,7 @@ def ms_ssim(ref: PixelGrid, test: PixelGrid) -> float:
     _check_compatible(ref, test)
     if ref.ndim_spatial not in (2, 3):
         raise ValueError(f"ms_ssim supports 2D and 3D grids, not m={ref.ndim_spatial}")
-    a, b = _original_values(ref), _original_values(test)
+    a, b = original_region(ref).values, original_region(test).values
     peak = ref.peak
     scores = []
     for c in range(ref.channels):
@@ -175,11 +169,12 @@ def quality_report(ref: PixelGrid, test: PixelGrid,
                    compression_ratio: float | None = None) -> QualityReport:
     _check_compatible(ref, test)
     want_ssim = ref.ndim_spatial in (2, 3) and min(ref.dims_original[-2:]) >= WINDOW_SIZE
+    ref, test = original_region(ref), original_region(test)
     per_channel = []
     for c in range(ref.channels):
-        ref_c = PixelGrid(values=_original_values(ref)[c : c + 1],
+        ref_c = PixelGrid(values=ref.values[c : c + 1],
                           dims_original=ref.dims_original, bit_depth=ref.bit_depth)
-        test_c = PixelGrid(values=_original_values(test)[c : c + 1],
+        test_c = PixelGrid(values=test.values[c : c + 1],
                            dims_original=test.dims_original, bit_depth=test.bit_depth)
         p = psnr(ref_c, test_c)
         s = ms_ssim(ref_c, test_c) if want_ssim else None

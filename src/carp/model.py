@@ -1,7 +1,7 @@
 """Marginal likelihood recursion and posterior split/prune maps.
 
 The model scores every block A of the lattice with three quantities, all
-kept in natural-log domain because the linear values underflow double
+in natural-log domain because the linear values underflow double
 precision past a few hundred pixels:
 
 * log_psi0(A): marginal likelihood if partitioning stops at A; every
@@ -19,6 +19,9 @@ precision past a few hundred pixels:
 Atomic blocks carry log_psi = 0 by convention.  From these, Bayes' theorem
 yields the posterior stop probability and the posterior split distribution
 per block, which completely describe the posterior over partition trees.
+Only those posteriors are kept, one array per shape: log_psi0 and
+log_psi_d are computed per shape and not stored, and log_psi lives only
+while the sweep needs it, leaving log_marginal, the value at the root.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import PixelGrid
-from .lattice import Block, StatsLattice, _halves, build_stats
+from .lattice import StatsLattice, _child, _halves, build_stats
 
 SIGMA_FLOOR = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
@@ -107,32 +110,30 @@ def _log_normal(w: np.ndarray | float, var: float):
 class PosteriorLattice:
     """Posterior quantities for every lattice block, stored per shape.
 
-    All probabilities are held in log domain: log_prune is the posterior
-    probability of stopping at the block, log_split[(shape, d)] the
-    posterior split distribution over its divisible axes (summing to one),
-    log_kappa the best achievable posterior mass of any pruned subtree
-    rooted at the block, and decisions the int8 choice achieving it (-1 to
-    stop, otherwise the split axis); the last two are filled in by the
-    tree extraction stage.
+    All probabilities are held in log domain: log_prune and log_not_prune
+    are the posterior probabilities of stopping at the block or not,
+    log_split[(shape, d)] the posterior split distribution over its
+    divisible axes (summing to one), log_kappa the best achievable
+    posterior mass of any pruned subtree rooted at the block, and
+    decisions the int8 choice achieving it (-1 to stop, otherwise the
+    split axis); the last two are filled in by the tree extraction stage.
+    log_marginal is the log marginal likelihood of the whole image.
     """
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):
         self.stats = stats
         self.hp = hp
-        self.log_psi: dict[tuple[int, ...], np.ndarray] = {}
-        self.log_psi0: dict[tuple[int, ...], np.ndarray] = {}
-        self.log_psi_d: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self.log_prune: dict[tuple[int, ...], np.ndarray] = {}
         self.log_not_prune: dict[tuple[int, ...], np.ndarray] = {}
         self.log_split: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self.log_kappa: dict[tuple[int, ...], np.ndarray] | None = None
         self.decisions: dict[tuple[int, ...], np.ndarray] | None = None
-        self._build()
+        self.log_marginal: float = self._build()
 
-    # -- construction ---------------------------------------------------
-
-    def _build(self) -> None:
+    def _build(self) -> float:
+        """Fill the posterior arrays; return log psi of the whole space."""
         stats, hp = self.stats, self.hp
+        log_psi: dict[tuple[int, ...], np.ndarray] = {}
         sigma2 = hp.sigma * hp.sigma
         log_const = LOG_2PI + math.log(sigma2)
         log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
@@ -143,15 +144,13 @@ class PosteriorLattice:
             div = [i for i, a in enumerate(shape) if a > 0]
             if not div:
                 zero = np.zeros(stats.grid_shape(shape))
-                self.log_psi[shape] = zero
-                self.log_psi0[shape] = zero
+                log_psi[shape] = zero
                 self.log_prune[shape] = np.full_like(zero, -np.inf)
                 self.log_not_prune[shape] = zero
                 continue
 
             level = stats.level_of_shape(shape)
             lpsi0 = -((size - 1) / 2.0) * log_const - stats.ssts[shape] / (2.0 * sigma2)
-            self.log_psi0[shape] = lpsi0
 
             rho = hp.rho(level)
             tau = hp.tau(level)
@@ -167,11 +166,9 @@ class PosteriorLattice:
                 with np.errstate(invalid="ignore"):  # NaN inputs caught below
                     mix = np.logaddexp(log_rho + _log_normal(w, var_wide),
                                        log_1m_rho + _log_normal(w, sigma2))
-                child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
-                cp = self.log_psi[child]
+                cp = log_psi[_child(shape, d)]
                 left, right = _halves(stats.m, d)
                 lpd = mix + cp[left] + cp[right]
-                self.log_psi_d[(shape, d)] = lpd
                 d_terms.append(lpd)
                 terms.append(log_1m_eta0 + log_lambda + lpd)
 
@@ -186,7 +183,7 @@ class PosteriorLattice:
                     f"non-finite marginal likelihood at block offset {off}, "
                     f"extent {tuple(1 << a for a in shape)}"
                 )
-            self.log_psi[shape] = lpsi
+            log_psi[shape] = lpsi
 
             d_stack = np.stack(d_terms)
             d_peak = np.max(d_stack, axis=0)
@@ -197,41 +194,11 @@ class PosteriorLattice:
             self.log_not_prune[shape] = np.minimum(
                 log_1m_eta0 + log_lambda + lse_d - lpsi, 0.0
             )
-
-    # -- scalar access ----------------------------------------------------
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.stats.dims
-
-    @property
-    def j_total(self) -> int:
-        return self.stats.j_total
+        return float(log_psi[self.root_shape].reshape(-1)[0])
 
     @property
     def root_shape(self) -> tuple[int, ...]:
         return tuple(self.stats.axis_exps)
-
-    @property
-    def log_marginal(self) -> float:
-        """log psi of the whole padded pixel space."""
-        root = self.log_psi[self.root_shape]
-        return float(root.reshape(-1)[0])
-
-    def _at(self, table: dict, block: Block) -> float:
-        shape = self.stats.shape_of(block)
-        return float(table[shape][self.stats.index_of(block)])
-
-    def prune_posterior(self, block: Block) -> float:
-        """Posterior probability that partitioning stops at this block."""
-        return math.exp(self._at(self.log_prune, block))
-
-    def split_posterior(self, block: Block) -> dict[int, float]:
-        """Posterior split distribution over the block's divisible axes."""
-        shape = self.stats.shape_of(block)
-        idx = self.stats.index_of(block)
-        divs = [i for i, a in enumerate(shape) if a > 0]
-        return {d: math.exp(float(self.log_split[(shape, d)][idx])) for d in divs}
 
 
 def build_posterior(grid: PixelGrid, hp: Hyperparams,

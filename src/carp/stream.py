@@ -20,6 +20,7 @@ entropy coder, where a one-off large value would only bloat the table.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -257,6 +258,8 @@ class CompressedStream:
                 f"invalid header: m={m}, channels={n_channels}, bit_depth={bit_depth}"
             )
         sigma, q, alpha, beta, c, tau0, eta0 = struct.unpack("<7d", cursor.take(56))
+        if not (math.isfinite(q) and q > 0):
+            raise StreamError(f"invalid quantizer step q={q} in header")
         dims_original = struct.unpack(f"<{m}I", cursor.take(4 * m))
         dims_padded = struct.unpack(f"<{m}I", cursor.take(4 * m))
         for orig, padded in zip(dims_original, dims_padded):

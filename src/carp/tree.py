@@ -20,36 +20,20 @@ int8 array per block shape: -1 to stop, otherwise the split axis.
 Extraction then follows the decisions top-down, one tree level at a time
 and over the reached blocks only, so everything after the sweep costs
 time proportional to the tree, not the lattice.  A :class:`MapTree` is a
-set of per-node arrays in preorder; no per-node objects are built on the
-codec path.  Blocks where partitioning stops are kept as leaves rather
-than expanded further: the reconstruction is constant on them, so nothing
-observable depends on how they would be subdivided.
+set of per-node arrays in preorder, and the permutation it induces is a
+plain index array.  Blocks where partitioning stops are kept as leaves
+rather than expanded further: the reconstruction is constant on them, so
+nothing observable depends on how they would be subdivided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .lattice import Block, _halves
+from .lattice import _child, _halves
 from .model import PosteriorLattice
-
-
-@dataclass(eq=True)
-class TreeNode:
-    """Object view of one tree node, built on demand by :attr:`MapTree.root`."""
-
-    block: Block
-    split_axis: int | None = None  # None for leaves
-    pruned: bool = False
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split_axis is None
 
 
 @dataclass(eq=False)
@@ -68,10 +52,6 @@ class MapTree:
     index: np.ndarray  # (nodes, m) grid index within the node's shape
     pos: np.ndarray    # (nodes,) tree-order position of the first pixel
     axis: np.ndarray   # (nodes,) int8 split axis, -1 for leaves
-
-    @property
-    def j_total(self) -> int:
-        return sum(int(d).bit_length() - 1 for d in self.dims_padded)
 
     @property
     def pruned(self) -> np.ndarray:
@@ -95,71 +75,10 @@ class MapTree:
         offset = self.index[rows] * extent
         return [(tuple(o), tuple(e)) for o, e in zip(offset.tolist(), extent.tolist())]
 
-    def pruned_blocks(self) -> list[Block]:
-        """Maximal blocks where partitioning stopped early."""
-        return [Block(offset=o, extent=e,
-                      level=self.j_total - sum(x.bit_length() - 1 for x in e))
-                for o, e in self.pruned_regions()]
-
     def pruned_pixel_fraction(self) -> float:
         n = int(np.prod(self.dims_padded))
         covered = int(np.sum(1 << self.shape[self.pruned].sum(axis=1)))
         return covered / n
-
-    # -- object view, for inspection and tests ----------------------------
-
-    def nodes(self) -> list[TreeNode]:
-        """Linked TreeNode objects for every node, in preorder."""
-        j_total = self.j_total
-        out = []
-        open_splits: list[TreeNode] = []  # internal nodes still missing a child
-        for shape, index, axis in zip(self.shape.tolist(), self.index.tolist(),
-                                      self.axis.tolist()):
-            extent = tuple(1 << a for a in shape)
-            block = Block(offset=tuple(i * e for i, e in zip(index, extent)),
-                          extent=extent, level=j_total - sum(shape))
-            node = TreeNode(block=block, split_axis=axis if axis >= 0 else None,
-                            pruned=axis < 0 and any(shape))
-            if open_splits:
-                parent = open_splits[-1]
-                if parent.left is None:
-                    parent.left = node
-                else:
-                    parent.right = node
-                    open_splits.pop()
-            if axis >= 0:
-                open_splits.append(node)
-            out.append(node)
-        return out
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes()[0]
-
-    def iter_nodes(self):
-        return iter(self.nodes())
-
-    def leaves(self) -> list[TreeNode]:
-        """Leaf nodes in depth-first (left before right) order."""
-        return [node for node in self.nodes() if node.is_leaf]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection between tree order and row-major pixel order."""
-
-    order: np.ndarray  # order[i] = flat row-major index of the i-th pixel
-
-    def __post_init__(self) -> None:
-        self.order.setflags(write=False)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """inverse[order[i]] = i."""
-        inverse = np.empty_like(self.order)
-        inverse[self.order] = np.arange(len(self.order), dtype=self.order.dtype)
-        inverse.setflags(write=False)
-        return inverse
 
 
 def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray]:
@@ -176,8 +95,7 @@ def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray
             continue
         best = axis = None
         for d in div:
-            child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
-            kc = log_kappa[child]
+            kc = log_kappa[_child(shape, d)]
             left, right = _halves(stats.m, d)
             t = lattice.log_split[(shape, d)] + kc[left] + kc[right]
             if best is None:
@@ -265,8 +183,11 @@ def map_tree_log_posterior(tree: MapTree, lattice: PosteriorLattice) -> float:
     return total
 
 
-def permutation_from_tree(tree: MapTree) -> Permutation:
+def permutation_from_tree(tree: MapTree) -> np.ndarray:
     """Depth-first pixel order: left child first, row-major inside leaves.
+
+    order[i] is the flat row-major index of the i-th pixel in tree order;
+    the returned int64 array is read-only.
 
     Row-major order inside a leaf is what repeatedly halving along the
     lowest divisible axis produces; the decoder regenerates it without any
@@ -281,4 +202,5 @@ def permutation_from_tree(tree: MapTree) -> Permutation:
         local = np.indices(extent).reshape(len(dims), -1).T @ strides
         base = (tree.index[rows] << np.array(s)) @ strides
         order[tree.pos[rows][:, None] + np.arange(len(local))] = base[:, None] + local
-    return Permutation(order=order)
+    order.setflags(write=False)
+    return order

@@ -1,9 +1,11 @@
 """Shared fixtures: deterministic synthetic photographs and small images."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from carp import PixelGrid
+from carp import Hyperparams, PixelGrid, compress
 
 
 def _spectral_field(rng, size: int, exponent: float) -> np.ndarray:
@@ -71,3 +73,23 @@ def random_grid(rng, shape, bit_depth=8, channels=1) -> PixelGrid:
     peak = 2**bit_depth - 1
     vals = rng.integers(0, peak + 1, size=(channels,) + tuple(shape)).astype(float)
     return PixelGrid(values=vals, dims_original=tuple(shape), bit_depth=bit_depth)
+
+
+def same_tree(a, b) -> bool:
+    """MapTree equality: in preorder the four node arrays fix the tree."""
+    return tuple(a.dims_padded) == tuple(b.dims_padded) and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("shape", "index", "pos", "axis"))
+
+
+def forged_huge_dims_stream() -> bytes:
+    """A 4x4 stream whose tree is a single pruned-root bit, with its
+    original and padded dims patched to 2^20 x 2^20.  The header and the
+    tree parse; decoding would need terabytes."""
+    stream = compress(PixelGrid.from_array(np.full((4, 4), 9.0)),
+                      Hyperparams(sigma=4.0))
+    assert stream.tree_nbits == 1
+    data = bytearray(stream.to_bytes())
+    dims_at = 4 + 5 + 56  # magic, version/m/channels/depth, 7 doubles
+    data[dims_at : dims_at + 16] = struct.pack("<4I", *(2**20,) * 4)
+    return bytes(data)

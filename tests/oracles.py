@@ -7,9 +7,10 @@ directly, not against the package's recursion paths:
   small block explicitly; priors and likelihoods are then summed tree by
   tree, giving a brute-force marginal likelihood and posterior argmax.
 * ``reference_extract_map_tree``, ``reference_permutation`` and
-  ``reference_serialize_tree`` are the recursive, one-object-per-node tree
-  path the package's array-native tree replaced; the differential tests
-  require both to agree exactly.
+  ``reference_serialize_tree`` are a recursive tree path over the same
+  structure tuples, reading the posterior arrays one block at a time; the
+  differential tests require it and the package's array-native tree to
+  agree exactly.
 * ``reference_ms_ssim`` is a second MS-SSIM implementation built on
   scipy.ndimage filtering rather than the package's separable windows.
 """
@@ -22,8 +23,6 @@ import numpy as np
 from scipy import ndimage
 
 from carp.bitio import BitWriter
-from carp.lattice import children, divisible_dims, root_block
-from carp.tree import TreeNode
 
 # ---------------------------------------------------------------------------
 # Exhaustive pruned-tree enumeration
@@ -183,22 +182,29 @@ def brute_force_map(image, hp):
     return best, float(peak - log_marginal), log_marginal
 
 
-def tree_to_structure(node):
-    """Convert a package TreeNode into the oracle's tuple form."""
-    block = node.block
-    if node.is_leaf:
-        kind = "prune" if node.pruned else "atom"
-        return (kind, block.offset, block.extent)
-    return ("split", block.offset, block.extent, node.split_axis,
-            tree_to_structure(node.left), tree_to_structure(node.right))
+def tree_to_structure(tree):
+    """Convert a package MapTree's preorder arrays into the tuple form."""
+    rows = zip(tree.shape.tolist(), tree.index.tolist(), tree.axis.tolist())
+
+    def take():
+        shape, index, axis = next(rows)
+        extent = tuple(1 << a for a in shape)
+        offset = tuple(i * e for i, e in zip(index, extent))
+        if axis < 0:
+            return ("prune" if any(shape) else "atom", offset, extent)
+        return ("split", offset, extent, axis, take(), take())
+
+    structure = take()
+    assert next(rows, None) is None, "rows left over after the root's subtree"
+    return structure
 
 
 # ---------------------------------------------------------------------------
-# Reference tree path: one TreeNode per node, built by recursion
+# Reference tree path: structure tuples built by recursion
 # ---------------------------------------------------------------------------
-# A reference tree is (root TreeNode, dims_padded).  Ties follow the same
-# fixed rules as the package: the lowest axis wins among equal split
-# scores, and a block splits when stopping and splitting score equally.
+# Ties follow the same fixed rules as the package: the lowest axis wins
+# among equal split scores, and a block splits when stopping and splitting
+# score equally.
 
 
 def reference_log_kappa(lattice):
@@ -226,49 +232,54 @@ def reference_log_kappa(lattice):
     return log_kappa
 
 
+def _key(offset, extent):
+    """(shape, grid index) of a block: the posterior arrays' address."""
+    shape = tuple(int(e).bit_length() - 1 for e in extent)
+    return shape, tuple(o >> a for o, a in zip(offset, shape))
+
+
 def reference_extract_map_tree(lattice):
-    """Top-down recursive MAP tree: (root TreeNode, dims_padded)."""
+    """Top-down recursive MAP tree: (structure, dims_padded)."""
     log_kappa = reference_log_kappa(lattice)
-    stats = lattice.stats
 
-    def kappa_at(block):
-        return float(log_kappa[stats.shape_of(block)][stats.index_of(block)])
+    def kappa_at(offset, extent):
+        shape, idx = _key(offset, extent)
+        return float(log_kappa[shape][idx])
 
-    def build(block):
-        div = divisible_dims(block)
+    def build(offset, extent):
+        div = _divisible(extent)
         if not div:
-            return TreeNode(block=block)
-        shape = stats.shape_of(block)
-        idx = stats.index_of(block)
+            return ("atom", offset, extent)
+        shape, idx = _key(offset, extent)
         best_d, best_t, best_kids = -1, -np.inf, None
         for d in div:
-            kids = children(block, d)
+            kids = _children(offset, extent, d)
             t = (float(lattice.log_split[(shape, d)][idx])
-                 + kappa_at(kids[0]) + kappa_at(kids[1]))
+                 + kappa_at(*kids[0]) + kappa_at(*kids[1]))
             if t > best_t:
                 best_d, best_t, best_kids = d, t, kids
         log_prune = float(lattice.log_prune[shape][idx])
         log_not_prune = float(lattice.log_not_prune[shape][idx])
         if log_prune > log_not_prune + best_t:
-            return TreeNode(block=block, pruned=True)
-        return TreeNode(block=block, split_axis=best_d,
-                        left=build(best_kids[0]), right=build(best_kids[1]))
+            return ("prune", offset, extent)
+        return ("split", offset, extent, best_d,
+                build(*best_kids[0]), build(*best_kids[1]))
 
-    return build(root_block(stats.dims)), stats.dims
-
-
-def _reference_leaves(node):
-    if node.is_leaf:
-        return [node]
-    return _reference_leaves(node.left) + _reference_leaves(node.right)
+    dims = lattice.stats.dims
+    return build(tuple(0 for _ in dims), tuple(dims)), dims
 
 
-def reference_permutation(root, dims):
+def _leaves(structure):
+    if structure[0] != "split":
+        return [structure]
+    return _leaves(structure[4]) + _leaves(structure[5])
+
+
+def reference_permutation(structure, dims):
     """(order, inverse): leaves left to right, row-major inside each leaf."""
     chunks = []
-    for leaf in _reference_leaves(root):
-        block = leaf.block
-        ranges = [np.arange(o, o + e) for o, e in zip(block.offset, block.extent)]
+    for _, offset, extent in _leaves(structure):
+        ranges = [np.arange(o, o + e) for o, e in zip(offset, extent)]
         mesh = np.meshgrid(*ranges, indexing="ij")
         chunks.append(np.ravel_multi_index([m.ravel() for m in mesh], dims))
     order = np.concatenate(chunks).astype(np.int64)
@@ -278,24 +289,25 @@ def reference_permutation(root, dims):
     return order, inverse
 
 
-def reference_serialize_tree(root, dims):
+def reference_serialize_tree(structure, dims):
     """Preorder stop bits and axis bits, one BitWriter call per field."""
     writer = BitWriter()
     nbits_axis = (len(dims) - 1).bit_length()
 
     def walk(node):
-        if node.block.is_atomic:
+        kind = node[0]
+        if kind == "atom":
             return
-        if node.pruned:
+        if kind == "prune":
             writer.write_bit(1)
             return
         writer.write_bit(0)
         if nbits_axis:
-            writer.write(node.split_axis, nbits_axis)
-        walk(node.left)
-        walk(node.right)
+            writer.write(node[3], nbits_axis)
+        walk(node[4])
+        walk(node[5])
 
-    walk(root)
+    walk(structure)
     return writer.getvalue(), writer.bit_length
 
 

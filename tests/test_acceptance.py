@@ -25,7 +25,7 @@ from carp.lattice import _halves, build_stats
 from carp.codec import default_q
 from carp.stream import deserialize_tree, serialize_tree
 
-from conftest import random_grid, synthetic_photo
+from conftest import random_grid, same_tree, synthetic_photo
 from oracles import brute_force_map, reference_ms_ssim, tree_to_structure
 
 
@@ -63,7 +63,7 @@ def oracle_instances():
                 "recursion_lp": post.log_marginal,
                 "brute_lp": brute_lp,
                 "kappa_root": float(kappa[post.root_shape].reshape(-1)[0]),
-                "tree_structure": tree_to_structure(tree.root),
+                "tree_structure": tree_to_structure(tree),
                 "tree_log_post": map_tree_log_posterior(tree, post),
                 "best_structures": best,
                 "best_log_post": best_log_post,
@@ -194,7 +194,7 @@ def test_criterion_05_entropy_coding():
         hp = Hyperparams(sigma=float(rng.uniform(0.5, 16.0)))
         tree = extract_map_tree(build_posterior(grid, hp))
         bits, nbits = serialize_tree(tree)
-        if deserialize_tree(bits, nbits, tree.dims_padded).root != tree.root:
+        if not same_tree(deserialize_tree(bits, nbits, tree.dims_padded), tree):
             tree_failures += 1
     ok = failures == 0 and worst_kraft <= 1.0 + 1e-12 and tree_failures == 0
     _report(5, "Huffman and tree serialization roundtrips", ok,

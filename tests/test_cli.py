@@ -1,4 +1,5 @@
 import csv
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from carp import Hyperparams, compress, save
 from carp.cli import main
 
-from conftest import random_grid, synthetic_photo
+from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
 
 
 @pytest.fixture()
@@ -116,6 +117,26 @@ class TestExitCodes:
         assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
         err = capsys.readouterr().err
         assert "StreamError" in err and "Traceback" not in err
+
+    def test_huge_header_dims_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "huge.carp"
+        bad.write_bytes(forged_huge_dims_stream())
+        assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert "ResourceError" in err and "Traceback" not in err
+        assert not (tmp_path / "y.pgm").exists()
+
+    def test_nan_q_is_exit_1(self, tmp_path, capsys):
+        stream = compress(random_grid(np.random.default_rng(8), (4, 4)),
+                          Hyperparams(sigma=1.0))
+        data = bytearray(stream.to_bytes())
+        data[17:25] = struct.pack("<d", float("nan"))  # q follows magic, 5 bytes, sigma
+        bad = tmp_path / "nan_q.carp"
+        bad.write_bytes(bytes(data))
+        assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert "StreamError" in err and "Traceback" not in err
+        assert not (tmp_path / "y.pgm").exists()
 
 
 class TestSweep:

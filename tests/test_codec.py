@@ -1,14 +1,17 @@
 import gc
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from carp import (Block, DimensionError, Hyperparams, PixelGrid, TreeNode,
-                  codec, compress, crop, decompress, decompress_with_bits,
-                  default_q, pad, psnr, target_ratio_search)
+from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
+                  ResourceError, codec, compress, crop, decompress,
+                  decompress_with_bits, default_q, pad, psnr,
+                  target_ratio_search)
 
-from conftest import random_grid, synthetic_photo
+from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
 
 
 def grid_of(arr, **kwargs):
@@ -137,16 +140,21 @@ class TestResources:
                 gc.enable()
         assert alive == [False]
 
-    def test_codec_path_builds_no_node_objects(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError(f"{type(self).__name__} built on the codec path")
-
-        grid = synthetic_photo(32, seed=4)
-        monkeypatch.setattr(Block, "__init__", refuse)
-        monkeypatch.setattr(TreeNode, "__init__", refuse)
-        for hp in (Hyperparams(sigma=0.01, eta0=0.0), Hyperparams(sigma=2.0)):
-            stream = compress(grid, hp)
-            decompress(stream.to_bytes())
+    def test_huge_header_dims_fail_before_allocating(self):
+        data = forged_huge_dims_stream()
+        stream = CompressedStream.from_bytes(data)
+        assert stream.decode_tree().node_counts()["pruned_leaves"] == 1
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ResourceError, match="budget"):
+                decompress(data)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 2**20
 
 
 class TestProgressive:

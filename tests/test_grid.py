@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carp import DimensionError, ParseError, PixelGrid, crop, load, pad, save
-from carp.grid import load_pgm, save_pgm
+from carp.grid import load_pgm, original_region, save_pgm
 
 from conftest import random_grid
 
@@ -117,6 +117,8 @@ class TestPadCrop:
         grid = random_grid(rng, shape)
         back = crop(pad(grid), grid.dims_original)
         np.testing.assert_array_equal(back.values, grid.values)
+        np.testing.assert_array_equal(original_region(pad(grid)).values, grid.values)
+        assert original_region(grid) is grid
 
     def test_pad_preserves_original_pixels(self):
         rng = np.random.default_rng(9)

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from carp import (Block, DimensionError, PixelGrid, ResourceError, build_stats,
-                  children, divisible_dims, haar_coefficient, pad)
-from carp.lattice import _halves, root_block
+from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
+from carp.lattice import _child, _halves
 
 from conftest import random_grid
 
@@ -14,48 +13,27 @@ def grid_of(arr):
     return PixelGrid.from_array(np.asarray(arr, dtype=float))
 
 
-class TestBlockOps:
-    def test_divisible_dims(self):
-        assert divisible_dims(Block((0, 0), (4, 1), 0)) == (0,)
-        assert divisible_dims(Block((0, 0), (1, 1), 0)) == ()
-        assert divisible_dims(Block((0, 0, 0), (2, 4, 2), 0)) == (0, 1, 2)
-
-    def test_children_halve_rows(self):
-        left, right = children(Block((0, 0), (2, 2), 0), 0)
-        assert left == Block((0, 0), (1, 2), 1)
-        assert right == Block((1, 0), (1, 2), 1)
-
-    def test_children_of_1x2_are_atomic(self):
-        left, right = children(Block((0, 0), (1, 2), 3), 1)
-        assert left.is_atomic and right.is_atomic
-        assert (left.offset, right.offset) == ((0, 0), (0, 1))
-
-    def test_atomic_has_no_children(self):
-        with pytest.raises(ValueError):
-            children(Block((0, 0), (1, 1), 4), 0)
-
-
 class TestHaarCoefficient:
     def test_two_pixels(self):
         stats = build_stats(grid_of([[4.0, 2.0]]))
-        w = haar_coefficient(Block((0, 0), (1, 2), 0), 1, stats)
+        w = stats.haar_array((0, 1), 1)[0, 0]
         assert w == pytest.approx((4 - 2) / np.sqrt(2), rel=1e-12)
 
     def test_constant_block_is_zero(self):
         stats = build_stats(grid_of(np.full((4, 4), 9.0)))
         for d in (0, 1):
-            assert haar_coefficient(root_block((4, 4)), d, stats) == 0.0
+            assert stats.haar_array((2, 2), d)[0, 0] == 0.0
 
     def test_2x2_row_split(self):
         stats = build_stats(grid_of([[1.0, 2.0], [3.0, 4.0]]))
-        w = haar_coefficient(root_block((2, 2)), 0, stats)
+        w = stats.haar_array((1, 1), 0)[0, 0]
         assert w == pytest.approx((3 - 7) / 2.0, rel=1e-12)
 
 
 class TestBuildStats:
     def test_sst_1x4(self):
         stats = build_stats(grid_of([[1.0, 2.0, 3.0, 4.0]]))
-        assert stats.stats_for(root_block((1, 4))).sst == pytest.approx(5.0)
+        assert stats.ssts[(0, 2)][0, 0] == pytest.approx(5.0)
 
     def test_constant_image_all_sst_zero(self):
         stats = build_stats(grid_of(np.full((4, 8), 3.0)))
@@ -88,11 +66,10 @@ class TestBuildStats:
             for idx in itertools.product(*(range(c) for c in stats.grid_shape(shape))):
                 off = tuple(i * e for i, e in zip(idx, extent))
                 view = plane[tuple(slice(o, o + e) for o, e in zip(off, extent))]
-                block = Block(off, extent, stats.level_of_shape(shape))
-                got = stats.stats_for(block)
-                assert got.sum == pytest.approx(view.sum(), rel=1e-12)
+                assert stats.sums[shape][idx] == pytest.approx(view.sum(), rel=1e-12)
                 direct_sst = float(np.sum((view - view.mean()) ** 2))
-                assert got.sst == pytest.approx(direct_sst, rel=1e-12, abs=1e-9)
+                assert stats.ssts[shape][idx] == pytest.approx(direct_sst,
+                                                               rel=1e-12, abs=1e-9)
 
 
 class TestSplitIdentity:
@@ -107,8 +84,7 @@ class TestSplitIdentity:
             level = stats.level_of_shape(s)
             parent_sst = stats.ssts[s]
             for d in [i for i, a in enumerate(s) if a > 0]:
-                child = tuple(a - 1 if i == d else a for i, a in enumerate(s))
-                ct = stats.ssts[child]
+                ct = stats.ssts[_child(s, d)]
                 left, right = _halves(stats.m, d)
                 w = stats.haar_array(s, d)
                 recon = ct[left] + ct[right] + w * w

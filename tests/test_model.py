@@ -5,8 +5,6 @@ import pytest
 
 from carp import (Hyperparams, HyperGrid, NumericError, PixelGrid,
                   build_posterior, build_stats, empirical_bayes_fit)
-from carp.lattice import root_block
-
 from conftest import random_grid
 from oracles import brute_force_log_marginal
 
@@ -45,50 +43,58 @@ class TestHyperparams:
         assert Hyperparams(sigma=1.0, c=8.0).rho(0) == 1.0
 
 
+# log_psi0 and log_psi_d are not stored; each is checked through
+# log_marginal on an image where it is the whole marginal.  With eta0 = 1
+# the root always stops, so the marginal is psi0 of the root; with eta0 = 0
+# and a single divisible axis (a 1x2 or 2-pixel image, whose children are
+# atomic) it is psi_d of the root.
+
+
 class TestLogPsi0:
     def test_atomic_is_zero(self):
-        post = build_posterior(grid_of([[7.0]]), Hyperparams(sigma=1.0))
-        assert post.log_psi0[(0, 0)][0, 0] == 0.0
-        assert post.log_psi[(0, 0)][0, 0] == 0.0
+        for eta0 in (1.0, 0.4):
+            post = build_posterior(grid_of([[7.0]]), Hyperparams(sigma=1.0, eta0=eta0))
+            assert post.log_marginal == 0.0
 
     def test_constant_2x2(self):
-        post = build_posterior(grid_of(np.full((2, 2), 5.0)), Hyperparams(sigma=1.0))
+        post = build_posterior(grid_of(np.full((2, 2), 5.0)),
+                               Hyperparams(sigma=1.0, eta0=1.0))
         expected = -1.5 * math.log(2 * math.pi)  # -2.75682 with SST = 0
-        assert post.log_psi0[(1, 1)][0, 0] == pytest.approx(expected, abs=1e-5)
+        assert post.log_marginal == pytest.approx(expected, abs=1e-5)
         assert expected == pytest.approx(-2.75682, abs=1e-5)
 
     def test_two_pixels_equals_normal_density(self):
         rng = np.random.default_rng(0)
         a, b = rng.uniform(0, 255, size=2)
         sigma = 3.0
-        post = build_posterior(grid_of([a, b]), Hyperparams(sigma=sigma))
+        post = build_posterior(grid_of([a, b]), Hyperparams(sigma=sigma, eta0=1.0))
         w = (a - b) / math.sqrt(2)
-        assert post.log_psi0[(1,)][0] == pytest.approx(
-            log_normal(w, sigma**2), rel=1e-12)
+        assert post.log_marginal == pytest.approx(log_normal(w, sigma**2), rel=1e-12)
 
 
 class TestLogPsiD:
     def test_vanishing_rho_collapses_to_noise_density(self):
-        # c must stay positive, but a huge beta drives rho(1) to ~1e-62
-        img = grid_of([[4.0, 2.0], [1.0, 9.0]])
-        hp = Hyperparams(sigma=2.0, c=0.05, beta=200.0)
-        post = build_posterior(img, hp)
-        shape = (0, 1)  # 1x2 blocks at level 1; their children are atomic
-        w = post.stats.haar_array(shape, 1)
-        np.testing.assert_allclose(post.log_psi_d[(shape, 1)],
-                                   log_normal(w, 4.0), rtol=1e-9)
+        # c must stay positive, but rho can still be ~1e-62: the value
+        # beta = 200 gives rho(1) with c = 0.05.  Each 1x2 image is its
+        # own root, at level 0, where rho = c.
+        for row in ([4.0, 2.0], [1.0, 9.0]):
+            img = grid_of([row])
+            hp = Hyperparams(sigma=2.0, c=0.05 * 2.0**-200, eta0=0.0)
+            post = build_posterior(img, hp)
+            w = post.stats.haar_array((0, 1), 1)[0, 0]
+            assert post.log_marginal == pytest.approx(log_normal(w, 4.0), rel=1e-9)
 
     def test_rho_one_with_tau_zero_matches_rho_zero(self):
         img = grid_of([4.0, 2.0])
-        base = dict(sigma=1.5, alpha=0.5, beta=1.0)
+        base = dict(sigma=1.5, alpha=0.5, beta=1.0, eta0=0.0)
         tiny_tau = build_posterior(img, Hyperparams(c=100.0, tau0=1e-9, **base))
         w = (4.0 - 2.0) / math.sqrt(2)
-        assert tiny_tau.log_psi_d[((1,), 0)][0] == pytest.approx(
+        assert tiny_tau.log_marginal == pytest.approx(
             log_normal(w, 1.5**2), rel=1e-9)
 
     def test_direct_density_evaluation(self):
         # independent scalar computation of the two normal densities
-        sigma, tau0, c, eta0 = 1.0, 1.0, 0.05, 0.4
+        sigma, tau0, c, eta0 = 1.0, 1.0, 0.05, 0.0
         img = grid_of([4.0, 2.0])
         hp = Hyperparams(sigma=sigma, tau0=tau0, c=c, eta0=eta0)
         post = build_posterior(img, hp)
@@ -96,7 +102,7 @@ class TestLogPsiD:
         rho = min(1.0, c)
         mix = (rho * math.exp(log_normal(w, (1 + tau0**2) * sigma**2))
                + (1 - rho) * math.exp(log_normal(w, sigma**2)))
-        assert post.log_psi_d[((1,), 0)][0] == pytest.approx(math.log(mix), rel=1e-12)
+        assert post.log_marginal == pytest.approx(math.log(mix), rel=1e-12)
 
 
 class TestBuildPosterior:
@@ -115,10 +121,9 @@ class TestBuildPosterior:
 
     def test_symmetric_constant_2x2_splits_evenly(self):
         post = build_posterior(grid_of(np.full((2, 2), 8.0)), Hyperparams(sigma=1.0))
-        root = root_block((2, 2))
-        split = post.split_posterior(root)
-        assert split[0] == pytest.approx(0.5, abs=1e-12)
-        assert split[1] == pytest.approx(0.5, abs=1e-12)
+        for d in (0, 1):
+            split = math.exp(float(post.log_split[((1, 1), d)][0, 0]))
+            assert split == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 2)])
     def test_log_marginal_matches_enumeration(self, shape):
@@ -131,22 +136,17 @@ class TestBuildPosterior:
             assert post.log_marginal == pytest.approx(brute, rel=1e-10)
 
     def test_mixture_identity_recombines(self):
-        # psi must equal the eta0-weighted stop/split combination when
-        # re-evaluated from its stored pieces in a different association
+        # psi is the eta0-weighted stop/split combination, so the stop and
+        # not-stop posteriors, computed from it separately, sum to one
         rng = np.random.default_rng(14)
         grid = random_grid(rng, (4, 8))
         hp = Hyperparams(sigma=2.5, eta0=0.3)
         post = build_posterior(grid, hp)
         for shape in post.stats.shapes:
-            div = [i for i, a in enumerate(shape) if a > 0]
-            if not div:
+            if not any(shape):
                 continue
-            peak = post.log_psi[shape]
-            stop = np.exp(math.log(hp.eta0) + post.log_psi0[shape] - peak)
-            split = sum(np.exp(math.log1p(-hp.eta0) - math.log(len(div))
-                               + post.log_psi_d[(shape, d)] - peak)
-                        for d in div)
-            np.testing.assert_allclose(stop + split, 1.0, rtol=1e-10)
+            total = np.exp(post.log_prune[shape]) + np.exp(post.log_not_prune[shape])
+            np.testing.assert_allclose(total, 1.0, rtol=1e-10)
 
     def test_split_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -173,9 +173,11 @@ class TestBuildPosterior:
         hp = Hyperparams(sigma=2.0)
         post_a = build_posterior(grid_of(base), hp)
         post_b = build_posterior(grid_of(base + 55.0), hp)
+        assert post_a.log_marginal == pytest.approx(post_b.log_marginal, rel=1e-9)
         for shape in post_a.stats.shapes:
-            np.testing.assert_allclose(post_a.log_psi[shape],
-                                       post_b.log_psi[shape], rtol=1e-9)
+            np.testing.assert_allclose(post_a.log_not_prune[shape],
+                                       post_b.log_not_prune[shape],
+                                       rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(post_a.log_prune[shape],
                                        post_b.log_prune[shape],
                                        rtol=1e-9, atol=1e-12)

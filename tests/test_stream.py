@@ -10,7 +10,7 @@ from carp import (CompressedStream, Hyperparams, StreamError, build_posterior,
 from carp.stream import (ZERO_RUN_MAX, axis_bit_width, deserialize_tree,
                          detokenize, serialize_tree, tokenize_scale)
 
-from conftest import random_grid
+from conftest import random_grid, same_tree
 
 
 def map_tree_for(rng, shape, sigma=4.0, eta0=0.4):
@@ -31,14 +31,14 @@ class TestTreeBits:
     def test_unpruned_1d_root_is_one_bit(self):
         rng = np.random.default_rng(0)
         tree = map_tree_for(rng, (2,), sigma=0.01, eta0=0.0)
-        assert not tree.root.pruned
+        assert not tree.pruned[0]
         bits, nbits = serialize_tree(tree)
         assert nbits == 1  # one stop bit, zero axis bits when m == 1
         assert bits == b"\x00"
 
     def test_pruned_root_is_one_bit(self):
         tree = map_tree_for(np.random.default_rng(1), (2,), sigma=50.0, eta0=0.999)
-        assert tree.root.pruned
+        assert tree.pruned[0]
         bits, nbits = serialize_tree(tree)
         assert nbits == 1
         assert bits == b"\x80"
@@ -51,7 +51,7 @@ class TestTreeBits:
             tree = map_tree_for(rng, shape, sigma=sigma)
             bits, nbits = serialize_tree(tree)
             back = deserialize_tree(bits, nbits, tree.dims_padded)
-            assert back.root == tree.root
+            assert same_tree(back, tree)
 
     def test_truncated_tree_bits_raise(self):
         rng = np.random.default_rng(2)
@@ -158,7 +158,7 @@ class TestContainer:
         assert back.to_bytes() == data
         assert back.dims_original == stream.dims_original
         assert back.hyperparams == stream.hyperparams
-        assert back.decode_tree().root == stream.decode_tree().root
+        assert same_tree(back.decode_tree(), stream.decode_tree())
 
     def test_bad_magic(self):
         data = bytearray(self.make_stream()[0].to_bytes())
@@ -195,6 +195,14 @@ class TestContainer:
     def test_size_bytes_matches_serialization(self, shape, channels):
         stream, _ = self.make_stream(shape=shape, channels=channels, sigma=1.0)
         assert stream.size_bytes == len(stream.to_bytes())
+
+    @pytest.mark.parametrize("q", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_invalid_q_rejected(self, q):
+        data = bytearray(self.make_stream()[0].to_bytes())
+        q_at = 4 + 5 + 8  # magic, version/m/channels/depth, sigma
+        data[q_at : q_at + 8] = struct.pack("<d", q)
+        with pytest.raises(StreamError, match="q="):
+            CompressedStream.from_bytes(bytes(data))
 
     def test_huge_dims_in_header_fail_before_allocating(self):
         grid = random_grid(np.random.default_rng(6), (4, 4))

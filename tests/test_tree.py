@@ -4,7 +4,7 @@ import pytest
 from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
                   deserialize_tree, extract_map_tree, map_tree_log_posterior,
                   permutation_from_tree, serialize_tree)
-from conftest import random_grid
+from conftest import random_grid, same_tree
 from oracles import (brute_force_map, reference_extract_map_tree,
                      reference_permutation, reference_serialize_tree,
                      tree_to_structure)
@@ -16,6 +16,13 @@ def grid_of(arr):
 
 def posterior_of(arr, **hp_kwargs):
     return build_posterior(grid_of(arr), Hyperparams(**hp_kwargs))
+
+
+def inverse_of(order):
+    """inverse[order[i]] = i."""
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order), dtype=order.dtype)
+    return inverse
 
 
 class TestKappa:
@@ -47,22 +54,21 @@ class TestExtractMapTree:
         rng = np.random.default_rng(5)
         grid = random_grid(rng, (4, 4))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=2.0, eta0=0.0)))
-        leaves = tree.leaves()
-        assert all(leaf.block.is_atomic for leaf in leaves)
-        assert len(leaves) == 16
-        assert not tree.pruned_blocks()
+        leaves = tree.axis < 0
+        assert not tree.shape[leaves].any()
+        assert np.count_nonzero(leaves) == 16
+        assert not tree.pruned_regions()
 
     def test_1d_image_splits_along_sole_axis(self):
         rng = np.random.default_rng(6)
         grid = random_grid(rng, (8,))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=1.0, eta0=0.0)))
-        assert all(node.split_axis == 0 for node in tree.iter_nodes()
-                   if not node.is_leaf)
+        assert np.all(tree.axis[tree.axis >= 0] == 0)
 
     def test_constant_2x2_prunes_root(self):
         post = posterior_of(np.full((2, 2), 7.0), sigma=1.0)
         tree = extract_map_tree(post)
-        assert tree.root.pruned
+        assert tree.pruned[0]
         best, _, _ = brute_force_map(np.full((2, 2), 7.0), Hyperparams(sigma=1.0))
         assert ("prune", (0, 0), (2, 2)) in best
 
@@ -79,9 +85,9 @@ class TestExtractMapTree:
             assert extracted_log_post == pytest.approx(best_log_post,
                                                        rel=1e-9, abs=1e-9)
             if len(best) == 1:
-                assert tree_to_structure(tree.root) == best[0]
+                assert tree_to_structure(tree) == best[0]
             else:
-                assert tree_to_structure(tree.root) in best
+                assert tree_to_structure(tree) in best
 
     def test_extracted_tree_posterior_equals_kappa(self):
         rng = np.random.default_rng(8)
@@ -98,8 +104,10 @@ class TestExtractMapTree:
         grid = random_grid(rng, (8, 4))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=6.0)))
         coverage = np.zeros((8, 4), dtype=int)
-        for leaf in tree.leaves():
-            coverage[leaf.block.slices()] += 1
+        leaves = tree.axis < 0
+        extents = 1 << tree.shape[leaves]
+        for offset, extent in zip(tree.index[leaves] * extents, extents):
+            coverage[tuple(slice(o, o + e) for o, e in zip(offset, extent))] += 1
         np.testing.assert_array_equal(coverage, 1)
 
     def test_determinism(self):
@@ -108,76 +116,77 @@ class TestExtractMapTree:
         hp = Hyperparams(sigma=3.0)
         t1 = extract_map_tree(build_posterior(grid_of(vals), hp))
         t2 = extract_map_tree(build_posterior(grid_of(vals), hp))
-        assert t1.root == t2.root
+        assert same_tree(t1, t2)
 
 
 class TestPermutation:
     def test_1d_full_tree_is_identity(self):
         grid = grid_of([10.0, 20.0, 30.0, 40.0])
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=1.0, eta0=0.0)))
-        perm = permutation_from_tree(tree)
-        np.testing.assert_array_equal(perm.order, np.arange(4))
+        order = permutation_from_tree(tree)
+        np.testing.assert_array_equal(order, np.arange(4))
 
     def test_2x2_binary_coding_order(self):
         # axis-0 split at the root, then axis-1 splits: row-major traversal
         rng = np.random.default_rng(11)
         grid = random_grid(rng, (2, 2))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=1.0, eta0=0.0)))
-        perm = permutation_from_tree(tree)
-        axis = tree.root.split_axis
-        if axis == 0:
-            np.testing.assert_array_equal(perm.order, [0, 1, 2, 3])
+        order = permutation_from_tree(tree)
+        if tree.axis[0] == 0:
+            np.testing.assert_array_equal(order, [0, 1, 2, 3])
         else:
-            np.testing.assert_array_equal(perm.order, [0, 2, 1, 3])
+            np.testing.assert_array_equal(order, [0, 2, 1, 3])
 
     def test_pruned_root_uses_row_major_order(self):
         tree = extract_map_tree(posterior_of(np.full((2, 2), 3.0), sigma=1.0))
-        assert tree.root.pruned
-        perm = permutation_from_tree(tree)
-        np.testing.assert_array_equal(perm.order, [0, 1, 2, 3])
+        assert tree.pruned[0]
+        order = permutation_from_tree(tree)
+        np.testing.assert_array_equal(order, [0, 1, 2, 3])
 
     @pytest.mark.parametrize("shape", [(4, 4), (8, 2), (4, 4, 4)])
     def test_bijection(self, shape):
         rng = np.random.default_rng(sum(shape))
         grid = random_grid(rng, shape)
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=4.0)))
-        perm = permutation_from_tree(tree)
+        order = permutation_from_tree(tree)
         n = int(np.prod(shape))
-        assert sorted(perm.order.tolist()) == list(range(n))
-        np.testing.assert_array_equal(perm.inverse[perm.order], np.arange(n))
+        assert sorted(order.tolist()) == list(range(n))
+        assert order.dtype == np.int64 and not order.flags.writeable
+        np.testing.assert_array_equal(inverse_of(order)[order], np.arange(n))
 
     def test_nodes_occupy_dyadic_runs(self):
         rng = np.random.default_rng(12)
         grid = random_grid(rng, (8, 8))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=2.0)))
-        perm = permutation_from_tree(tree)
-        pos = perm.inverse  # pixel -> position in tree order
-        for node in tree.iter_nodes():
-            block = node.block
-            ranges = [np.arange(o, o + e) for o, e in zip(block.offset, block.extent)]
+        pos = inverse_of(permutation_from_tree(tree))  # pixel -> tree order
+        for shape, index, start in zip(tree.shape.tolist(), tree.index.tolist(),
+                                       tree.pos.tolist()):
+            extent = [1 << a for a in shape]
+            size = int(np.prod(extent))
+            ranges = [np.arange(i * e, (i + 1) * e) for i, e in zip(index, extent)]
             mesh = np.meshgrid(*ranges, indexing="ij")
             flat = np.ravel_multi_index([m.ravel() for m in mesh], (8, 8))
             positions = np.sort(pos[flat])
-            assert positions[0] % block.size == 0
+            assert positions[0] % size == 0
+            assert positions[0] == start
             np.testing.assert_array_equal(
-                positions, np.arange(positions[0], positions[0] + block.size))
+                positions, np.arange(positions[0], positions[0] + size))
 
 
 def assert_matches_reference(post):
     """Array-native tree path == recursive reference path, exactly."""
     tree = extract_map_tree(post)
-    root, dims = reference_extract_map_tree(post)
-    assert tree_to_structure(tree.root) == tree_to_structure(root)
-    assert tree.root == root
-    perm = permutation_from_tree(tree)
-    order, inverse = reference_permutation(root, dims)
-    np.testing.assert_array_equal(perm.order, order)
-    np.testing.assert_array_equal(perm.inverse, inverse)
+    structure, dims = reference_extract_map_tree(post)
+    assert tree.dims_padded == dims
+    assert tree_to_structure(tree) == structure
+    order = permutation_from_tree(tree)
+    ref_order, ref_inverse = reference_permutation(structure, dims)
+    np.testing.assert_array_equal(order, ref_order)
+    np.testing.assert_array_equal(inverse_of(order), ref_inverse)
     bits, nbits = serialize_tree(tree)
-    assert (bits, nbits) == reference_serialize_tree(root, dims)
+    assert (bits, nbits) == reference_serialize_tree(structure, dims)
     back = deserialize_tree(bits, nbits, tree.dims_padded)
-    for name in ("shape", "index", "pos", "axis"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
+    assert same_tree(back, tree)
     return tree
 
 
@@ -221,7 +230,7 @@ class TestMatchesReference:
         post.log_split[((1, 1), 0)] = np.full((1, 1), np.log(0.5))
         post.log_split[((1, 1), 1)] = np.full((1, 1), np.log(0.5))
         tree = assert_matches_reference(post)
-        assert tree.root.split_axis == 0
+        assert tree.axis[0] == 0
 
     def test_prune_split_tie_splits(self):
         # two pixels: atomic children and a single axis make the split
@@ -229,8 +238,8 @@ class TestMatchesReference:
         post = posterior_of([3.0, 5.0], sigma=1.0)
         post.log_prune[(1,)] = post.log_not_prune[(1,)].copy()
         tree = assert_matches_reference(post)
-        assert tree.root.split_axis == 0
+        assert tree.axis[0] == 0
         post.log_prune[(1,)] = np.nextafter(post.log_not_prune[(1,)], np.inf)
         post.log_kappa = None
         tree = assert_matches_reference(post)
-        assert tree.root.pruned
+        assert tree.pruned[0]
