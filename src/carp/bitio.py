@@ -1,8 +1,21 @@
-"""Bit-packed reader/writer, MSB-first within each byte."""
+"""Bit-packed writer and bulk readers, MSB-first within each byte.
+
+Writing is field by field (:class:`BitWriter`).  Reading is in bulk: a
+decoder unpacks a bitstream once (:func:`unpack_bits`) or reads a
+fixed-width integer at many bit positions with one gather
+(:func:`bit_windows`), so no decoder steps through a stream bit by bit
+in Python.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import StreamError
+
+# Widest window bit_windows reads: a 64-bit word less the 7-bit offset
+# of a position inside its first byte.
+MAX_WINDOW = 57
 
 
 class BitWriter:
@@ -38,38 +51,33 @@ class BitWriter:
         return bytes(out)
 
 
-class BitReader:
-    def __init__(self, data: bytes, nbits: int | None = None):
-        self._data = data
-        self._limit = 8 * len(data) if nbits is None else nbits
-        if self._limit > 8 * len(data):
-            raise StreamError(f"bit length {self._limit} exceeds buffer size")
-        self._pos = 0
+def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
+    """The first nbits bits of data as a uint8 array of 0s and 1s."""
+    if nbits > 8 * len(data):
+        raise StreamError(f"bit length {nbits} exceeds {len(data)} bytes")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
 
-    @property
-    def pos(self) -> int:
-        return self._pos
 
-    @property
-    def remaining(self) -> int:
-        return self._limit - self._pos
+def bit_windows(data: bytes, positions: np.ndarray, width: int) -> np.ndarray:
+    """The width-bit integer read MSB-first at each bit position, as uint64.
 
-    def read_bit(self) -> int:
-        if self._pos >= self._limit:
-            raise StreamError("bitstream exhausted")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read(self, nbits: int) -> int:
-        if self._pos + nbits > self._limit:
-            raise StreamError("bitstream exhausted")
-        value = 0
-        pos = self._pos
-        data = self._data
-        for _ in range(nbits):
-            value = (value << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self._pos = pos
-        return value
+    Bits past the end of data read as 0.  Each position costs one gather
+    of the big-endian 64-bit word starting at its byte; the words are
+    built only over the bytes the positions span.
+    """
+    if not 0 < width <= MAX_WINDOW:
+        raise ValueError(f"window width must be in 1..{MAX_WINDOW}, got {width}")
+    positions = np.asarray(positions, dtype=np.int64)
+    if not positions.size:
+        return np.zeros(0, dtype=np.uint64)
+    first = positions >> 3
+    lo = int(first.min())
+    count = int(first.max()) - lo + 1
+    padded = bytes(data[lo : lo + count + 7]).ljust(count + 7, b"\0")
+    words = np.empty(count, dtype=np.uint64)
+    for r in range(8):  # the words starting at bytes r, r + 8, r + 16, ...
+        words[r::8] = np.frombuffer(padded, dtype=">u8", count=(count - r + 7) // 8,
+                                    offset=r)
+    first -= lo
+    shift = (positions & 7).astype(np.uint64)
+    return (words[first] << shift) >> np.uint64(64 - width)

@@ -12,9 +12,16 @@ coarse reconstructions.
 
 The permutation is a plain int64 index array (``order[i]`` is the
 row-major index of the i-th pixel in tree order), so the encoder gathers
-with it and the decoder scatters with it.  Before it allocates anything
-sized by the header dims, the decoder checks that the order and one
-float64 plane per channel fit in ``lattice.DEFAULT_MAX_BYTES``.
+with it and the decoder scatters with it.  The decoder reads each
+channel's payload with one bulk call (``detokenize``), which yields every
+decoded scale at once.  Before it allocates anything sized by the header,
+it checks that an upper bound on all it will allocate (the tree, the
+order, the planes, one channel's pyramid and inverse-transform vectors,
+and the bulk decoder's per-bit and per-token arrays) fits in
+``lattice.DEFAULT_MAX_BYTES``.
+
+``target_ratio_search`` builds the block statistics once and hands them
+to every ``compress`` attempt, since they do not depend on sigma.
 """
 
 from __future__ import annotations
@@ -25,18 +32,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitWriter
 from .errors import DimensionError, ResourceError, StreamError
 from .grid import PixelGrid, _freeze, original_region
-from .huffman import (CanonicalDecoder, build_code_lengths, canonical_codes,
+from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
-from .lattice import DEFAULT_MAX_BYTES, build_stats
+from .lattice import DEFAULT_MAX_BYTES, StatsLattice, build_stats
 from .model import Hyperparams, build_posterior
 from .stream import (ChannelPayload, CompressedStream, detokenize,
                      serialize_tree, tokenize_scale)
 from .transform import (CoefficientPyramid, dequantize, haar_forward,
                         haar_inverse, quantize)
 from .tree import MapTree, extract_map_tree, permutation_from_tree
+
+
+# Decoding allocations of fixed size: small arrays, Python objects.
+_DECODE_SLACK = 64 << 10
 
 
 def default_q(sigma: float) -> float:
@@ -54,8 +65,13 @@ def _substitute_pruned_means(plane: np.ndarray, tree: MapTree) -> np.ndarray:
     return out
 
 
-def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None) -> CompressedStream:
-    """Compress a padded grid into an in-memory stream."""
+def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
+             stats: StatsLattice | None = None) -> CompressedStream:
+    """Compress a padded grid into an in-memory stream.
+
+    ``stats`` may pass in the grid's block statistics, which do not depend
+    on the hyperparameters, so that repeated encodes of one grid share them.
+    """
     if not grid.is_padded:
         raise DimensionError(
             f"compress requires a padded grid; got dims {grid.dims}, "
@@ -66,7 +82,8 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None) -> Compre
     if q <= 0:
         raise ValueError(f"quantizer step must be positive, got {q}")
 
-    stats = build_stats(grid)
+    if stats is None:
+        stats = build_stats(grid)
     posterior = build_posterior(grid, hp, stats=stats)
     tree = extract_map_tree(posterior)
     order = permutation_from_tree(tree)
@@ -109,22 +126,46 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None) -> Compre
 def _decode_channel(ch: ChannelPayload, stream: CompressedStream,
                     prefix_scales: int) -> tuple[np.ndarray, int]:
     """Dequantized pyramid -> spatial vector, plus payload bits consumed."""
-    n_scales = stream.n_scales
-    q = stream.q
-    scaling = float(dequantize(ch.scaling_symbol, q))
-    details = []
-    reader = BitReader(ch.payload, ch.payload_nbits)
-    decoder = CanonicalDecoder(ch.code_lengths) if ch.code_lengths else None
-    for j in range(n_scales):
-        count = 1 << j
-        if j < prefix_scales:
-            if decoder is None:
-                raise StreamError("stream has detail scales but no code table")
-            details.append(dequantize(detokenize(decoder, reader, count), q))
-        else:
-            details.append(np.zeros(count))
+    if prefix_scales and not ch.code_lengths:
+        raise StreamError("stream has detail scales but no code table")
+    at, symbols, consumed = detokenize(ch.code_lengths, ch.payload, ch.payload_nbits,
+                                       prefix_scales)
+    coefficients = np.zeros((1 << stream.n_scales) - 1)
+    coefficients[at] = dequantize(symbols, stream.q)
+    details = [coefficients[(1 << j) - 1 : (2 << j) - 1] for j in range(stream.n_scales)]
+    scaling = float(dequantize(ch.scaling_symbol, stream.q))
     vector = haar_inverse(CoefficientPyramid(scaling=scaling, details=details))
-    return vector, reader.pos
+    return vector, consumed
+
+
+def _decode_bytes(stream: CompressedStream) -> int:
+    """Upper bound on the bytes decompress_with_bits allocates, from the
+    header fields alone, so that it can be checked before any allocation.
+
+    Decoding runs in three phases, and each holds what the earlier ones
+    keep: parsing the tree; building the order from it; and decoding the
+    channels one at a time into their planes.  Per item, the counts below
+    are the arrays each phase allocates, rounded up.
+    """
+    n = math.prod(int(d) for d in stream.dims_padded)
+    m = len(stream.dims_padded)
+    # every parsed node but the implicit atomic ones takes a tree bit
+    nodes = min(2 * n - 1, 3 * stream.tree_nbits + 1)
+    bits = max((ch.payload_nbits for ch in stream.channels), default=0)
+    tokens = min(bits, n)
+    tree = nodes * (16 * m + 9)  # shape, index, pos, axis
+    # tree bits and walk records; depths, subtree ends, the difference
+    # arrays that become shape and index, and the rest of the tree
+    parse = 2 * stream.tree_nbits + nodes * (32 * m + 48)
+    # order, and per leaf its shape group and painted runs
+    order = 8 * n + min(n, nodes) * (16 * m + 64)
+    channel = (8 * n * len(stream.channels)  # the decoded planes
+               # the dequantized pyramid and haar_inverse vectors
+               + 40 * n
+               # codeword length per payload bit, one chunk of windows,
+               # and the bulk decoder's per-token arrays
+               + bits + 64 * min(bits, CHUNK_BITS) + 96 * tokens)
+    return _DECODE_SLACK + max(parse, tree + order, tree + 8 * n + channel)
 
 
 def decompress(stream: CompressedStream | bytes, prefix_scales: int | None = None
@@ -153,8 +194,7 @@ def decompress_with_bits(stream: CompressedStream | bytes,
     dims_padded = tuple(int(d) for d in stream.dims_padded)
     n = math.prod(dims_padded)
     n_channels = len(stream.channels)
-    # the int64 order plus one float64 plane per channel
-    need = 8 * n * (1 + n_channels)
+    need = _decode_bytes(stream)
     if need > DEFAULT_MAX_BYTES:
         raise ResourceError(
             f"decoding {'x'.join(map(str, dims_padded))} x{n_channels} would "
@@ -207,12 +247,13 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
         raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
 
     evals = 0
+    stats = build_stats(grid)
 
     def attempt(sigma: float) -> RatioSearchResult:
         nonlocal evals
         evals += 1
         hp = replace(hp_base, sigma=sigma, tau0=1.0 / sigma)
-        stream = compress(grid, hp, q=None)
+        stream = compress(grid, hp, q=None, stats=stats)
         return RatioSearchResult(sigma=sigma, stream=stream,
                                  ratio=stream.compression_ratio, converged=False)
 

@@ -16,6 +16,11 @@ quantized detail coefficients scale by scale, coarsest first, so a decoder
 can stop cleanly at any scale boundary.  The single scaling coefficient
 rides in the header as its quantizer symbol rather than through the
 entropy coder, where a one-off large value would only bloat the table.
+
+Parsing checks every code table: each length must lie in 1..L_MAX and
+the Kraft sum may not exceed 1, so a table always describes a prefix
+code.  Tree bits and payloads are decoded in bulk, with numpy passes over
+all bits and Python work only per non-atomic tree node and per token.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import BitReader
+from .bitio import unpack_bits
 from .errors import StreamError
+from .huffman import check_code_lengths, decode_symbols
 from .model import Hyperparams
 from .tree import MapTree
 
@@ -64,65 +70,143 @@ def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
 def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> MapTree:
     """Parse preorder tree bits into a MapTree.
 
-    Every parsed node is either non-atomic, and consumes at least one bit,
-    or a child of a split, so the work and memory are bounded by nbits,
-    whatever the header dims claim.
+    A walk over the bits visits only the non-atomic nodes, which carry
+    them, and keeps one stack of node depths: a node at depth d has
+    2^(j_total - d) pixels, so the atomic nodes are exactly those at depth
+    j_total, and each split at depth j_total - 1 has two implicit atomic
+    children.  Every visited node consumes at least one bit, so the work
+    and memory are bounded by nbits, whatever the header dims claim.
+
+    Shapes, grid indices and positions then follow from the depths and
+    split axes in a fixed number of vectorized passes.
     """
-    if nbits > 8 * len(data):
-        raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
     m = len(dims_padded)
-    exps = tuple(int(d).bit_length() - 1 for d in dims_padded)
-    if sum(exps) > 62 or m > 127:
+    exps = [int(d).bit_length() - 1 for d in dims_padded]
+    j_total = sum(exps)
+    if j_total > 62 or m > 127:
         raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
                           f"or 127 axes")
     nbits_axis = axis_bit_width(m)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits).tolist()
-    shapes: list[int] = []  # m entries per node
-    indices: list[int] = []
-    positions: list[int] = []
-    axes: list[int] = []
-    stack = [(exps, (0,) * m, 0, sum(exps))]  # (shape, index, pos, log2 size)
-    cursor = 0
-    while stack:
-        shape, index, pos, size_exp = stack.pop()
-        shapes += shape
-        indices += index
-        positions.append(pos)
-        if not size_exp:
-            axes.append(-1)
-            continue
-        if cursor >= nbits:
-            raise StreamError("tree bits end mid-tree")
-        stop = bits[cursor]
-        cursor += 1
+    bits = unpack_bits(data, nbits)
+    visited, error = _walk_tree_bits(bits, nbits_axis, j_total)
+    depth, axis = _preorder_nodes(visited, bits, nbits_axis, j_total)
+    # Axes are checked before a walk error is raised: a node naming an
+    # undivisible axis comes earlier in the bits than where they end.
+    shape, index, pos = _blocks(depth, axis, exps)
+    if error:
+        raise StreamError(error)
+    return MapTree(dims_padded=tuple(int(d) for d in dims_padded), shape=shape,
+                   index=index, pos=pos, axis=axis)
+
+
+def _walk_tree_bits(bits: np.ndarray, nbits_axis: int,
+                    j_total: int) -> tuple[np.ndarray, str | None]:
+    """The non-atomic nodes in preorder, each as 2 * depth + its stop bit,
+    and the error that ended the walk early or late, if any.  Nodes whose
+    bits are cut off are left out."""
+    nbits = len(bits)
+    visits = np.empty(nbits, dtype=np.uint8)
+    bits_view, visits_view = memoryview(bits), memoryview(visits)
+    stack: list[int] = []  # depths of the right children still to visit
+    count = cursor = depth = 0
+    last = j_total - 1
+    complete = not j_total
+    while not complete and cursor < nbits:
+        stop = bits_view[cursor]
+        visits_view[count] = depth + depth + stop
+        count += 1
         if stop:
-            axes.append(-1)
-            continue
-        if cursor + nbits_axis > nbits:
-            raise StreamError("tree bits end mid-tree")
-        axis = 0
-        for bit in bits[cursor : cursor + nbits_axis]:
-            axis = (axis << 1) | bit
-        cursor += nbits_axis
-        if axis >= m or not shape[axis]:
-            raise StreamError(
-                f"tree names split axis {axis} on extent "
-                f"{tuple(1 << a for a in shape)}"
-            )
-        axes.append(axis)
-        child = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1 :]
-        left = index[:axis] + (2 * index[axis],) + index[axis + 1 :]
-        right = index[:axis] + (2 * index[axis] + 1,) + index[axis + 1 :]
-        size_exp -= 1
-        stack.append((child, right, pos + (1 << size_exp), size_exp))
-        stack.append((child, left, pos, size_exp))
-    if cursor != nbits:
-        raise StreamError(f"{nbits - cursor} unread bits after tree")
-    return MapTree(dims_padded=tuple(int(d) for d in dims_padded),
-                   shape=np.array(shapes, dtype=np.int64).reshape(-1, m),
-                   index=np.array(indices, dtype=np.int64).reshape(-1, m),
-                   pos=np.array(positions, dtype=np.int64),
-                   axis=np.array(axes, dtype=np.int8))
+            cursor += 1
+        else:
+            cursor += 1 + nbits_axis
+            if depth < last:  # go on to the left child
+                depth += 1
+                stack.append(depth)
+                continue
+        if stack:
+            depth = stack.pop()
+        else:
+            complete = True
+    if cursor > nbits:  # the last node's axis bits are cut off
+        return visits[: count - 1], "tree bits end mid-tree"
+    if not complete:
+        return visits[:count], "tree bits end mid-tree"
+    if cursor < nbits:
+        return visits[:count], f"{nbits - cursor} unread bits after tree"
+    return visits[:count], None
+
+
+def _preorder_nodes(visited: np.ndarray, bits: np.ndarray, nbits_axis: int,
+                    j_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Depth and split axis of every node in preorder: the visited nodes,
+    with two atomic children after each split at depth j_total - 1."""
+    if not j_total:  # one pixel: the root is atomic
+        return np.zeros(1, dtype=np.int8), np.full(1, -1, dtype=np.int8)
+    split = (visited & 1) == 0
+    with_atoms = split & (visited >> 1 == j_total - 1)
+    row = np.arange(len(visited)) + 2 * (np.cumsum(with_atoms) - with_atoms)
+    nodes = len(visited) + 2 * int(np.count_nonzero(with_atoms))
+    depth = np.full(nodes, j_total, dtype=np.int8)
+    depth[row] = visited >> 1
+    axis = np.full(nodes, -1, dtype=np.int8)
+    # a split's axis bits follow its stop bit
+    at = (np.arange(len(visited)) + nbits_axis * (np.cumsum(split) - split))[split]
+    value = np.zeros(len(at), dtype=np.int8)
+    for _ in range(nbits_axis):
+        at += 1
+        value = 2 * value + bits[at]
+    axis[row[split]] = value
+    return depth, axis
+
+
+def _blocks(depth: np.ndarray, axis: np.ndarray,
+            exps: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extent exponents, grid index and position of every node.
+
+    A node's position is the total size of the leaves before it, and its
+    subtree is the rows from it up to the first row at or past the end of
+    its block.  Every node below a split has its extent halved along the
+    split axis, and every node in the right subtree lies one child extent
+    further along it; both are summed over ancestors with a difference
+    array per axis and one cumulative sum, so the cost does not depend on
+    the depth of the tree.
+    """
+    nodes, m, j_total = len(depth), len(exps), sum(exps)
+    size = np.where(axis < 0, 1 << (j_total - depth.astype(np.int64)), 0)
+    pos = np.zeros(nodes, dtype=np.int64)
+    np.cumsum(size[:-1], out=pos[1:])
+    del size
+    splits = np.flatnonzero(axis >= 0)
+    ax = axis[splits].astype(np.intp)
+    col = np.minimum(ax, m - 1)
+    # the row after each subtree: the next one for a leaf; a split's
+    # subtree may stop short when the bits end mid-tree
+    end = np.minimum(np.arange(1, nodes + 2), nodes)
+    end[splits] = np.searchsorted(pos, pos[splits] + (1 << (j_total - depth[splits].astype(np.int64))))
+    right = end[splits + 1]  # a right child starts where the left subtree ends
+    # cumulative sums run in place over the (nodes + 1, m) difference arrays
+    halvings = np.zeros((nodes + 1, m), dtype=np.int64)
+    halvings.ravel()[(splits + 1) * m + col] = 1
+    np.add.at(halvings.ravel(), end[splits] * m + col, -1)
+    shape = halvings[:nodes]
+    np.cumsum(shape, axis=0, out=shape)
+    np.subtract(np.array(exps, dtype=np.int64), shape, out=shape)
+    at = splits * m + col
+    bad = (ax >= m) | (shape.ravel()[at] == 0)
+    if bad.any():
+        row = splits[bad.argmax()]
+        raise StreamError(
+            f"tree names split axis {axis[row]} on extent "
+            f"{tuple(1 << a for a in shape[row].tolist())}"
+        )
+    step = 1 << (shape.ravel()[at] - 1)
+    offsets = np.zeros((nodes + 1, m), dtype=np.int64)
+    offsets.ravel()[right * m + col] = step
+    np.add.at(offsets.ravel(), end[splits] * m + col, -step)
+    index = offsets[:nodes]
+    np.cumsum(index, axis=0, out=index)
+    index >>= shape
+    return shape, index, pos
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +220,63 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
 # cross scale boundaries, which keeps every boundary decodable.
 
 def tokenize_scale(symbols: np.ndarray) -> list[int]:
-    tokens: list[int] = []
-    run = 0
-    for v in symbols.tolist():
-        if v == 0:
-            run += 1
-            if run == ZERO_RUN_MAX:
-                tokens.append(2 * run - 1)
-                run = 0
-        else:
-            if run:
-                tokens.append(2 * run - 1)
-                run = 0
-            tokens.append(2 * v)
-    if run:
-        tokens.append(2 * run - 1)
-    return tokens
+    """One scale's tokens, in order.
+
+    The zeros before each literal, and after the last, form one gap; a
+    gap of g zeros yields g // ZERO_RUN_MAX full runs and then one run of
+    the remainder, if any.
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)
+    literals = np.flatnonzero(symbols)
+    bounds = np.empty(len(literals) + 2, dtype=np.int64)
+    bounds[0], bounds[1:-1], bounds[-1] = -1, literals, len(symbols)
+    gaps = bounds[1:] - bounds[:-1] - 1
+    # token index just past each gap's runs: its runs and all before, plus
+    # the literals before it
+    ends = np.cumsum((gaps + (ZERO_RUN_MAX - 1)) // ZERO_RUN_MAX)
+    ends += np.arange(len(gaps))
+    tokens = np.full(int(ends[-1]), 2 * ZERO_RUN_MAX - 1, dtype=np.int64)
+    tokens[ends[:-1]] = 2 * symbols[literals]
+    rest = gaps % ZERO_RUN_MAX
+    tokens[ends[rest > 0] - 1] = 2 * rest[rest > 0] - 1
+    return tokens.tolist()
 
 
-def detokenize(decoder, reader: BitReader, count: int) -> np.ndarray:
-    """Read tokens until `count` coefficients of one scale are produced."""
-    out = np.zeros(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        token = decoder.decode_one(reader)
-        if token & 1:
-            if token < 1:
-                raise StreamError(f"zero run token {token} has no positive length")
-            run = (token + 1) >> 1
-            if filled + run > count:
-                raise StreamError("zero run crosses a scale boundary")
-            filled += run
-        else:
-            out[filled] = token >> 1
-            filled += 1
-    return out
+def detokenize(lengths: dict[int, int], payload: bytes, nbits: int,
+               n_scales: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Decode the first n_scales scales of one channel payload.
+
+    The coefficients of scale j sit at [2^j - 1, 2^(j+1) - 1) of one
+    vector.  Returns the positions and quantized values of the literal
+    tokens (the nonzero coefficients, in any stream the encoder writes),
+    every other coefficient being 0, and the payload bits the tokens take.
+    The tokens are decoded in bulk; each scale must end exactly at a token
+    end, which the cumulative coefficient counts show.
+    """
+    total = (1 << n_scales) - 1
+    if not total:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+    tokens, ends = decode_symbols(payload, nbits, lengths, total)
+    run = (tokens & 1).astype(bool)
+    span = np.where(run, (tokens >> 1) + 1, 1)
+    empty = span < 1
+    span[empty] = 0
+    # clipped, a sum stays within int64 up to and including the token
+    # that reaches total
+    covered = np.cumsum(np.minimum(span, total + 1))
+    reached = covered >= total
+    used = int(reached.argmax()) + 1 if reached.any() else len(tokens)
+    if empty[:used].any():
+        raise StreamError(f"zero run token {tokens[empty.argmax()]} has no positive length")
+    if not reached.any():
+        raise StreamError("payload ends before its last decoded scale")
+    covered = covered[:used]
+    scale_ends = (2 << np.arange(n_scales, dtype=np.int64)) - 1
+    at = np.minimum(np.searchsorted(covered, scale_ends), used - 1)
+    if not np.array_equal(covered[at], scale_ends):
+        raise StreamError("zero run crosses a scale boundary")
+    literal = ~run[:used]
+    return covered[literal] - 1, tokens[:used][literal] >> 1, int(ends[used - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +381,7 @@ class CompressedStream:
             for _ in range(count):
                 sym, length = struct.unpack("<qB", cursor.take(9))
                 lengths[sym] = length
+            check_code_lengths(lengths)
             (payload_nbits,) = struct.unpack("<Q", cursor.take(8))
             payload = cursor.take((payload_nbits + 7) // 8)
             channels.append(ChannelPayload(scaling_symbol=scaling_symbol,

@@ -11,6 +11,12 @@ directly, not against the package's recursion paths:
   structure tuples, reading the posterior arrays one block at a time; the
   differential tests require it and the package's array-native tree to
   agree exactly.
+* ``ReferenceBitReader``, ``ReferenceCanonicalDecoder``,
+  ``reference_detokenize``, ``reference_deserialize_tree`` and
+  ``reference_tokenize_scale`` are the bit-by-bit and symbol-by-symbol
+  stream paths; the differential tests require the package's bulk
+  decoders and vectorized tokenizer to agree with them exactly, errors
+  included.
 * ``reference_ms_ssim`` is a second MS-SSIM implementation built on
   scipy.ndimage filtering rather than the package's separable windows.
 """
@@ -23,6 +29,9 @@ import numpy as np
 from scipy import ndimage
 
 from carp.bitio import BitWriter
+from carp.errors import StreamError
+from carp.stream import ZERO_RUN_MAX, axis_bit_width
+from carp.tree import MapTree
 
 # ---------------------------------------------------------------------------
 # Exhaustive pruned-tree enumeration
@@ -309,6 +318,158 @@ def reference_serialize_tree(structure, dims):
 
     walk(structure)
     return writer.getvalue(), writer.bit_length
+
+
+# ---------------------------------------------------------------------------
+# Reference stream paths: one bit, one symbol, one node at a time
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBitReader:
+    def __init__(self, data, nbits=None):
+        self._data = data
+        self._limit = 8 * len(data) if nbits is None else nbits
+        if self._limit > 8 * len(data):
+            raise StreamError(f"bit length {self._limit} exceeds buffer size")
+        self._pos = 0
+
+    @property
+    def pos(self):
+        return self._pos
+
+    def read(self, nbits):
+        if self._pos + nbits > self._limit:
+            raise StreamError("bitstream exhausted")
+        value = 0
+        for _ in range(nbits):
+            pos = self._pos
+            value = (value << 1) | ((self._data[pos >> 3] >> (7 - (pos & 7))) & 1)
+            self._pos += 1
+        return value
+
+
+class ReferenceCanonicalDecoder:
+    """Decodes one symbol at a time, widening the code one length at a time."""
+
+    def __init__(self, lengths):
+        if not lengths:
+            raise StreamError("empty Huffman table")
+        ordered = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
+        self._symbols = [sym for sym, _ in ordered]
+        # per distinct length: (length, first code, first symbol index, count)
+        self._rows = []
+        code = prev_len = 0
+        for index, (_, length) in enumerate(ordered):
+            code <<= length - prev_len
+            if self._rows and self._rows[-1][0] == length:
+                self._rows[-1][3] += 1
+            else:
+                self._rows.append([length, code, index, 1])
+            code += 1
+            prev_len = length
+
+    def decode_one(self, reader):
+        code = prev_len = 0
+        for length, first, start, count in self._rows:
+            code = (code << (length - prev_len)) | reader.read(length - prev_len)
+            prev_len = length
+            if first <= code < first + count:
+                return self._symbols[start + (code - first)]
+        raise StreamError("invalid Huffman codeword")
+
+
+def reference_tokenize_scale(symbols):
+    tokens = []
+    run = 0
+    for v in symbols.tolist():
+        if v == 0:
+            run += 1
+            if run == ZERO_RUN_MAX:
+                tokens.append(2 * run - 1)
+                run = 0
+        else:
+            if run:
+                tokens.append(2 * run - 1)
+                run = 0
+            tokens.append(2 * v)
+    if run:
+        tokens.append(2 * run - 1)
+    return tokens
+
+
+def reference_detokenize(lengths, payload, nbits, n_scales):
+    """(the first n_scales scales' symbols, scale by scale, bits read)."""
+    reader = ReferenceBitReader(payload, nbits)
+    decoder = ReferenceCanonicalDecoder(lengths) if n_scales else None
+    out = []
+    for j in range(n_scales):
+        scale = [0] * (1 << j)
+        filled = 0
+        while filled < len(scale):
+            token = decoder.decode_one(reader)
+            if token & 1:
+                if token < 1:
+                    raise StreamError(f"zero run token {token} has no positive length")
+                run = (token + 1) >> 1
+                if filled + run > len(scale):
+                    raise StreamError("zero run crosses a scale boundary")
+                filled += run
+            else:
+                scale[filled] = token >> 1
+                filled += 1
+        out += scale
+    return np.array(out, dtype=np.int64), reader.pos
+
+
+def reference_deserialize_tree(data, nbits, dims_padded):
+    """Preorder tree bits -> MapTree, one node and one bit at a time, with
+    a stack of (shape, index, pos, log2 size) tuples."""
+    if nbits > 8 * len(data):
+        raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
+    m = len(dims_padded)
+    exps = tuple(int(d).bit_length() - 1 for d in dims_padded)
+    if sum(exps) > 62 or m > 127:
+        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
+                          f"or 127 axes")
+    nbits_axis = axis_bit_width(m)
+    reader = ReferenceBitReader(data, nbits)
+    shapes, indices, positions, axes = [], [], [], []
+    stack = [(exps, (0,) * m, 0, sum(exps))]
+    while stack:
+        shape, index, pos, size_exp = stack.pop()
+        shapes += shape
+        indices += index
+        positions.append(pos)
+        if not size_exp:
+            axes.append(-1)
+            continue
+        if reader.pos >= nbits:
+            raise StreamError("tree bits end mid-tree")
+        if reader.read(1):
+            axes.append(-1)
+            continue
+        if reader.pos + nbits_axis > nbits:
+            raise StreamError("tree bits end mid-tree")
+        axis = reader.read(nbits_axis)
+        if axis >= m or not shape[axis]:
+            raise StreamError(
+                f"tree names split axis {axis} on extent "
+                f"{tuple(1 << a for a in shape)}"
+            )
+        axes.append(axis)
+        child = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1 :]
+        left = index[:axis] + (2 * index[axis],) + index[axis + 1 :]
+        right = index[:axis] + (2 * index[axis] + 1,) + index[axis + 1 :]
+        size_exp -= 1
+        stack.append((child, right, pos + (1 << size_exp), size_exp))
+        stack.append((child, left, pos, size_exp))
+    if reader.pos != nbits:
+        raise StreamError(f"{nbits - reader.pos} unread bits after tree")
+    return MapTree(dims_padded=tuple(int(d) for d in dims_padded),
+                   shape=np.array(shapes, dtype=np.int64).reshape(-1, m),
+                   index=np.array(indices, dtype=np.int64).reshape(-1, m),
+                   pos=np.array(positions, dtype=np.int64),
+                   axis=np.array(axes, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compress,
                   target_ratio_search)
 from carp.huffman import (build_code_lengths, canonical_codes, decode_symbols,
                           encode_symbols, histogram, kraft_sum)
-from carp.bitio import BitReader, BitWriter
+from carp.bitio import BitWriter
 from carp.lattice import _halves, build_stats
 from carp.codec import default_q
 from carp.stream import deserialize_tree, serialize_tree
@@ -183,8 +183,9 @@ def test_criterion_05_entropy_coding():
         codes = canonical_codes(lengths)
         writer = BitWriter()
         encode_symbols(symbols, codes, writer)
-        reader = BitReader(writer.getvalue(), writer.bit_length)
-        if decode_symbols(reader, lengths, len(symbols)) != symbols:
+        decoded, ends = decode_symbols(writer.getvalue(), writer.bit_length,
+                                       lengths, len(symbols))
+        if decoded.tolist() != symbols or ends[-1] != writer.bit_length:
             failures += 1
 
     tree_failures = 0

@@ -157,6 +157,41 @@ class TestResources:
         assert peak < 2**20
 
 
+    @pytest.mark.parametrize("make,hp", [
+        (lambda: synthetic_photo(256, seed=7), Hyperparams(sigma=2.0)),
+        (lambda: synthetic_photo(128, seed=7), Hyperparams(sigma=0.01, eta0=0.0)),
+        (lambda: random_grid(np.random.default_rng(8), (4, 16, 32), channels=3),
+         Hyperparams(sigma=1.0)),
+    ])
+    def test_decode_budget_covers_the_traced_peak(self, make, hp):
+        stream = CompressedStream.from_bytes(compress(make(), hp).to_bytes())
+        decompress(stream)  # first-call allocations outside the decoder
+        tracemalloc.start()
+        try:
+            decompress(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= codec._decode_bytes(stream)
+
+    def test_ratio_search_builds_stats_once(self, monkeypatch):
+        calls = {"build_stats": 0, "compress": 0}
+        for name in calls:
+            original = getattr(codec, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(codec, name, counting)
+        result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0),
+                                     target_ratio=4.0)
+        assert calls["compress"] >= 2 and calls["build_stats"] == 1
+        alone = compress(synthetic_photo(32, seed=5),
+                         Hyperparams(sigma=result.sigma, tau0=1.0 / result.sigma))
+        assert alone.to_bytes() == result.stream.to_bytes()
+
+
 class TestProgressive:
     def test_prefix_zero_is_flat_mean_level(self):
         rng = np.random.default_rng(5)

@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from carp.bitio import BitReader, BitWriter
+from carp.bitio import BitWriter, bit_windows, unpack_bits
 from carp.errors import StreamError
-from carp.huffman import (build_code_lengths, canonical_codes,
-                          decode_symbols, encode_symbols, histogram,
-                          kraft_sum)
+from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
+                          check_code_lengths, decode_symbols, encode_symbols,
+                          histogram, kraft_sum)
+from carp.lattice import DEFAULT_MAX_BYTES
+
+from oracles import ReferenceBitReader, ReferenceCanonicalDecoder
+
+
+def decode_all(writer, lengths, count, nbits=None):
+    """Decode count symbols from a writer's bits, as a list; raise
+    StreamError when fewer decode."""
+    nbits = writer.bit_length if nbits is None else nbits
+    symbols, _ = decode_symbols(writer.getvalue(), nbits, lengths, count)
+    if len(symbols) < count:
+        raise StreamError(f"{len(symbols)} of {count} symbols decoded")
+    return symbols.tolist()
 
 
 class TestBitIO:
@@ -25,16 +38,24 @@ class TestBitIO:
             value = int(rng.integers(0, 1 << nbits))
             fields.append((value, nbits))
             w.write(value, nbits)
-        r = BitReader(w.getvalue(), w.bit_length)
-        for value, nbits in fields:
-            assert r.read(nbits) == value
-        assert r.remaining == 0
+        widths = np.array([nbits for _, nbits in fields])
+        starts = np.cumsum(widths) - widths
+        data = w.getvalue()
+        for width in np.unique(widths).tolist():
+            at = widths == width
+            assert bit_windows(data, starts[at], width).tolist() == [
+                value for (value, _), hit in zip(fields, at) if hit]
+        bits = unpack_bits(data, w.bit_length)
+        assert len(bits) == w.bit_length == int(widths.sum())
+        assert bits.tolist() == [int(b) for value, nbits in fields
+                                 for b in format(value, f"0{nbits}b")]
 
     def test_overrun_raises(self):
-        r = BitReader(b"\xff", 3)
-        r.read(3)
+        assert unpack_bits(b"\xff", 3).tolist() == [1, 1, 1]
         with pytest.raises(StreamError):
-            r.read_bit()
+            unpack_bits(b"\xff", 9)
+        # windows read zeros past the end of the data
+        assert bit_windows(b"\xff", np.array([6]), 4).tolist() == [0b1100]
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
@@ -82,8 +103,7 @@ class TestCanonical:
         w = BitWriter()
         stream = [0, 5, -3, 0, 0, 5]
         encode_symbols(stream, codes, w)
-        r = BitReader(w.getvalue(), w.bit_length)
-        assert decode_symbols(r, lengths, len(stream)) == stream
+        assert decode_all(w, lengths, len(stream)) == stream
 
 
 class TestRoundtrip:
@@ -99,8 +119,7 @@ class TestRoundtrip:
         w = BitWriter()
         encode_symbols([42] * 1000, codes, w)
         assert w.bit_length == 1000
-        r = BitReader(w.getvalue(), w.bit_length)
-        assert decode_symbols(r, lengths, 1000) == [42] * 1000
+        assert decode_all(w, lengths, 1000) == [42] * 1000
 
     def test_random_streams(self):
         rng = np.random.default_rng(2)
@@ -112,8 +131,7 @@ class TestRoundtrip:
             codes = canonical_codes(lengths)
             w = BitWriter()
             encode_symbols(symbols, codes, w)
-            r = BitReader(w.getvalue(), w.bit_length)
-            assert decode_symbols(r, lengths, len(symbols)) == symbols
+            assert decode_all(w, lengths, len(symbols)) == symbols
 
     def test_missing_symbol_rejected(self):
         codes = canonical_codes({1: 1, 2: 1})
@@ -125,11 +143,100 @@ class TestRoundtrip:
         codes = canonical_codes(lengths)
         w = BitWriter()
         encode_symbols([1, 2, 3, 1], codes, w)
-        r = BitReader(w.getvalue(), w.bit_length - 1)
         with pytest.raises(StreamError):
-            decode_symbols(r, lengths, 4)
+            decode_all(w, lengths, 4, nbits=w.bit_length - 1)
 
     def test_determinism(self):
         freqs = {3: 10, -1: 10, 7: 5, 2: 5, 9: 1}
         assert build_code_lengths(freqs) == build_code_lengths(dict(reversed(
             list(freqs.items()))))
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("lengths", [{1: 0, 2: 1}, {1: 1, 2: 200},
+                                         {1: 1, 2: L_MAX + 1},
+                                         {1: 1, 2: 1, 3: 2}])
+    def test_bad_tables_rejected(self, lengths):
+        with pytest.raises(StreamError):
+            check_code_lengths(lengths)
+        with pytest.raises(StreamError):
+            decode_symbols(b"\x00", 8, lengths, 1)
+
+    @pytest.mark.parametrize("lengths", [{5: 1}, {1: 1, 2: 2}, {1: 1, 2: 2, 3: 2},
+                                         {0: L_MAX, 1: 1}])
+    def test_prefix_codes_accepted(self, lengths):
+        check_code_lengths(lengths)
+
+    def test_l_max_covers_every_encodable_stream(self):
+        fib = [0, 1, 1]
+        while len(fib) < L_MAX + 4:
+            fib.append(fib[-1] + fib[-2])
+        # a code whose longest codeword has length L codes at least F(L + 2)
+        # symbols; skewed histograms give the longest codes
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            n = int(rng.integers(2, 30))
+            counts = np.cumsum(rng.integers(0, 3, size=n)) + 1
+            counts = np.maximum(1, (counts * rng.random(n) ** 3).astype(int))
+            lengths = build_code_lengths(dict(enumerate(counts.tolist())))
+            assert int(counts.sum()) >= fib[max(lengths.values()) + 2]
+        # the most samples an encodable image has: a 1D image of N samples
+        # has the smallest lattice, 2N - 1 blocks of 16 bytes
+        samples = 1
+        while 16 * (4 * samples - 1) <= DEFAULT_MAX_BYTES:
+            samples *= 2
+        symbols = samples - 1  # detail coefficients per channel
+        assert fib[L_MAX + 2] <= symbols < fib[L_MAX + 3]
+
+
+def _reference_decode(data, nbits, lengths, limit):
+    reader = ReferenceBitReader(data, nbits)
+    decoder = ReferenceCanonicalDecoder(lengths)
+    symbols, ends = [], []
+    while len(symbols) < limit:
+        try:
+            symbols.append(decoder.decode_one(reader))
+        except StreamError:
+            break
+        ends.append(reader.pos)
+    return symbols, ends
+
+
+def _random_table(rng):
+    """A random prefix code: complete, or with some symbols dropped."""
+    n = int(rng.integers(1, 40))
+    alphabet = rng.choice(np.arange(-300, 300), size=n, replace=False).tolist()
+    freqs = {s: int(rng.integers(1, 1 << int(rng.integers(1, 16)))) for s in alphabet}
+    lengths = build_code_lengths(freqs)
+    if n > 2 and rng.random() < 0.5:
+        for s in alphabet[: int(rng.integers(1, n))]:
+            del lengths[s]
+    return lengths
+
+
+class TestBulkDecoderMatchesReference:
+    def test_random_tables_and_payloads(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            lengths = _random_table(rng)
+            if trial % 2:  # a valid stream, maybe cut short
+                symbols = rng.choice(list(lengths), size=int(rng.integers(1, 300)))
+                w = BitWriter()
+                encode_symbols(symbols.tolist(), canonical_codes(lengths), w)
+                data, nbits = w.getvalue(), w.bit_length
+                nbits -= int(rng.integers(0, min(nbits, 12)))
+            else:  # random bits
+                data = rng.integers(0, 256, size=int(rng.integers(0, 200)),
+                                    dtype=np.uint8).tobytes()
+                nbits = int(rng.integers(0, 8 * len(data) + 1))
+            limit = int(rng.integers(0, 400))
+            symbols, ends = decode_symbols(data, nbits, lengths, limit)
+            assert (symbols.tolist(), ends.tolist()) == _reference_decode(
+                data, nbits, lengths, limit)
+
+    def test_longest_codes(self):
+        lengths = {s: min(s + 1, L_MAX) for s in range(L_MAX)}
+        w = BitWriter()
+        symbols = [L_MAX - 1, 0, L_MAX - 2, 5, L_MAX - 1]
+        encode_symbols(symbols, canonical_codes(lengths), w)
+        assert decode_all(w, lengths, len(symbols)) == symbols

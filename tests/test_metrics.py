@@ -5,6 +5,7 @@ import pytest
 
 from carp import (Hyperparams, PixelGrid, compress, decompress, ms_ssim, pad,
                   psnr, quality_report)
+from carp import metrics
 from carp.metrics import ms_ssim_scales
 
 from conftest import random_grid, synthetic_photo
@@ -117,3 +118,23 @@ class TestQualityReport:
         assert report.per_channel[1][1] == pytest.approx(1.0, abs=1e-9)
         assert report.per_channel[0][0] < report.per_channel[1][0]
         assert report.psnr_db >= report.per_channel[0][0]
+
+    @pytest.mark.parametrize("shape,channels", [((64, 64), 1), ((32, 48), 3),
+                                                ((3, 32, 32), 2)])
+    def test_scores_each_channel_once_with_unchanged_values(self, monkeypatch,
+                                                            shape, channels):
+        rng = np.random.default_rng(7)
+        ref_values = rng.integers(0, 256, size=(channels,) + shape).astype(float)
+        test_values = np.clip(ref_values + rng.normal(0, 3, ref_values.shape), 0, 255)
+        ref = PixelGrid(values=ref_values, dims_original=shape)
+        test = PixelGrid(values=test_values, dims_original=shape)
+        want_psnr, want_ssim = psnr(ref, test), ms_ssim(ref, test)
+
+        calls = []
+        scorer = metrics._ms_ssim_2d
+        monkeypatch.setattr(metrics, "_ms_ssim_2d",
+                            lambda *args: calls.append(1) or scorer(*args))
+        report = quality_report(ref, test)
+        frames = shape[0] if len(shape) == 3 else 1
+        assert len(calls) == channels * frames
+        assert report.psnr_db == want_psnr and report.ms_ssim == want_ssim

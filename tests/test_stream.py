@@ -5,12 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carp import (CompressedStream, Hyperparams, StreamError, build_posterior,
-                  compress, extract_map_tree)
+from carp import (CompressedStream, Hyperparams, PixelGrid, StreamError,
+                  build_posterior, compress, extract_map_tree)
+from carp.bitio import BitWriter
+from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
+                          encode_symbols, histogram)
 from carp.stream import (ZERO_RUN_MAX, axis_bit_width, deserialize_tree,
                          detokenize, serialize_tree, tokenize_scale)
 
 from conftest import random_grid, same_tree
+from oracles import (reference_deserialize_tree, reference_detokenize,
+                     reference_tokenize_scale)
 
 
 def map_tree_for(rng, shape, sigma=4.0, eta0=0.4):
@@ -124,25 +129,126 @@ class TestTokens:
                 assert token // 2 != 0
 
 
-class _ScriptedDecoder:
-    """Stands in for a Huffman decoder and returns fixed tokens."""
+def _encoded(tokens, extra=()):
+    """(table, payload, nbits) coding tokens with a table that also holds
+    the symbols in extra."""
+    freqs = histogram(list(tokens) + list(extra))
+    lengths = build_code_lengths(freqs)
+    w = BitWriter()
+    encode_symbols(tokens, canonical_codes(lengths), w)
+    return lengths, w.getvalue(), w.bit_length
 
-    def __init__(self, tokens):
-        self._tokens = iter(tokens)
 
-    def decode_one(self, reader):
-        return next(self._tokens)
+def dense(at, symbols, n_scales):
+    """The 2^n_scales - 1 coefficients from detokenize's nonzero ones."""
+    out = np.zeros((1 << n_scales) - 1, dtype=np.int64)
+    out[at] = symbols
+    return out
 
 
 class TestDetokenize:
     def test_runs_and_literals(self):
-        out = detokenize(_ScriptedDecoder([3, 4]), None, 3)
-        assert out.tolist() == [0, 0, 2]
+        lengths, payload, nbits = _encoded([1, 3, 4, 3, 6])
+        at, symbols, used = detokenize(lengths, payload, nbits, 3)
+        assert dense(at, symbols, 3).tolist() == [0, 0, 0, 2, 0, 0, 3]
+        assert used == nbits
 
     @pytest.mark.parametrize("tokens", [[-1, 2, 2], [-5, 4], [-3]])
     def test_non_positive_runs_raise(self, tokens):
+        lengths, payload, nbits = _encoded(tokens)
         with pytest.raises(StreamError, match="zero run"):
-            detokenize(_ScriptedDecoder(tokens), None, 2)
+            detokenize(lengths, payload, nbits, 1)
+
+    def test_runs_must_not_cross_scales(self):
+        lengths, payload, nbits = _encoded([3, 2])
+        with pytest.raises(StreamError, match="crosses"):
+            detokenize(lengths, payload, nbits, 2)
+
+
+def _random_scales(rng, n_scales):
+    """Quantized symbols for n_scales scales, sparse at random."""
+    density = rng.choice([0.0, 0.05, 0.5, 1.0])
+    values = rng.integers(-6, 7, size=(1 << n_scales) - 1)
+    return values * (rng.random(len(values)) < density)
+
+
+class TestBulkPathsMatchReference:
+    def test_detokenize_on_random_payloads(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            n_scales = int(rng.integers(1, 9))
+            symbols = _random_scales(rng, n_scales)
+            tokens = [t for j in range(n_scales)
+                      for t in tokenize_scale(symbols[(1 << j) - 1 : (2 << j) - 1])]
+            extra = rng.integers(-20, 20, size=int(rng.integers(0, 4))).tolist()
+            lengths, payload, nbits = _encoded(tokens, extra)
+            kind = trial % 4
+            if kind == 1:  # truncated
+                nbits = int(rng.integers(0, nbits + 1))
+            elif kind == 2:  # random bits after a valid prefix
+                tail = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
+                payload = payload[: len(payload) // 2] + tail
+                nbits = 8 * len(payload)
+            elif kind == 3:  # a run token that crosses a scale
+                lengths, payload, nbits = _encoded([1, 5, 2, 2, 2, 2], extra)
+            for prefix in range(n_scales + 1):
+                try:
+                    want = reference_detokenize(lengths, payload, nbits, prefix)
+                except StreamError:
+                    with pytest.raises(StreamError):
+                        detokenize(lengths, payload, nbits, prefix)
+                    continue
+                at, values, used = detokenize(lengths, payload, nbits, prefix)
+                got = dense(at, values, prefix).tolist()
+                assert got == want[0].tolist() and used == want[1]
+                if kind == 0 and prefix == n_scales:
+                    assert got == symbols.tolist() and used == nbits
+
+    @pytest.mark.parametrize("shape,sigma,eta0", [
+        ((64,), 0.01, 0.0), ((16,), 4.0, 0.4), ((16, 16), 0.01, 0.0),
+        ((16, 8), 2.0, 0.4), ((8, 8, 4), 0.01, 0.0), ((4, 8, 4), 8.0, 0.4),
+        ((1,), 1.0, 0.4)])
+    def test_tree_parser_on_map_trees(self, shape, sigma, eta0):
+        rng = np.random.default_rng(len(shape) + int(sigma))
+        for _ in range(3):
+            tree = map_tree_for(rng, shape, sigma=sigma, eta0=eta0)
+            bits, nbits = serialize_tree(tree)
+            want = reference_deserialize_tree(bits, nbits, tree.dims_padded)
+            assert same_tree(deserialize_tree(bits, nbits, tree.dims_padded), want)
+            assert same_tree(want, tree)
+
+    @pytest.mark.parametrize("dims", [(8,), (8, 4), (4, 4, 4), (2, 2, 2, 2, 2)])
+    def test_tree_parser_on_random_bits(self, dims):
+        rng = np.random.default_rng(len(dims))
+        outcomes = set()
+        for _ in range(300):
+            data = rng.integers(0, 256, size=int(rng.integers(0, 6)),
+                                dtype=np.uint8).tobytes()
+            nbits = int(rng.integers(0, 8 * len(data) + 1))
+            try:
+                want = reference_deserialize_tree(data, nbits, dims)
+            except StreamError as exc:
+                outcomes.add(str(exc).split()[0])
+                with pytest.raises(StreamError):
+                    deserialize_tree(data, nbits, dims)
+                continue
+            outcomes.add("parsed")
+            assert same_tree(deserialize_tree(data, nbits, dims), want)
+        assert "parsed" in outcomes and len(outcomes) >= 3
+
+    def test_tokenizer_on_random_sparse_vectors(self):
+        rng = np.random.default_rng(22)
+        for trial in range(60):
+            n = int(rng.choice([1, 7, 300, 3 * ZERO_RUN_MAX + 5]))
+            symbols = np.zeros(n, dtype=np.int64)
+            hits = rng.random(n) < rng.choice([0.0, 1e-5, 0.01, 0.5, 1.0])
+            symbols[hits] = rng.choice([-9, -1, 1, 4], size=int(hits.sum()))
+            if trial % 5 == 0 and n > 2 * ZERO_RUN_MAX:
+                symbols[:] = 0
+                symbols[ZERO_RUN_MAX] = 3  # a run of exactly ZERO_RUN_MAX first
+            tokens = tokenize_scale(symbols)
+            assert tokens == reference_tokenize_scale(symbols)
+            assert all(type(t) is int for t in tokens)
 
 
 class TestContainer:
@@ -203,6 +309,31 @@ class TestContainer:
         data[q_at : q_at + 8] = struct.pack("<d", q)
         with pytest.raises(StreamError, match="q="):
             CompressedStream.from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("length", [0, 200, L_MAX + 1])
+    def test_code_length_out_of_range_rejected(self, length):
+        # without the check, length 0 decodes silently to other pixels
+        ramp = PixelGrid.from_array((np.arange(64) * 3.0).reshape(8, 8))
+        stream = compress(ramp, Hyperparams(sigma=1.0))
+        data = bytearray(stream.to_bytes())
+        data[self._table_at(stream) + 8] = length
+        with pytest.raises(StreamError, match="code length"):
+            CompressedStream.from_bytes(bytes(data))
+
+    def test_kraft_violation_rejected(self):
+        stream, _ = self.make_stream(shape=(16, 16), sigma=1.0)
+        data = bytearray(stream.to_bytes())
+        entries = len(stream.channels[0].code_lengths)
+        for k in range(entries):  # every code length 1
+            data[self._table_at(stream) + 9 * k + 8] = 1
+        with pytest.raises(StreamError, match="Kraft"):
+            CompressedStream.from_bytes(bytes(data))
+
+    @staticmethod
+    def _table_at(stream):
+        """Offset of the first channel's first (symbol, length) entry."""
+        return (4 + 5 + 56 + 8 * stream.m + 4 + len(stream.tree_bits)
+                + 8 + 4)
 
     def test_huge_dims_in_header_fail_before_allocating(self):
         grid = random_grid(np.random.default_rng(6), (4, 4))
