@@ -1,10 +1,10 @@
-"""Bit-packed writer and bulk readers, MSB-first within each byte.
+"""Bulk bit readers, MSB-first within each byte.
 
-Writing is field by field (:class:`BitWriter`).  Reading is in bulk: a
-decoder unpacks a bitstream once (:func:`unpack_bits`) or reads a
+A decoder unpacks a bitstream once (:func:`unpack_bits`) or reads a
 fixed-width integer at many bit positions with one gather
 (:func:`bit_windows`), so no decoder steps through a stream bit by bit
-in Python.
+in Python.  Writers pack their bits with ``np.packbits`` in the same
+order.
 """
 
 from __future__ import annotations
@@ -16,39 +16,6 @@ from .errors import StreamError
 # Widest window bit_windows reads: a 64-bit word less the 7-bit offset
 # of a position inside its first byte.
 MAX_WINDOW = 57
-
-
-class BitWriter:
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self._total = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits < 0 or value < 0 or nbits < value.bit_length():
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        self._total += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._bytes.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def write_bit(self, bit: int) -> None:
-        self.write(bit & 1, 1)
-
-    @property
-    def bit_length(self) -> int:
-        return self._total
-
-    def getvalue(self) -> bytes:
-        """Packed bytes; the final partial byte is zero-padded on the right."""
-        out = bytearray(self._bytes)
-        if self._nbits:
-            out.append((self._acc << (8 - self._nbits)) & 0xFF)
-        return bytes(out)
 
 
 def unpack_bits(data: bytes, nbits: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitio import BitWriter
 from .errors import DimensionError, ResourceError, StreamError
 from .grid import PixelGrid, _freeze, original_region
 from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
@@ -79,8 +78,8 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
         )
     if q is None:
         q = default_q(hp.sigma)
-    if q <= 0:
-        raise ValueError(f"quantizer step must be positive, got {q}")
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"quantizer step must be finite and positive, got {q}")
 
     if stats is None:
         stats = build_stats(grid)
@@ -94,14 +93,10 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
         pyramid = haar_forward(plane.ravel()[order])
         scaling_symbol = int(quantize(pyramid.scaling, q))
         scale_tokens = [tokenize_scale(quantize(d, q)) for d in pyramid.details]
-        freqs = histogram(t for tokens in scale_tokens for t in tokens)
-        if freqs:
-            lengths = build_code_lengths(freqs)
-            codes = canonical_codes(lengths)
-            writer = BitWriter()
-            for tokens in scale_tokens:
-                encode_symbols(tokens, codes, writer)
-            payload, nbits = writer.getvalue(), writer.bit_length
+        if scale_tokens:
+            tokens = np.concatenate(scale_tokens)
+            lengths = build_code_lengths(histogram(tokens))
+            payload, nbits = encode_symbols(tokens, canonical_codes(lengths))
         else:  # single-pixel image: no detail scales at all
             lengths, payload, nbits = {}, b"", 0
         channels.append(ChannelPayload(scaling_symbol=scaling_symbol,

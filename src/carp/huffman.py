@@ -5,10 +5,12 @@ actual codewords by the canonical rule (symbols sorted by length, then by
 value, assigned consecutive codes).  A single-symbol alphabet is padded
 with a dummy zero-frequency sibling so it still gets a 1-bit code.
 
-Decoding is in bulk.  Left-justified to the longest length L, the
-canonical codes of each length fill one contiguous range of L-bit
-integers, and the ranges ascend with the length.  So the L-bit window at
-a bit position fixes the length of the codeword starting there with one
+Encoding and decoding are in bulk.  The encoder places every codeword at
+the running sum of the lengths before it and packs the bits once.  For
+the decoder: left-justified to the longest length L, the canonical codes
+of each length fill one contiguous range of L-bit integers, and the
+ranges ascend with the length.  So the L-bit window at a bit position
+fixes the length of the codeword starting there with one
 ``searchsorted`` against the ranges' upper limits.  The decoder resolves
 that length at every bit position of the payload, in chunks, then walks
 from codeword to codeword with per-codeword work only, and finally
@@ -18,12 +20,11 @@ resolves the symbols at the codeword starts alone.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .bitio import BitWriter, bit_windows
+from .bitio import bit_windows
 from .errors import StreamError
 
 # Longest code length a stream may declare.  A Huffman code whose longest
@@ -90,14 +91,33 @@ def canonical_codes(lengths: Mapping[int, int]) -> dict[int, tuple[int, int]]:
     return codes
 
 
-def encode_symbols(symbols: Iterable[int], codes: Mapping[int, tuple[int, int]],
-                   writer: BitWriter) -> None:
-    for sym in symbols:
-        try:
-            code, length = codes[sym]
-        except KeyError:
-            raise ValueError(f"symbol {sym} missing from Huffman table") from None
-        writer.write(code, length)
+def encode_symbols(symbols: np.ndarray,
+                   codes: Mapping[int, tuple[int, int]]) -> tuple[bytes, int]:
+    """The codewords of symbols, in order, packed MSB-first.
+
+    Returns the bytes, the last one zero-padded on the right, and the bit
+    count.  Each codeword starts at the running sum of the lengths before
+    it; bit k of every codeword longer than k is placed in one pass.
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)
+    alphabet = np.array(sorted(codes), dtype=np.int64)
+    at = np.searchsorted(alphabet, symbols)
+    known = at < len(alphabet)
+    known[known] = alphabet[at[known]] == symbols[known]
+    if not known.all():
+        raise ValueError(f"symbol {symbols[~known][0]} missing from Huffman table")
+    table = [codes[s] for s in alphabet.tolist()]
+    words = np.array([c for c, _ in table], dtype=np.uint64)[at]
+    sizes = np.array([l for _, l in table], dtype=np.int64)[at]
+    ends = np.cumsum(sizes)
+    nbits = int(ends[-1]) if len(ends) else 0
+    starts = ends - sizes
+    bits = np.zeros(nbits, dtype=np.uint8)
+    for k in range(int(sizes.max()) if len(sizes) else 0):
+        rows = np.flatnonzero(sizes > k)
+        shift = (sizes[rows] - 1 - k).astype(np.uint64)
+        bits[starts[rows] + k] = (words[rows] >> shift) & np.uint64(1)
+    return np.packbits(bits).tobytes(), nbits
 
 
 def decode_symbols(data: bytes, nbits: int, lengths: Mapping[int, int],
@@ -162,5 +182,7 @@ def decode_symbols(data: bytes, nbits: int, lengths: Mapping[int, int],
     return symbols, starts + sizes[row]
 
 
-def histogram(symbols: Iterable[int]) -> dict[int, int]:
-    return dict(Counter(symbols))
+def histogram(symbols: np.ndarray) -> dict[int, int]:
+    """symbol -> count, over the distinct symbols in ascending order."""
+    values, counts = np.unique(np.asarray(symbols, dtype=np.int64), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))

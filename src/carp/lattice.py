@@ -70,6 +70,9 @@ class StatsLattice:
         self.axis_exps: list[int] = _check_pow2_dims(self.dims)
         self.j_total: int = sum(self.axis_exps)
         self.m: int = len(self.dims)
+        # every block sum of an integer-valued plane is an integer too
+        self.integral: bool = bool(np.isfinite(plane).all()
+                                   and np.array_equal(plane, np.trunc(plane)))
 
         node_count = self.node_count
         estimate = node_count * _BYTES_PER_NODE

@@ -19,8 +19,10 @@ entropy coder, where a one-off large value would only bloat the table.
 
 Parsing checks every code table: each length must lie in 1..L_MAX and
 the Kraft sum may not exceed 1, so a table always describes a prefix
-code.  Tree bits and payloads are decoded in bulk, with numpy passes over
-all bits and Python work only per non-atomic tree node and per token.
+code.  The stream ends with the last payload, and bytes after it are
+rejected.  Tree bits and payloads are decoded in bulk, with numpy passes
+over all bits and Python work only per non-atomic tree node and per
+token.
 """
 
 from __future__ import annotations
@@ -219,8 +221,8 @@ def _blocks(depth: np.ndarray, axis: np.ndarray,
 # odd token 2L - 1 (runs longer than ZERO_RUN_MAX are chunked).  Runs never
 # cross scale boundaries, which keeps every boundary decodable.
 
-def tokenize_scale(symbols: np.ndarray) -> list[int]:
-    """One scale's tokens, in order.
+def tokenize_scale(symbols: np.ndarray) -> np.ndarray:
+    """One scale's tokens, in order, as int64.
 
     The zeros before each literal, and after the last, form one gap; a
     gap of g zeros yields g // ZERO_RUN_MAX full runs and then one run of
@@ -239,7 +241,7 @@ def tokenize_scale(symbols: np.ndarray) -> list[int]:
     tokens[ends[:-1]] = 2 * symbols[literals]
     rest = gaps % ZERO_RUN_MAX
     tokens[ends[rest > 0] - 1] = 2 * rest[rest > 0] - 1
-    return tokens.tolist()
+    return tokens
 
 
 def detokenize(lengths: dict[int, int], payload: bytes, nbits: int,
@@ -388,6 +390,8 @@ class CompressedStream:
                                            code_lengths=lengths,
                                            payload=payload,
                                            payload_nbits=payload_nbits))
+        if cursor.remaining:
+            raise StreamError(f"{cursor.remaining} trailing bytes after the last payload")
         try:
             hp = Hyperparams(sigma=sigma, alpha=alpha, beta=beta, c=c,
                              tau0=tau0, eta0=eta0)
@@ -414,6 +418,10 @@ class _Cursor:
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
 
     def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):

@@ -11,12 +11,17 @@ directly, not against the package's recursion paths:
   structure tuples, reading the posterior arrays one block at a time; the
   differential tests require it and the package's array-native tree to
   agree exactly.
-* ``ReferenceBitReader``, ``ReferenceCanonicalDecoder``,
+* ``reference_posterior`` is the direct posterior sweep: the mixture at
+  every block and axis, and each log-sum-exp over stacked terms; the
+  package's table lookups and in-place log-sum-exp must match it bit for
+  bit.
+* ``ReferenceBitWriter``, ``reference_encode_symbols``,
+  ``ReferenceBitReader``, ``ReferenceCanonicalDecoder``,
   ``reference_detokenize``, ``reference_deserialize_tree`` and
   ``reference_tokenize_scale`` are the bit-by-bit and symbol-by-symbol
   stream paths; the differential tests require the package's bulk
-  decoders and vectorized tokenizer to agree with them exactly, errors
-  included.
+  encoder, decoders and vectorized tokenizer to agree with them exactly,
+  errors included.
 * ``reference_ms_ssim`` is a second MS-SSIM implementation built on
   scipy.ndimage filtering rather than the package's separable windows.
 """
@@ -28,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
-from carp.bitio import BitWriter
-from carp.errors import StreamError
+from carp.errors import NumericError, StreamError
+from carp.lattice import _child, _halves
 from carp.stream import ZERO_RUN_MAX, axis_bit_width
 from carp.tree import MapTree
 
@@ -209,6 +214,87 @@ def tree_to_structure(tree):
 
 
 # ---------------------------------------------------------------------------
+# Reference posterior sweep: one mixture evaluation per (block, axis)
+# ---------------------------------------------------------------------------
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _sweep_log_normal(w, var):
+    """The package's normal log density, rounded the same way."""
+    return -0.5 * (_LOG_2PI + math.log(var) + (w * w) / var)
+
+
+def reference_posterior(stats, hp):
+    """(log_prune, log_not_prune, log_split, log_marginal) by the direct
+    sweep: the mixture evaluated at every block and axis, and each
+    log-sum-exp taken over stacked terms.  The package's sweep must match
+    it bit for bit, and raise the same NumericError on the same input."""
+    log_psi, log_prune, log_not_prune, log_split = {}, {}, {}, {}
+    sigma2 = hp.sigma * hp.sigma
+    log_const = _LOG_2PI + math.log(sigma2)
+    log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
+    log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
+
+    for shape in stats.shapes:
+        size = 2 ** sum(shape)
+        div = [i for i, a in enumerate(shape) if a > 0]
+        if not div:
+            zero = np.zeros(stats.grid_shape(shape))
+            log_psi[shape] = zero
+            log_prune[shape] = np.full_like(zero, -np.inf)
+            log_not_prune[shape] = zero
+            continue
+
+        level = stats.level_of_shape(shape)
+        lpsi0 = -((size - 1) / 2.0) * log_const - stats.ssts[shape] / (2.0 * sigma2)
+
+        rho = hp.rho(level)
+        tau = hp.tau(level)
+        var_wide = (1.0 + tau * tau) * sigma2
+        log_rho = math.log(rho) if rho > 0 else -math.inf
+        log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
+
+        terms = [log_eta0 + lpsi0]
+        log_lambda = -math.log(len(div))
+        d_terms = []
+        for d in div:
+            w = stats.haar_array(shape, d)
+            with np.errstate(invalid="ignore"):  # NaN inputs caught below
+                mix = np.logaddexp(log_rho + _sweep_log_normal(w, var_wide),
+                                   log_1m_rho + _sweep_log_normal(w, sigma2))
+            cp = log_psi[_child(shape, d)]
+            left, right = _halves(stats.m, d)
+            lpd = mix + cp[left] + cp[right]
+            d_terms.append(lpd)
+            terms.append(log_1m_eta0 + log_lambda + lpd)
+
+        stacked = np.stack(terms)
+        peak = np.max(stacked, axis=0)
+        lpsi = peak + np.log(np.sum(np.exp(stacked - peak), axis=0))
+        if np.isnan(lpsi).any():
+            idx = tuple(int(v) for v in np.argwhere(np.isnan(lpsi))[0])
+            off = tuple(i * (1 << a) for i, a in zip(idx, shape))
+            raise NumericError(
+                f"non-finite marginal likelihood at block offset {off}, "
+                f"extent {tuple(1 << a for a in shape)}"
+            )
+        log_psi[shape] = lpsi
+
+        d_stack = np.stack(d_terms)
+        d_peak = np.max(d_stack, axis=0)
+        lse_d = d_peak + np.log(np.sum(np.exp(d_stack - d_peak), axis=0))
+        for d, lpd in zip(div, d_terms):
+            log_split[(shape, d)] = lpd - lse_d
+        log_prune[shape] = np.minimum(log_eta0 + lpsi0 - lpsi, 0.0)
+        log_not_prune[shape] = np.minimum(
+            log_1m_eta0 + log_lambda + lse_d - lpsi, 0.0
+        )
+    root = tuple(stats.axis_exps)
+    return log_prune, log_not_prune, log_split, float(log_psi[root].reshape(-1)[0])
+
+
+# ---------------------------------------------------------------------------
 # Reference tree path: structure tuples built by recursion
 # ---------------------------------------------------------------------------
 # Ties follow the same fixed rules as the package: the lowest axis wins
@@ -299,8 +385,8 @@ def reference_permutation(structure, dims):
 
 
 def reference_serialize_tree(structure, dims):
-    """Preorder stop bits and axis bits, one BitWriter call per field."""
-    writer = BitWriter()
+    """Preorder stop bits and axis bits, one writer call per field."""
+    writer = ReferenceBitWriter()
     nbits_axis = (len(dims) - 1).bit_length()
 
     def walk(node):
@@ -323,6 +409,53 @@ def reference_serialize_tree(structure, dims):
 # ---------------------------------------------------------------------------
 # Reference stream paths: one bit, one symbol, one node at a time
 # ---------------------------------------------------------------------------
+
+
+class ReferenceBitWriter:
+    """Packs one field at a time, MSB-first."""
+
+    def __init__(self):
+        self._bytes = bytearray()
+        self._acc = 0
+        self._nbits = 0
+        self._total = 0
+
+    def write(self, value, nbits):
+        if nbits < 0 or value < 0 or nbits < value.bit_length():
+            raise ValueError(f"value {value} does not fit in {nbits} bits")
+        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
+        self._nbits += nbits
+        self._total += nbits
+        while self._nbits >= 8:
+            self._nbits -= 8
+            self._bytes.append((self._acc >> self._nbits) & 0xFF)
+        self._acc &= (1 << self._nbits) - 1
+
+    def write_bit(self, bit):
+        self.write(bit & 1, 1)
+
+    @property
+    def bit_length(self):
+        return self._total
+
+    def getvalue(self):
+        """Packed bytes; the final partial byte is zero-padded on the right."""
+        out = bytearray(self._bytes)
+        if self._nbits:
+            out.append((self._acc << (8 - self._nbits)) & 0xFF)
+        return bytes(out)
+
+
+def reference_encode_symbols(symbols, codes):
+    """(payload, nbits) with one writer call per symbol."""
+    writer = ReferenceBitWriter()
+    for sym in symbols:
+        try:
+            code, length = codes[sym]
+        except KeyError:
+            raise ValueError(f"symbol {sym} missing from Huffman table") from None
+        writer.write(code, length)
+    return writer.getvalue(), writer.bit_length
 
 
 class ReferenceBitReader:

@@ -20,7 +20,6 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compress,
                   target_ratio_search)
 from carp.huffman import (build_code_lengths, canonical_codes, decode_symbols,
                           encode_symbols, histogram, kraft_sum)
-from carp.bitio import BitWriter
 from carp.lattice import _halves, build_stats
 from carp.codec import default_q
 from carp.stream import deserialize_tree, serialize_tree
@@ -181,11 +180,9 @@ def test_criterion_05_entropy_coding():
         lengths = build_code_lengths(histogram(symbols))
         worst_kraft = max(worst_kraft, kraft_sum(lengths))
         codes = canonical_codes(lengths)
-        writer = BitWriter()
-        encode_symbols(symbols, codes, writer)
-        decoded, ends = decode_symbols(writer.getvalue(), writer.bit_length,
-                                       lengths, len(symbols))
-        if decoded.tolist() != symbols or ends[-1] != writer.bit_length:
+        payload, nbits = encode_symbols(symbols, codes)
+        decoded, ends = decode_symbols(payload, nbits, lengths, len(symbols))
+        if decoded.tolist() != symbols or ends[-1] != nbits:
             failures += 1
 
     tree_failures = 0

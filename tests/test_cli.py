@@ -139,6 +139,24 @@ class TestExitCodes:
         assert not (tmp_path / "y.pgm").exists()
 
 
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_q_compress_is_exit_1(self, photo_path, tmp_path, capsys, q):
+        out = tmp_path / "x.carp"
+        assert main(["compress", photo_path, str(out), "--sigma", "1", "--q", q]) == 1
+        err = capsys.readouterr().err
+        assert "quantizer step" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_trailing_bytes_is_exit_1(self, photo_path, tmp_path, capsys):
+        out = tmp_path / "x.carp"
+        assert main(["compress", photo_path, str(out), "--sigma", "4"]) == 0
+        out.write_bytes(out.read_bytes() + b"junk")
+        assert main(["decompress", str(out), str(tmp_path / "y.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert "trailing bytes" in err and "Traceback" not in err
+        assert not (tmp_path / "y.pgm").exists()
+
+
 class TestSweep:
     def test_sigma_sweep_csv(self, photo_path, tmp_path):
         out_csv = str(tmp_path / "sweep.csv")

@@ -29,6 +29,13 @@ class TestDefaults:
             compress(grid, Hyperparams(sigma=1.0))
         compress(pad(grid), Hyperparams(sigma=1.0))
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_q_rejected(self, q):
+        # the decoder rejects these steps, so the encoder must not write them
+        grid = random_grid(np.random.default_rng(5), (4, 4))
+        with pytest.raises(ValueError, match="quantizer step"):
+            compress(grid, Hyperparams(sigma=1.0), q=q)
+
 
 class TestEndToEnd:
     def test_constant_image_tiny_and_exact(self):

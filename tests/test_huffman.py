@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from carp.bitio import BitWriter, bit_windows, unpack_bits
+from carp.bitio import bit_windows, unpack_bits
 from carp.errors import StreamError
 from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
                           check_code_lengths, decode_symbols, encode_symbols,
                           histogram, kraft_sum)
 from carp.lattice import DEFAULT_MAX_BYTES
 
-from oracles import ReferenceBitReader, ReferenceCanonicalDecoder
+from oracles import (ReferenceBitReader, ReferenceBitWriter,
+                     ReferenceCanonicalDecoder, reference_encode_symbols)
 
 
-def decode_all(writer, lengths, count, nbits=None):
-    """Decode count symbols from a writer's bits, as a list; raise
-    StreamError when fewer decode."""
-    nbits = writer.bit_length if nbits is None else nbits
-    symbols, _ = decode_symbols(writer.getvalue(), nbits, lengths, count)
+def decode_all(data, nbits, lengths, count):
+    """Decode count symbols from the first nbits bits of data, as a list;
+    raise StreamError when fewer decode."""
+    symbols, _ = decode_symbols(data, nbits, lengths, count)
     if len(symbols) < count:
         raise StreamError(f"{len(symbols)} of {count} symbols decoded")
     return symbols.tolist()
@@ -23,7 +23,7 @@ def decode_all(writer, lengths, count, nbits=None):
 
 class TestBitIO:
     def test_msb_first_packing(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write_bit(1)
         w.write(0b0110, 4)
         assert w.getvalue() == bytes([0b10110000])
@@ -31,7 +31,7 @@ class TestBitIO:
 
     def test_roundtrip_random_fields(self):
         rng = np.random.default_rng(0)
-        w = BitWriter()
+        w = ReferenceBitWriter()
         fields = []
         for _ in range(500):
             nbits = int(rng.integers(1, 24))
@@ -59,7 +59,7 @@ class TestBitIO:
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
-            BitWriter().write(4, 2)
+            ReferenceBitWriter().write(4, 2)
 
 
 class TestCodeLengths:
@@ -100,26 +100,22 @@ class TestCanonical:
     def test_decoder_matches_encoder(self):
         lengths = {5: 2, -3: 2, 0: 1}
         codes = canonical_codes(lengths)
-        w = BitWriter()
         stream = [0, 5, -3, 0, 0, 5]
-        encode_symbols(stream, codes, w)
-        assert decode_all(w, lengths, len(stream)) == stream
+        data, nbits = encode_symbols(stream, codes)
+        assert decode_all(data, nbits, lengths, len(stream)) == stream
 
 
 class TestRoundtrip:
     def test_empty_stream(self):
         codes = canonical_codes({1: 1})
-        w = BitWriter()
-        encode_symbols([], codes, w)
-        assert w.getvalue() == b""
+        assert encode_symbols([], codes) == (b"", 0)
 
     def test_single_symbol_alphabet(self):
         lengths = build_code_lengths({42: 1000})
         codes = canonical_codes(lengths)
-        w = BitWriter()
-        encode_symbols([42] * 1000, codes, w)
-        assert w.bit_length == 1000
-        assert decode_all(w, lengths, 1000) == [42] * 1000
+        data, nbits = encode_symbols([42] * 1000, codes)
+        assert nbits == 1000
+        assert decode_all(data, nbits, lengths, 1000) == [42] * 1000
 
     def test_random_streams(self):
         rng = np.random.default_rng(2)
@@ -129,22 +125,20 @@ class TestRoundtrip:
                                                   size=int(rng.integers(1, 400)))]
             lengths = build_code_lengths(histogram(symbols))
             codes = canonical_codes(lengths)
-            w = BitWriter()
-            encode_symbols(symbols, codes, w)
-            assert decode_all(w, lengths, len(symbols)) == symbols
+            data, nbits = encode_symbols(symbols, codes)
+            assert decode_all(data, nbits, lengths, len(symbols)) == symbols
 
     def test_missing_symbol_rejected(self):
         codes = canonical_codes({1: 1, 2: 1})
         with pytest.raises(ValueError):
-            encode_symbols([3], codes, BitWriter())
+            encode_symbols([3], codes)
 
     def test_truncated_bits_raise(self):
         lengths = build_code_lengths({1: 3, 2: 2, 3: 1})
         codes = canonical_codes(lengths)
-        w = BitWriter()
-        encode_symbols([1, 2, 3, 1], codes, w)
+        data, nbits = encode_symbols([1, 2, 3, 1], codes)
         with pytest.raises(StreamError):
-            decode_all(w, lengths, 4, nbits=w.bit_length - 1)
+            decode_all(data, nbits - 1, lengths, 4)
 
     def test_determinism(self):
         freqs = {3: 10, -1: 10, 7: 5, 2: 5, 9: 1}
@@ -221,9 +215,7 @@ class TestBulkDecoderMatchesReference:
             lengths = _random_table(rng)
             if trial % 2:  # a valid stream, maybe cut short
                 symbols = rng.choice(list(lengths), size=int(rng.integers(1, 300)))
-                w = BitWriter()
-                encode_symbols(symbols.tolist(), canonical_codes(lengths), w)
-                data, nbits = w.getvalue(), w.bit_length
+                data, nbits = encode_symbols(symbols, canonical_codes(lengths))
                 nbits -= int(rng.integers(0, min(nbits, 12)))
             else:  # random bits
                 data = rng.integers(0, 256, size=int(rng.integers(0, 200)),
@@ -236,7 +228,36 @@ class TestBulkDecoderMatchesReference:
 
     def test_longest_codes(self):
         lengths = {s: min(s + 1, L_MAX) for s in range(L_MAX)}
-        w = BitWriter()
         symbols = [L_MAX - 1, 0, L_MAX - 2, 5, L_MAX - 1]
-        encode_symbols(symbols, canonical_codes(lengths), w)
-        assert decode_all(w, lengths, len(symbols)) == symbols
+        data, nbits = encode_symbols(symbols, canonical_codes(lengths))
+        assert decode_all(data, nbits, lengths, len(symbols)) == symbols
+
+
+class TestBulkEncoderMatchesReference:
+    def test_random_tables_and_symbols(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            lengths = _random_table(rng)
+            codes = canonical_codes(lengths)
+            symbols = rng.choice(list(lengths), size=int(rng.integers(0, 300)))
+            assert encode_symbols(symbols, codes) == reference_encode_symbols(
+                symbols.tolist(), codes)
+
+    def test_longest_codes(self):
+        codes = canonical_codes({s: min(s + 1, L_MAX) for s in range(L_MAX)})
+        symbols = np.arange(L_MAX)[::-1].repeat(3)
+        assert encode_symbols(symbols, codes) == reference_encode_symbols(
+            symbols.tolist(), codes)
+
+    def test_histogram_counts_each_symbol(self):
+        symbols = np.array([5, -2, 5, 0, 5, -2])
+        assert histogram(symbols) == {-2: 2, 0: 1, 5: 3}
+        assert histogram([]) == {}
+
+    @pytest.mark.parametrize("symbols", [[7], [1, 2, -1], [-(2**62)]])
+    def test_missing_symbols_raise_like_the_reference(self, symbols):
+        codes = canonical_codes({1: 1, 2: 1})
+        with pytest.raises(ValueError, match=f"symbol {symbols[-1]} missing"):
+            reference_encode_symbols(symbols, codes)
+        with pytest.raises(ValueError, match=f"symbol {symbols[-1]} missing"):
+            encode_symbols(symbols, codes)

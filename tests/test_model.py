@@ -5,8 +5,11 @@ import pytest
 
 from carp import (Hyperparams, HyperGrid, NumericError, PixelGrid,
                   build_posterior, build_stats, empirical_bayes_fit)
-from conftest import random_grid
-from oracles import brute_force_log_marginal
+from carp import model
+from carp.lattice import StatsLattice
+from carp.model import PosteriorLattice
+from conftest import random_grid, synthetic_photo
+from oracles import brute_force_log_marginal, reference_posterior
 
 
 def grid_of(arr):
@@ -33,6 +36,17 @@ class TestHyperparams:
         with pytest.warns(UserWarning):
             hp = Hyperparams(sigma=1e-12)
         assert hp.sigma == 1e-6
+
+    @pytest.mark.parametrize("name", ["sigma", "alpha", "beta", "c", "tau0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        kwargs = {"sigma": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Hyperparams(**kwargs)
+
+    def test_non_finite_eta0_rejected(self):
+        with pytest.raises(ValueError, match="eta0"):
+            Hyperparams(sigma=1.0, eta0=math.nan)
 
     def test_level_mappings(self):
         hp = Hyperparams(sigma=1.0, alpha=0.5, beta=1.0, c=0.05, tau0=2.0)
@@ -193,6 +207,111 @@ class TestBuildPosterior:
         grid = PixelGrid(values=vals, dims_original=(2, 2))
         with pytest.raises(NumericError, match="block"):
             build_posterior(grid, Hyperparams(sigma=1.0))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _integers(shape, high, seed=0):
+    return np.random.default_rng(seed).integers(0, high, size=shape).astype(float)
+
+
+# Planes for the sweep's differential test: the integer-valued ones take
+# mixture tables wherever a table is shorter than its blocks, the others
+# the direct path.
+SWEEP_PLANES = {
+    "1d": lambda: _integers(64, 256),
+    "2d": lambda: _integers((16, 16), 256, seed=1),
+    "3d": lambda: _integers((4, 8, 4), 256, seed=2),
+    "16bit": lambda: _integers((16, 16), 1 << 16, seed=3),
+    "photo": lambda: synthetic_photo(256, seed=5).values[0],
+    "flat": lambda: np.full((8, 8), 77.0),
+    "past-2^53": lambda: 2.0**55 + 8 * _integers((8, 8), 64, seed=4),
+    "float": lambda: np.random.default_rng(6).uniform(0, 255, size=(256, 256)),
+    "3-channel": lambda: random_grid(np.random.default_rng(7), (8, 16),
+                                     channels=3).mean_plane(),
+}
+
+SWEEP_HYPERPARAMS = {
+    "default": dict(sigma=2.0),
+    "eta0=0": dict(sigma=2.0, eta0=0.0),
+    "eta0=1": dict(sigma=2.0, eta0=1.0),
+    "rho=1": dict(sigma=2.0, c=4.0),
+    "rho->0": dict(sigma=2.0, beta=2000.0),
+    "sigma=1e-3": dict(sigma=1e-3, eta0=0.0),
+    "sigma=64": dict(sigma=64.0),
+    # components of similar weight and width: their log densities lie
+    # close together, where a logaddexp that rounds differently shows
+    "close-mixture": dict(sigma=8.0, c=0.5, beta=0.1, tau0=0.5),
+}
+
+
+class TestSweepMatchesReference:
+    """The sweep's mixture tables and in-place log-sum-exp reproduce the
+    direct sweep bit for bit."""
+
+    @staticmethod
+    def check(stats, hp):
+        post = PosteriorLattice(stats, hp)
+        log_prune, log_not_prune, log_split, log_marginal = reference_posterior(stats, hp)
+        for mine, theirs in ((post.log_prune, log_prune),
+                             (post.log_not_prune, log_not_prune),
+                             (post.log_split, log_split)):
+            assert mine.keys() == theirs.keys()
+            for key in theirs:
+                assert _same_bits(mine[key], theirs[key]), key
+        assert _same_bits(post.log_marginal, log_marginal)
+
+    @pytest.mark.parametrize("plane", SWEEP_PLANES)
+    @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
+    def test_bit_identical(self, plane, hp):
+        self.check(StatsLattice(SWEEP_PLANES[plane]()), Hyperparams(**SWEEP_HYPERPARAMS[hp]))
+
+    def test_integral_flag(self):
+        assert StatsLattice(SWEEP_PLANES["16bit"]()).integral
+        assert StatsLattice(SWEEP_PLANES["past-2^53"]()).integral
+        assert not StatsLattice(SWEEP_PLANES["float"]()).integral
+        assert not StatsLattice(SWEEP_PLANES["3-channel"]()).integral
+        for bad in (np.inf, np.nan):
+            plane = np.zeros((2, 2))
+            plane[1, 1] = bad
+            assert not StatsLattice(plane).integral
+
+    @pytest.mark.parametrize("top,table", [(7, True), (8, False)])
+    def test_table_length_rule(self, monkeypatch, top, table):
+        # the first shape halves 2-pixel blocks: 8 of them, with |D| = top
+        # at the first and 0 elsewhere; a table of top + 1 entries serves
+        # them when it is no longer than the 8 blocks
+        plane = np.zeros(16)
+        plane[0] = top
+        inputs = []
+
+        def spy(w, *args):
+            inputs.append(np.array(w))
+            return mixture(w, *args)
+
+        mixture = model._mixture
+        monkeypatch.setattr(model, "_mixture", spy)
+        for sigma in (0.5, 3.0):
+            inputs.clear()
+            self.check(StatsLattice(plane), Hyperparams(sigma=sigma))
+            expected = np.arange(top + 1.0) if table else np.eye(1, 8)[0] * top
+            np.testing.assert_array_equal(inputs[0], expected / math.sqrt(2.0))
+
+    def test_nan_plane_raises_the_reference_error(self):
+        plane = _integers((8, 8), 256)
+        plane[3, 5] = np.nan
+        stats = StatsLattice(plane)
+        hp = Hyperparams(sigma=1.0)
+        with pytest.raises(NumericError) as expected:
+            reference_posterior(stats, hp)
+        with pytest.raises(NumericError) as raised:
+            PosteriorLattice(stats, hp)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == ("non-finite marginal likelihood at block "
+                                     "offset (3, 4), extent (1, 2)")
 
 
 class TestEmpiricalBayes:
