@@ -28,7 +28,7 @@ from .stream import CompressedStream, deserialize_tree, serialize_tree
 from .transform import (CoefficientPyramid, dequantize, haar_forward,
                         haar_inverse, quantize)
 from .tree import (MapTree, compute_kappa, extract_map_tree,
-                   map_tree_log_posterior, permutation_from_tree)
+                   permutation_from_tree)
 
 __all__ = [
     "CarpError",
@@ -62,7 +62,6 @@ __all__ = [
     "haar_forward",
     "haar_inverse",
     "load",
-    "map_tree_log_posterior",
     "ms_ssim",
     "pad",
     "permutation_from_tree",

@@ -271,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     if ratio_mode and args.q is not None:
         parser.error("--q cannot be combined with ratio targets "
                      "(the search ties q to sigma)")
+    if ratio_mode and args.tau0 is not None:
+        parser.error("--tau0 cannot be combined with ratio targets "
+                     "(the search ties tau0 to 1/sigma)")
     try:
         return _COMMANDS[args.command](args)
     except (CarpError, ValueError, OSError) as exc:

@@ -18,7 +18,9 @@ decoded scale at once.  Before it allocates anything sized by the header,
 it checks that an upper bound on all it will allocate (the tree, the
 order, the planes, one channel's pyramid and inverse-transform vectors,
 and the bulk decoder's per-bit and per-token arrays) fits in
-``lattice.DEFAULT_MAX_BYTES``.
+``lattice.DEFAULT_MAX_BYTES``.  The encoder checks the same budget against
+an upper bound from the dimensions and channel count alone, before it
+allocates anything sized by the image.
 
 ``target_ratio_search`` builds the block statistics once and hands them
 to every ``compress`` attempt, since they do not depend on sigma.
@@ -26,6 +28,7 @@ to every ``compress`` attempt, since they do not depend on sigma.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -47,6 +50,9 @@ from .tree import MapTree, extract_map_tree, permutation_from_tree
 
 # Decoding allocations of fixed size: small arrays, Python objects.
 _DECODE_SLACK = 64 << 10
+# The same for encoding, which also builds per-shape mixture tables and
+# Huffman code tables.
+_ENCODE_SLACK = 1 << 20
 
 
 def default_q(sigma: float) -> float:
@@ -64,12 +70,95 @@ def _substitute_pruned_means(plane: np.ndarray, tree: MapTree) -> np.ndarray:
     return out
 
 
+def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
+    """Upper bound on the bytes compress allocates for a padded grid of
+    these dims and channels, from those alone, the grid itself not counted.
+
+    The block statistics (16 bytes per lattice block) and the int8
+    decisions (one byte per block) are held from their construction to
+    the end.  Next to them, encoding runs in phases, each holding what the
+    earlier ones keep: building the statistics; the posterior sweep, which
+    holds log psi and log kappa of two block levels plus the in-flight
+    arrays of one shape; extracting the tree; building the order from it;
+    coding the channels one at a time; and serializing the tree.  The
+    tree may reach every pixel, and a channel's Huffman bits number at
+    most ceil(log2 tokens) per token, the length of a fixed-length code
+    over as many symbols.  Per item, the counts below are the arrays each
+    phase allocates, rounded up.
+    """
+    n = math.prod(dims)
+    m = len(dims)
+    exps = [int(d).bit_length() - 1 for d in dims]
+    shapes = list(itertools.product(*(range(e + 1) for e in exps)))
+    level_blocks = [0] * (sum(exps) + 1)
+    for shape in shapes:
+        level_blocks[sum(shape)] += n >> sum(shape)
+    held = 17 * math.prod(2 ** (e + 1) - 1 for e in exps)
+    # the channel mean, the integrality test, one shape's sums and squares
+    build = 8 * n * (channels > 1) + 9 * n + 32 * n
+    # two levels of log psi and log kappa (the atomic level is one
+    # zero-strided array), then per divisible axis a mixture term and its
+    # share of the log-sum-exp, and about eight more arrays of one shape
+    sweep = max((16 * (level_blocks[sum(s) - 1] * (sum(s) > 1) + level_blocks[sum(s)])
+                 + 8 * (2 * sum(a > 0 for a in s) + 8) * (n >> sum(s))
+                 for s in shapes if any(s)), default=0)
+    nodes = 2 * n - 1
+    tree = nodes * (16 * m + 9)  # shape, index, pos, axis
+    # the rows once per level and once concatenated, the sort key and
+    # permutation, one shape group's rows
+    extract = tree + 24 * nodes
+    # the order, the leaf shape groups, and one leaf shape's painted runs
+    order = 8 * n + 16 * nodes + (8 * m + 24) * n
+    tokens = n - 1
+    bits = tokens * max(1, (tokens - 1).bit_length())
+    channel = (channels * bits // 8    # the coded payloads
+               + 8 * n                 # the order
+               + max(32 * n,           # plane, gathered vector, pyramid
+                     48 * n + 8 * tokens,  # quantizer and tokenizer arrays
+                     # tokens, histogram, Huffman per-token and per-bit arrays
+                     96 * tokens + bits))
+    serial = 40 * nodes
+    post = tree + max(extract, order, channel, serial)
+    return _ENCODE_SLACK + held + max(build, sweep, post)
+
+
+def _check_encode_budget(grid: PixelGrid) -> None:
+    need = _encode_bytes(tuple(grid.dims_padded), grid.channels)
+    if need > DEFAULT_MAX_BYTES:
+        raise ResourceError(
+            f"encoding {'x'.join(map(str, grid.dims_padded))} x{grid.channels} would "
+            f"take ~{need / 2**20:.0f} MiB, over the "
+            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
+        )
+
+
+def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
+                    q: float) -> ChannelPayload:
+    plane = _substitute_pruned_means(plane, tree)
+    pyramid = haar_forward(plane.ravel()[order])
+    del plane
+    scaling_symbol = int(quantize(pyramid.scaling, q))
+    scale_tokens = [tokenize_scale(quantize(d, q)) for d in pyramid.details]
+    del pyramid
+    if scale_tokens:
+        tokens = np.concatenate(scale_tokens)
+        del scale_tokens
+        lengths = build_code_lengths(histogram(tokens))
+        payload, nbits = encode_symbols(tokens, canonical_codes(lengths))
+    else:  # single-pixel image: no detail scales at all
+        lengths, payload, nbits = {}, b"", 0
+    return ChannelPayload(scaling_symbol=scaling_symbol, code_lengths=lengths,
+                          payload=payload, payload_nbits=nbits)
+
+
 def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
              stats: StatsLattice | None = None) -> CompressedStream:
     """Compress a padded grid into an in-memory stream.
 
     ``stats`` may pass in the grid's block statistics, which do not depend
     on the hyperparameters, so that repeated encodes of one grid share them.
+    Raises ResourceError, before allocating anything sized by the image,
+    when the encode budget would not cover the grid.
     """
     if not grid.is_padded:
         raise DimensionError(
@@ -81,29 +170,15 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
     if not (math.isfinite(q) and q > 0):
         raise ValueError(f"quantizer step must be finite and positive, got {q}")
 
+    _check_encode_budget(grid)
     if stats is None:
         stats = build_stats(grid)
     posterior = build_posterior(grid, hp, stats=stats)
     tree = extract_map_tree(posterior)
     order = permutation_from_tree(tree)
-
-    channels: list[ChannelPayload] = []
-    for c in range(grid.channels):
-        plane = _substitute_pruned_means(grid.plane(c), tree)
-        pyramid = haar_forward(plane.ravel()[order])
-        scaling_symbol = int(quantize(pyramid.scaling, q))
-        scale_tokens = [tokenize_scale(quantize(d, q)) for d in pyramid.details]
-        if scale_tokens:
-            tokens = np.concatenate(scale_tokens)
-            lengths = build_code_lengths(histogram(tokens))
-            payload, nbits = encode_symbols(tokens, canonical_codes(lengths))
-        else:  # single-pixel image: no detail scales at all
-            lengths, payload, nbits = {}, b"", 0
-        channels.append(ChannelPayload(scaling_symbol=scaling_symbol,
-                                       code_lengths=lengths,
-                                       payload=payload,
-                                       payload_nbits=nbits))
-
+    channels = [_encode_channel(grid.plane(c), tree, order, q)
+                for c in range(grid.channels)]
+    del order
     tree_bits, tree_nbits = serialize_tree(tree)
     return CompressedStream(
         dims_original=tuple(grid.dims_original),
@@ -242,6 +317,7 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
         raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
 
     evals = 0
+    _check_encode_budget(grid)
     stats = build_stats(grid)
 
     def attempt(sigma: float) -> RatioSearchResult:

@@ -31,9 +31,10 @@ from .errors import StreamError
 # codeword has length L needs a total symbol count of at least F(L + 2)
 # (Fibonacci, F(1) = F(2) = 1; the counts 1, 1, 1, 2, 3, 5, ... reach it).
 # A channel codes fewer symbols than it has samples, and an encodable image
-# of N samples has N <= 2^27: its stats lattice holds at least 2N - 1
-# blocks of 16 bytes within lattice.DEFAULT_MAX_BYTES = 2^32.  F(41) is
-# over 2^27, so no encodable stream has a code longer than 38 bits.
+# of N samples has N <= 2^27: the encode budget counts 16 bytes for each of
+# the at least 2N - 1 blocks of its stats lattice, and must stay within
+# lattice.DEFAULT_MAX_BYTES = 2^32.  F(41) is over 2^27, so no encodable
+# stream has a code longer than 38 bits.
 L_MAX = 38
 
 # Bit positions whose codeword length is resolved per vectorized pass.

@@ -1,4 +1,4 @@
-"""Marginal likelihood recursion and posterior split/prune maps.
+"""Marginal likelihood recursion and the MAP decision of every block.
 
 The model scores every block A of the lattice with three quantities, all
 in natural-log domain because the linear values underflow double
@@ -19,9 +19,14 @@ precision past a few hundred pixels:
 Atomic blocks carry log_psi = 0 by convention.  From these, Bayes' theorem
 yields the posterior stop probability and the posterior split distribution
 per block, which completely describe the posterior over partition trees.
-Only those posteriors are kept, one array per shape: log_psi0 and
-log_psi_d are computed per shape and not stored, and log_psi lives only
-while the sweep needs it, leaving log_marginal, the value at the root.
+The same bottom-up sweep then finds the MAP tree (see :mod:`carp.tree`):
+per block, log kappa, the best log posterior of any pruned subtree rooted
+there, and the int8 decision achieving it.  Only the decisions are kept.
+The posterior tables and log kappa of a shape exist while the sweep is at
+that shape, log_psi and log kappa until its parents, one level up, are
+done; so besides the decisions, the sweep holds two levels of the lattice
+at a time.  What remains is log_marginal, log psi of the root, and
+log_map, log kappa of the root.
 
 The mixture term is the sweep's one costly function: ``np.logaddexp`` is
 a scalar loop, an order of magnitude slower per element than numpy's
@@ -159,103 +164,145 @@ def _log_sum_exp(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-class PosteriorLattice:
-    """Posterior quantities for every lattice block, stored per shape.
+def _decide(log_prune: np.ndarray, log_not_prune: np.ndarray, axes: list[int],
+            scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(log kappa, decision) of every block of one shape.
 
-    All probabilities are held in log domain: log_prune and log_not_prune
-    are the posterior probabilities of stopping at the block or not,
-    log_split[(shape, d)] the posterior split distribution over its
-    divisible axes (summing to one), log_kappa the best achievable
-    posterior mass of any pruned subtree rooted at the block, and
-    decisions the int8 choice achieving it (-1 to stop, otherwise the
-    split axis); the last two are filled in by the tree extraction stage.
-    log_marginal is the log marginal likelihood of the whole image.
+    scores[k] is log_split + log kappa(left) + log kappa(right) for the
+    split along axes[k].  The split axis is the best score's, where a
+    strict ``>`` lets the lowest axis win ties; the decision is -1 where
+    stopping strictly beats that split, so at equality the block splits.
+    The inputs are overwritten.
+    """
+    best = axis = None
+    for d, t in zip(axes, scores):
+        if best is None:
+            best, axis = t, np.full(t.shape, d, dtype=np.int8)
+        else:
+            # arithmetic on the 0/1 mask is several times faster than a
+            # masked store
+            axis += (d - axis) * (t > best).view(np.int8)
+            np.maximum(best, t, out=best)
+    split = np.add(log_not_prune, best, out=log_not_prune)
+    axis -= (axis + 1) * (log_prune > split).view(np.int8)
+    return np.maximum(log_prune, split, out=log_prune), axis
+
+
+def _sweep(stats: StatsLattice, hp: Hyperparams,
+           decisions: dict[tuple[int, ...], np.ndarray] | None
+           ) -> tuple[float, float | None]:
+    """One bottom-up pass over the lattice: (log psi, log kappa) of the root.
+
+    With a decisions dict, each non-atomic shape's int8 decisions are
+    stored in it; without one, only the marginal likelihood is computed
+    and the root's log kappa is None.  A shape's log psi and log kappa are
+    read by its parents alone, one level up, so each is dropped once the
+    sweep moves two levels past it.
+    """
+    log_psi: dict[tuple[int, ...], np.ndarray] = {}
+    log_kappa: dict[tuple[int, ...], np.ndarray] = {}
+    sigma2 = hp.sigma * hp.sigma
+    log_const = LOG_2PI + math.log(sigma2)
+    log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
+    log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
+
+    for shape in stats.shapes:
+        size = 2 ** sum(shape)
+        div = [i for i, a in enumerate(shape) if a > 0]
+        if not div:
+            log_psi[shape] = log_kappa[shape] = np.broadcast_to(
+                0.0, stats.grid_shape(shape))
+            continue
+        for done in [s for s in log_psi if sum(s) < sum(shape) - 1]:
+            del log_psi[done]
+            log_kappa.pop(done, None)
+
+        level = stats.level_of_shape(shape)
+        # log eta0 + log psi0
+        stop = log_eta0 + (-((size - 1) / 2.0) * log_const
+                           - stats.ssts[shape] / (2.0 * sigma2))
+
+        rho = hp.rho(level)
+        tau = hp.tau(level)
+        var_wide = (1.0 + tau * tau) * sigma2
+        log_rho = math.log(rho) if rho > 0 else -math.inf
+        log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
+        scale = math.sqrt(float(size))
+
+        log_go = log_1m_eta0 - math.log(len(div))
+        d_terms = []
+        for d in div:
+            sum_l, sum_r = stats.child_sum_arrays(shape, d)
+            diff = sum_l - sum_r
+            # w enters the mixture only as w * w, so |diff| serves too
+            np.abs(diff, out=diff)
+            top = diff.max() if stats.integral else math.inf
+            if top < diff.size:  # integers, no more values than blocks
+                table = _mixture(np.arange(int(top) + 1) / scale, log_rho,
+                                 log_1m_rho, var_wide, sigma2)
+                lpd = table[diff.astype(np.intp)]
+            else:
+                lpd = _mixture(diff / scale, log_rho, log_1m_rho, var_wide, sigma2)
+            del diff  # before the next axis allocates its own
+            cp = log_psi[_child(shape, d)]
+            left, right = _halves(stats.m, d)
+            lpd += cp[left]
+            lpd += cp[right]
+            d_terms.append(lpd)
+
+        lpsi = _log_sum_exp([stop] + [log_go + lpd for lpd in d_terms])
+        if np.isnan(lpsi).any():
+            idx = tuple(int(v) for v in
+                        np.argwhere(np.isnan(lpsi))[0])
+            off = tuple(i * (1 << a) for i, a in zip(idx, shape))
+            raise NumericError(
+                f"non-finite marginal likelihood at block offset {off}, "
+                f"extent {tuple(1 << a for a in shape)}"
+            )
+        log_psi[shape] = lpsi
+        if decisions is None:
+            continue
+
+        # the posterior split distribution, stop and go probabilities
+        if len(d_terms) > 1:
+            lse_d = _log_sum_exp(d_terms)
+        else:  # lpd + log(exp(lpd - lpd)), rounded alike, NaN at +-inf
+            lpd = d_terms[0]
+            lse_d = lpd + (lpd - lpd)
+        for d, lpd in zip(div, d_terms):
+            np.subtract(lpd, lse_d, out=lpd)
+            kc = log_kappa[_child(shape, d)]
+            left, right = _halves(stats.m, d)
+            lpd += kc[left]
+            lpd += kc[right]
+        stop -= lpsi
+        log_prune = np.minimum(stop, 0.0, out=stop)
+        lse_d += log_go
+        lse_d -= lpsi
+        log_not_prune = np.minimum(lse_d, 0.0, out=lse_d)
+        log_kappa[shape], decisions[shape] = _decide(log_prune, log_not_prune,
+                                                     div, d_terms)
+    root = tuple(stats.axis_exps)
+    log_map = float(log_kappa[root].reshape(-1)[0]) if decisions is not None else None
+    return float(log_psi[root].reshape(-1)[0]), log_map
+
+
+class PosteriorLattice:
+    """The MAP decision for every lattice block, stored per shape.
+
+    decisions[shape] is an int8 array over the blocks of that shape: -1
+    where the MAP tree stops at the block, otherwise the axis it splits.
+    Atomic blocks have no entry.  log_marginal is the log marginal
+    likelihood of the whole image, and log_map the log posterior
+    probability of the MAP tree (log kappa of the root).  The posterior
+    tables the decisions come from are not kept.
     """
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):
         self.stats = stats
         self.hp = hp
-        self.log_prune: dict[tuple[int, ...], np.ndarray] = {}
-        self.log_not_prune: dict[tuple[int, ...], np.ndarray] = {}
-        self.log_split: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-        self.log_kappa: dict[tuple[int, ...], np.ndarray] | None = None
-        self.decisions: dict[tuple[int, ...], np.ndarray] | None = None
-        self.log_marginal: float = self._build()
-
-    def _build(self) -> float:
-        """Fill the posterior arrays; return log psi of the whole space."""
-        stats, hp = self.stats, self.hp
-        log_psi: dict[tuple[int, ...], np.ndarray] = {}
-        sigma2 = hp.sigma * hp.sigma
-        log_const = LOG_2PI + math.log(sigma2)
-        log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
-        log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
-
-        for shape in stats.shapes:
-            size = 2 ** sum(shape)
-            div = [i for i, a in enumerate(shape) if a > 0]
-            if not div:
-                zero = np.zeros(stats.grid_shape(shape))
-                log_psi[shape] = zero
-                self.log_prune[shape] = np.full_like(zero, -np.inf)
-                self.log_not_prune[shape] = zero
-                continue
-
-            level = stats.level_of_shape(shape)
-            lpsi0 = -((size - 1) / 2.0) * log_const - stats.ssts[shape] / (2.0 * sigma2)
-
-            rho = hp.rho(level)
-            tau = hp.tau(level)
-            var_wide = (1.0 + tau * tau) * sigma2
-            log_rho = math.log(rho) if rho > 0 else -math.inf
-            log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
-            scale = math.sqrt(float(size))
-
-            log_go = log_1m_eta0 - math.log(len(div))
-            d_terms = []
-            for d in div:
-                sum_l, sum_r = stats.child_sum_arrays(shape, d)
-                diff = sum_l - sum_r
-                # w enters the mixture only as w * w, so |diff| serves too
-                np.abs(diff, out=diff)
-                top = diff.max() if stats.integral else math.inf
-                if top < diff.size:  # integers, no more values than blocks
-                    table = _mixture(np.arange(int(top) + 1) / scale, log_rho,
-                                     log_1m_rho, var_wide, sigma2)
-                    lpd = table[diff.astype(np.intp)]
-                else:
-                    lpd = _mixture(diff / scale, log_rho, log_1m_rho, var_wide, sigma2)
-                cp = log_psi[_child(shape, d)]
-                left, right = _halves(stats.m, d)
-                lpd += cp[left]
-                lpd += cp[right]
-                d_terms.append(lpd)
-
-            stop = log_eta0 + lpsi0
-            lpsi = _log_sum_exp([stop] + [log_go + lpd for lpd in d_terms])
-            if np.isnan(lpsi).any():
-                idx = tuple(int(v) for v in
-                            np.argwhere(np.isnan(lpsi))[0])
-                off = tuple(i * (1 << a) for i, a in zip(idx, shape))
-                raise NumericError(
-                    f"non-finite marginal likelihood at block offset {off}, "
-                    f"extent {tuple(1 << a for a in shape)}"
-                )
-            log_psi[shape] = lpsi
-
-            if len(d_terms) > 1:
-                lse_d = _log_sum_exp(d_terms)
-            else:  # lpd + log(exp(lpd - lpd)), rounded alike, NaN at +-inf
-                lpd = d_terms[0]
-                lse_d = lpd + (lpd - lpd)
-            for d, lpd in zip(div, d_terms):
-                self.log_split[(shape, d)] = np.subtract(lpd, lse_d, out=lpd)
-            stop -= lpsi
-            self.log_prune[shape] = np.minimum(stop, 0.0, out=stop)
-            lse_d += log_go
-            lse_d -= lpsi
-            self.log_not_prune[shape] = np.minimum(lse_d, 0.0, out=lse_d)
-        return float(log_psi[self.root_shape].reshape(-1)[0])
+        self.decisions: dict[tuple[int, ...], np.ndarray] = {}
+        self.log_marginal, self.log_map = _sweep(stats, hp, self.decisions)
 
     @property
     def root_shape(self) -> tuple[int, ...]:
@@ -285,7 +332,7 @@ def empirical_bayes_fit(grid: PixelGrid, sigma: float,
     best_hp: Hyperparams | None = None
     best_lp = -math.inf
     for hp in grid_spec.points(sigma):
-        lp = PosteriorLattice(stats, hp).log_marginal
+        lp, _ = _sweep(stats, hp, None)
         if lp > best_lp:
             best_lp, best_hp = lp, hp
     assert best_hp is not None

@@ -1,9 +1,10 @@
 """MAP partition tree extraction and the induced pixel permutation.
 
-One bottom-up sweep over the block lattice computes, for every block, the
+The posterior sweep of :mod:`carp.model` computes, for every block, the
 largest posterior mass any pruned partition subtree rooted there can
-achieve (kappa, stored as log kappa to survive deep trees), and in the
-same pass records the decision that achieves it.  The best split axis is
+achieve (kappa, held as log kappa to survive deep trees), in the same
+bottom-up pass as the marginal likelihood, and records the decision that
+achieves it.  The best split axis is
 
     d_hat = argmax_d  split_post(A, d) * kappa(A_left) * kappa(A_right)
 
@@ -14,8 +15,8 @@ and the block becomes a leaf iff the stop branch strictly beats it,
 
 At exact equality the block is split.  Axis ties resolve to the lowest
 index; both rules are fixed so identical inputs always produce identical
-trees and therefore bit-identical streams.  The decisions live in one
-int8 array per block shape: -1 to stop, otherwise the split axis.
+trees and therefore bit-identical streams.  Only the decisions are kept,
+one int8 array per block shape: -1 to stop, otherwise the split axis.
 
 Extraction then follows the decisions top-down, one tree level at a time
 and over the reached blocks only, so everything after the sweep costs
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _child, _halves
 from .model import PosteriorLattice
 
 
@@ -82,39 +82,10 @@ class MapTree:
 
 
 def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray]:
-    """Fill lattice.log_kappa and lattice.decisions bottom-up over the block DAG."""
-    if lattice.log_kappa is not None:
-        return lattice.log_kappa
-    stats = lattice.stats
-    log_kappa: dict[tuple[int, ...], np.ndarray] = {}
-    decisions: dict[tuple[int, ...], np.ndarray] = {}
-    for shape in stats.shapes:
-        div = [i for i, a in enumerate(shape) if a > 0]
-        if not div:
-            log_kappa[shape] = np.zeros(stats.grid_shape(shape))
-            continue
-        best = axis = None
-        for d in div:
-            kc = log_kappa[_child(shape, d)]
-            left, right = _halves(stats.m, d)
-            t = lattice.log_split[(shape, d)] + kc[left] + kc[right]
-            if best is None:
-                best, axis = t, np.full(t.shape, d, dtype=np.int8)
-            else:
-                # axis = d where t wins; strict, so the lowest axis wins ties.
-                # Arithmetic on the 0/1 mask is several times faster than a
-                # masked store.
-                axis += (d - axis) * (t > best).view(np.int8)
-                best = np.maximum(best, t)
-        split = lattice.log_not_prune[shape] + best
-        prune = lattice.log_prune[shape]
-        # axis = -1 where stopping wins; strict, so at equality the block splits
-        axis -= (axis + 1) * (prune > split).view(np.int8)
-        log_kappa[shape] = np.maximum(prune, split)
-        decisions[shape] = axis
-    lattice.log_kappa = log_kappa
-    lattice.decisions = decisions
-    return log_kappa
+    """The int8 decision of every non-atomic block, per shape: -1 to stop,
+    otherwise the split axis.  The posterior sweep computes them in the
+    same pass as the marginal likelihood; extraction reads them here."""
+    return lattice.decisions
 
 
 def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
@@ -128,9 +99,8 @@ def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
 
 
 def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
-    """Follow the kappa sweep's decisions from the root, level by level."""
-    compute_kappa(lattice)
-    decisions = lattice.decisions
+    """Follow the sweep's decisions from the root, level by level."""
+    decisions = compute_kappa(lattice)
     stats = lattice.stats
     shape = np.array([stats.axis_exps], dtype=np.int64)
     index = np.zeros((1, stats.m), dtype=np.int64)
@@ -154,33 +124,17 @@ def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
         index = np.concatenate((left, right))
         pos = np.concatenate((start, start + (1 << child.sum(axis=1))))
     shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
+    del levels
     # preorder: by position, and at equal position the larger block first.
     # pos < 2^j_total and the lattice holds over 2^j_total blocks, so any
     # lattice that fits in memory keeps this key far inside int64.
     preorder = np.argsort(pos * (stats.j_total + 1) - shape.sum(axis=1))
-    return MapTree(dims_padded=stats.dims, shape=shape[preorder],
-                   index=index[preorder], pos=pos[preorder], axis=axis[preorder])
-
-
-def map_tree_log_posterior(tree: MapTree, lattice: PosteriorLattice) -> float:
-    """Posterior log-probability of a tree under the fitted posterior maps.
-
-    Product over nodes of the stop probability at pruned leaves and
-    (1 - stop) * split probability at internal nodes; atomic leaves are
-    free.  For the extracted MAP tree this equals log kappa of the root.
-    """
-    total = 0.0
-    for shape, index, axis in zip(tree.shape.tolist(), tree.index.tolist(),
-                                  tree.axis.tolist()):
-        if not any(shape):
-            continue
-        shape, index = tuple(shape), tuple(index)
-        if axis < 0:
-            total += float(lattice.log_prune[shape][index])
-        else:
-            total += float(lattice.log_not_prune[shape][index])
-            total += float(lattice.log_split[(shape, axis)][index])
-    return total
+    # one column at a time, so that each unsorted column is freed in turn
+    shape = shape[preorder]
+    index = index[preorder]
+    pos = pos[preorder]
+    axis = axis[preorder]
+    return MapTree(dims_padded=stats.dims, shape=shape, index=index, pos=pos, axis=axis)
 
 
 def permutation_from_tree(tree: MapTree) -> np.ndarray:

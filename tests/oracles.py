@@ -6,15 +6,18 @@ directly, not against the package's recursion paths:
 * ``compiled_structures`` materializes every pruned partition tree of a
   small block explicitly; priors and likelihoods are then summed tree by
   tree, giving a brute-force marginal likelihood and posterior argmax.
+* ``reference_posterior`` is the direct posterior sweep: the mixture at
+  every block and axis, and each log-sum-exp over stacked terms.  It keeps
+  the posterior tables (stop, not-stop and split probabilities) that the
+  package computes in flight and drops; ``reference_log_kappa`` runs the
+  kappa step over them as a separate pass, and ``map_tree_log_posterior``
+  scores a tree with them.  The package's marginal likelihood, root log
+  kappa and int8 decisions must match them bit for bit.
 * ``reference_extract_map_tree``, ``reference_permutation`` and
   ``reference_serialize_tree`` are a recursive tree path over the same
-  structure tuples, reading the posterior arrays one block at a time; the
+  structure tuples, reading the reference tables one block at a time; the
   differential tests require it and the package's array-native tree to
   agree exactly.
-* ``reference_posterior`` is the direct posterior sweep: the mixture at
-  every block and axis, and each log-sum-exp over stacked terms; the
-  package's table lookups and in-place log-sum-exp must match it bit for
-  bit.
 * ``ReferenceBitWriter``, ``reference_encode_symbols``,
   ``ReferenceBitReader``, ``ReferenceCanonicalDecoder``,
   ``reference_detokenize``, ``reference_deserialize_tree`` and
@@ -302,16 +305,19 @@ def reference_posterior(stats, hp):
 # score equally.
 
 
-def reference_log_kappa(lattice):
-    """log kappa per shape, bottom-up, without touching the lattice."""
-    stats = lattice.stats
-    log_kappa = {}
+def reference_log_kappa(stats, tables):
+    """(log kappa, decisions) per shape, bottom-up, from the posterior
+    tables of ``reference_posterior``.  The split axis is the first
+    maximum of the stacked scores, and a block stops only where stopping
+    scores strictly higher."""
+    log_prune, log_not_prune, log_split, _ = tables
+    log_kappa, decisions = {}, {}
     for shape in stats.shapes:
         div = [i for i, a in enumerate(shape) if a > 0]
         if not div:
             log_kappa[shape] = np.zeros(stats.grid_shape(shape))
             continue
-        best = None
+        scores = []
         for d in div:
             child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
             kc = log_kappa[child]
@@ -319,12 +325,37 @@ def reference_log_kappa(lattice):
                          for i in range(stats.m))
             right = tuple(slice(None) if i != d else slice(1, None, 2)
                           for i in range(stats.m))
-            t = lattice.log_split[(shape, d)] + kc[left] + kc[right]
-            best = t if best is None else np.maximum(best, t)
-        log_kappa[shape] = np.maximum(
-            lattice.log_prune[shape], lattice.log_not_prune[shape] + best
-        )
-    return log_kappa
+            scores.append(log_split[(shape, d)] + kc[left] + kc[right])
+        scores = np.stack(scores)
+        split = log_not_prune[shape] + scores.max(axis=0)
+        stop = log_prune[shape] > split
+        decisions[shape] = np.where(stop, -1, np.array(div)[scores.argmax(axis=0)]
+                                    ).astype(np.int8)
+        log_kappa[shape] = np.maximum(log_prune[shape], split)
+    return log_kappa, decisions
+
+
+def map_tree_log_posterior(tree, tables):
+    """Posterior log-probability of a tree under the posterior tables of
+    ``reference_posterior``.
+
+    Product over nodes of the stop probability at pruned leaves and
+    (1 - stop) * split probability at internal nodes; atomic leaves are
+    free.  For the extracted MAP tree this equals log kappa of the root.
+    """
+    log_prune, log_not_prune, log_split, _ = tables
+    total = 0.0
+    for shape, index, axis in zip(tree.shape.tolist(), tree.index.tolist(),
+                                  tree.axis.tolist()):
+        if not any(shape):
+            continue
+        shape, index = tuple(shape), tuple(index)
+        if axis < 0:
+            total += float(log_prune[shape][index])
+        else:
+            total += float(log_not_prune[shape][index])
+            total += float(log_split[(shape, axis)][index])
+    return total
 
 
 def _key(offset, extent):
@@ -333,9 +364,11 @@ def _key(offset, extent):
     return shape, tuple(o >> a for o, a in zip(offset, shape))
 
 
-def reference_extract_map_tree(lattice):
+def reference_extract_map_tree(stats, hp):
     """Top-down recursive MAP tree: (structure, dims_padded)."""
-    log_kappa = reference_log_kappa(lattice)
+    tables = reference_posterior(stats, hp)
+    log_prune, log_not_prune, log_split, _ = tables
+    log_kappa, _ = reference_log_kappa(stats, tables)
 
     def kappa_at(offset, extent):
         shape, idx = _key(offset, extent)
@@ -349,18 +382,16 @@ def reference_extract_map_tree(lattice):
         best_d, best_t, best_kids = -1, -np.inf, None
         for d in div:
             kids = _children(offset, extent, d)
-            t = (float(lattice.log_split[(shape, d)][idx])
+            t = (float(log_split[(shape, d)][idx])
                  + kappa_at(*kids[0]) + kappa_at(*kids[1]))
             if t > best_t:
                 best_d, best_t, best_kids = d, t, kids
-        log_prune = float(lattice.log_prune[shape][idx])
-        log_not_prune = float(lattice.log_not_prune[shape][idx])
-        if log_prune > log_not_prune + best_t:
+        if float(log_prune[shape][idx]) > float(log_not_prune[shape][idx]) + best_t:
             return ("prune", offset, extent)
         return ("split", offset, extent, best_d,
                 build(*best_kids[0]), build(*best_kids[1]))
 
-    dims = lattice.stats.dims
+    dims = stats.dims
     return build(tuple(0 for _ in dims), tuple(dims)), dims
 
 

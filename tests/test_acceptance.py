@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from carp import (Hyperparams, PixelGrid, build_posterior, compress,
-                  compute_kappa, decompress, extract_map_tree, haar_forward,
-                  haar_inverse, map_tree_log_posterior, ms_ssim, psnr,
-                  target_ratio_search)
+                  decompress, extract_map_tree, haar_forward, haar_inverse,
+                  ms_ssim, psnr, target_ratio_search)
 from carp.huffman import (build_code_lengths, canonical_codes, decode_symbols,
                           encode_symbols, histogram, kraft_sum)
 from carp.lattice import _halves, build_stats
@@ -25,7 +24,8 @@ from carp.codec import default_q
 from carp.stream import deserialize_tree, serialize_tree
 
 from conftest import random_grid, same_tree, synthetic_photo
-from oracles import brute_force_map, reference_ms_ssim, tree_to_structure
+from oracles import (brute_force_map, map_tree_log_posterior,
+                     reference_ms_ssim, reference_posterior, tree_to_structure)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -54,16 +54,16 @@ def oracle_instances():
             hp = Hyperparams(sigma=float(rng.uniform(0.5, 16.0)))
             grid = PixelGrid.from_array(image)
             post = build_posterior(grid, hp)
-            kappa = compute_kappa(post)
             tree = extract_map_tree(post)
             best, best_log_post, brute_lp = brute_force_map(image, hp)
             instances.append({
                 "hp": hp,
                 "recursion_lp": post.log_marginal,
                 "brute_lp": brute_lp,
-                "kappa_root": float(kappa[post.root_shape].reshape(-1)[0]),
+                "kappa_root": post.log_map,
                 "tree_structure": tree_to_structure(tree),
-                "tree_log_post": map_tree_log_posterior(tree, post),
+                "tree_log_post": map_tree_log_posterior(
+                    tree, reference_posterior(post.stats, hp)),
                 "best_structures": best,
                 "best_log_post": best_log_post,
             })

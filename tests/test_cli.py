@@ -95,6 +95,22 @@ class TestExitCodes:
                   "--target-ratio", "5", "--q", "2"])
         assert err.value.code == 2
 
+    def test_tau0_conflicts_with_target_ratio(self, photo_path, tmp_path, capsys):
+        out = tmp_path / "x.carp"
+        with pytest.raises(SystemExit) as err:
+            main(["compress", photo_path, str(out), "--target-ratio", "8", "--tau0", "5"])
+        assert err.value.code == 2
+        assert "--tau0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tau0_conflicts_with_sweep_ratios(self, photo_path, tmp_path, capsys):
+        out = tmp_path / "rd.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", photo_path, str(out), "--ratios", "4,8", "--tau0", "5"])
+        assert err.value.code == 2
+        assert "--tau0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pipeline_error_is_exit_1(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing.carp")]) == 1
         assert "carp info" in capsys.readouterr().err

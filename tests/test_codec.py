@@ -181,6 +181,57 @@ class TestResources:
             tracemalloc.stop()
         assert peak <= codec._decode_bytes(stream)
 
+    @pytest.mark.parametrize("make,hp", [
+        (lambda: pad(grid_of(synthetic_photo(64, seed=3).values[0].ravel())),
+         Hyperparams(sigma=2.0)),
+        (lambda: synthetic_photo(512, seed=7), Hyperparams(sigma=2.0)),
+        (lambda: synthetic_photo(256, seed=7), Hyperparams(sigma=0.01, eta0=0.0)),
+        (lambda: random_grid(np.random.default_rng(8), (16, 32, 32)),
+         Hyperparams(sigma=0.01, eta0=0.0)),
+        (lambda: random_grid(np.random.default_rng(8), (4, 16, 32), channels=3),
+         Hyperparams(sigma=1.0)),
+    ], ids=["1d", "2d", "2d-near-lossless", "3d-near-lossless", "3-channel"])
+    def test_encode_budget_covers_the_traced_peak(self, make, hp):
+        grid = make()
+        compress(grid, hp)  # first-call allocations outside the encoder
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compress(grid, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= codec._encode_bytes(grid.dims, grid.channels)
+
+    def test_encode_budget_counts_the_stats_lattice(self):
+        # huffman.L_MAX relies on every encodable image of N samples having
+        # N <= 2^27, since the budget counts 16 bytes per lattice block
+        for dims in ((1 << 27,), (1 << 14, 1 << 13), (1 << 9, 1 << 9, 1 << 9)):
+            blocks = int(np.prod([2 * d - 1 for d in dims]))
+            assert codec._encode_bytes(dims, 1) >= 16 * blocks
+            assert codec._encode_bytes(dims, 1) > codec.DEFAULT_MAX_BYTES
+        # the 16 bytes per block alone let this image through
+        assert 16 * (2 * 8192 - 1) ** 2 <= codec.DEFAULT_MAX_BYTES
+        assert codec._encode_bytes((8192, 8192), 1) > codec.DEFAULT_MAX_BYTES
+
+    def test_over_budget_encode_fails_before_allocating(self, monkeypatch):
+        grid = synthetic_photo(512, seed=7)
+        need = codec._encode_bytes(grid.dims, grid.channels)
+        monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", need - 1)
+        for encode in (lambda: compress(grid, Hyperparams(sigma=2.0)),
+                       lambda: target_ratio_search(grid, Hyperparams(sigma=1.0), 20.0)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceError, match="budget"):
+                    encode()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", need)
+        compress(grid, Hyperparams(sigma=2.0))
+
     def test_ratio_search_builds_stats_once(self, monkeypatch):
         calls = {"build_stats": 0, "compress": 0}
         for name in calls:

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from carp import model
 from carp.lattice import StatsLattice
 from carp.model import PosteriorLattice
 from conftest import random_grid, synthetic_photo
-from oracles import brute_force_log_marginal, reference_posterior
+from oracles import (brute_force_log_marginal, reference_log_kappa,
+                     reference_posterior)
 
 
 def grid_of(arr):
@@ -18,6 +21,13 @@ def grid_of(arr):
 
 def log_normal(w, var):
     return -0.5 * (math.log(2 * math.pi * var) + w * w / var)
+
+
+def tables_of(grid, hp):
+    """The posterior tables the sweep computes in flight and drops:
+    (log_prune, log_not_prune, log_split, log_marginal) by the reference
+    sweep, which TestSweepMatchesReference ties to the package's."""
+    return reference_posterior(build_stats(grid), hp)
 
 
 class TestHyperparams:
@@ -123,20 +133,23 @@ class TestBuildPosterior:
     def test_eta0_zero_disables_pruning(self):
         rng = np.random.default_rng(1)
         grid = random_grid(rng, (4, 4))
-        post = build_posterior(grid, Hyperparams(sigma=2.0, eta0=0.0))
+        hp = Hyperparams(sigma=2.0, eta0=0.0)
+        log_prune = tables_of(grid, hp)[0]
+        post = build_posterior(grid, hp)
         for shape in post.stats.shapes:
             if sum(shape) == 0:
                 continue
-            assert np.all(np.exp(post.log_prune[shape]) == 0.0)
+            assert np.all(np.exp(log_prune[shape]) == 0.0)
+            assert np.all(post.decisions[shape] >= 0)
 
     def test_single_axis_split_posterior_is_one(self):
-        post = build_posterior(grid_of([[3.0, 100.0]]), Hyperparams(sigma=1.0))
-        np.testing.assert_allclose(post.log_split[((0, 1), 1)], 0.0, atol=1e-14)
+        log_split = tables_of(grid_of([[3.0, 100.0]]), Hyperparams(sigma=1.0))[2]
+        np.testing.assert_allclose(log_split[((0, 1), 1)], 0.0, atol=1e-14)
 
     def test_symmetric_constant_2x2_splits_evenly(self):
-        post = build_posterior(grid_of(np.full((2, 2), 8.0)), Hyperparams(sigma=1.0))
+        log_split = tables_of(grid_of(np.full((2, 2), 8.0)), Hyperparams(sigma=1.0))[2]
         for d in (0, 1):
-            split = math.exp(float(post.log_split[((1, 1), d)][0, 0]))
+            split = math.exp(float(log_split[((1, 1), d)][0, 0]))
             assert split == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 2)])
@@ -155,30 +168,30 @@ class TestBuildPosterior:
         rng = np.random.default_rng(14)
         grid = random_grid(rng, (4, 8))
         hp = Hyperparams(sigma=2.5, eta0=0.3)
-        post = build_posterior(grid, hp)
-        for shape in post.stats.shapes:
+        log_prune, log_not_prune, _, _ = tables_of(grid, hp)
+        for shape in log_prune:
             if not any(shape):
                 continue
-            total = np.exp(post.log_prune[shape]) + np.exp(post.log_not_prune[shape])
+            total = np.exp(log_prune[shape]) + np.exp(log_not_prune[shape])
             np.testing.assert_allclose(total, 1.0, rtol=1e-10)
 
     def test_split_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
         grid = random_grid(rng, (8, 4))
-        post = build_posterior(grid, Hyperparams(sigma=3.0))
-        for shape in post.stats.shapes:
+        log_prune, _, log_split, _ = tables_of(grid, Hyperparams(sigma=3.0))
+        for shape in log_prune:
             div = [i for i, a in enumerate(shape) if a > 0]
             if not div:
                 continue
-            total = sum(np.exp(post.log_split[(shape, d)]) for d in div)
+            total = sum(np.exp(log_split[(shape, d)]) for d in div)
             np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
     def test_prune_posterior_within_unit_interval(self):
         rng = np.random.default_rng(3)
         grid = random_grid(rng, (8, 8))
-        post = build_posterior(grid, Hyperparams(sigma=5.0))
-        for shape in post.stats.shapes:
-            p = np.exp(post.log_prune[shape])
+        log_prune = tables_of(grid, Hyperparams(sigma=5.0))[0]
+        for shape in log_prune:
+            p = np.exp(log_prune[shape])
             assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_shift_invariance(self):
@@ -188,12 +201,12 @@ class TestBuildPosterior:
         post_a = build_posterior(grid_of(base), hp)
         post_b = build_posterior(grid_of(base + 55.0), hp)
         assert post_a.log_marginal == pytest.approx(post_b.log_marginal, rel=1e-9)
+        prune_a, not_prune_a, _, _ = tables_of(grid_of(base), hp)
+        prune_b, not_prune_b, _, _ = tables_of(grid_of(base + 55.0), hp)
         for shape in post_a.stats.shapes:
-            np.testing.assert_allclose(post_a.log_not_prune[shape],
-                                       post_b.log_not_prune[shape],
+            np.testing.assert_allclose(not_prune_a[shape], not_prune_b[shape],
                                        rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(post_a.log_prune[shape],
-                                       post_b.log_prune[shape],
+            np.testing.assert_allclose(prune_a[shape], prune_b[shape],
                                        rtol=1e-9, atol=1e-12)
 
     def test_log_psi_finite_on_large_flat_block(self):
@@ -249,20 +262,25 @@ SWEEP_HYPERPARAMS = {
 
 
 class TestSweepMatchesReference:
-    """The sweep's mixture tables and in-place log-sum-exp reproduce the
-    direct sweep bit for bit."""
+    """The fused sweep, with its mixture tables, in-place log-sum-exp and
+    in-flight kappa step, reproduces the direct posterior sweep followed by
+    a separate kappa pass bit for bit: the same int8 decisions, marginal
+    likelihood and root log kappa.  The fit's marginal-only pass gives the
+    same marginal likelihood."""
 
     @staticmethod
     def check(stats, hp):
         post = PosteriorLattice(stats, hp)
-        log_prune, log_not_prune, log_split, log_marginal = reference_posterior(stats, hp)
-        for mine, theirs in ((post.log_prune, log_prune),
-                             (post.log_not_prune, log_not_prune),
-                             (post.log_split, log_split)):
-            assert mine.keys() == theirs.keys()
-            for key in theirs:
-                assert _same_bits(mine[key], theirs[key]), key
-        assert _same_bits(post.log_marginal, log_marginal)
+        tables = reference_posterior(stats, hp)
+        log_kappa, decisions = reference_log_kappa(stats, tables)
+        assert post.decisions.keys() == decisions.keys()
+        for key in decisions:
+            assert post.decisions[key].dtype == np.int8
+            assert np.array_equal(post.decisions[key], decisions[key]), key
+        assert _same_bits(post.log_marginal, tables[3])
+        assert _same_bits(post.log_map, log_kappa[post.root_shape].reshape(-1)[0])
+        log_marginal, log_map = model._sweep(stats, hp, None)
+        assert _same_bits(log_marginal, tables[3]) and log_map is None
 
     @pytest.mark.parametrize("plane", SWEEP_PLANES)
     @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
@@ -346,9 +364,47 @@ class TestEmpiricalBayes:
         with pytest.raises(ValueError):
             empirical_bayes_fit(grid, sigma=1.0, grid_spec=HyperGrid(alphas=[]))
 
+    @pytest.mark.parametrize("make,sigma,expected", [
+        (lambda: synthetic_photo(32, seed=11), 8.0,
+         dict(alpha=0.1, beta=0.5, c=0.2, tau0=0.25, eta0=0.2)),
+        (lambda: grid_of(np.clip(100 + np.random.default_rng(3).normal(0, 2, (32, 32)).round(),
+                                 0, 255)), 2.0,
+         dict(alpha=1.0, beta=2.0, c=0.01, tau0=0.25, eta0=0.6)),
+    ])
+    def test_fit_unchanged_by_the_marginal_only_pass(self, make, sigma, expected):
+        # the points chosen when the fit ran the full sweep per grid point
+        assert empirical_bayes_fit(make(), sigma) == Hyperparams(sigma=sigma, **expected)
+
     def test_stats_reuse_matches(self, photo64):
         stats = build_stats(photo64)
         spec = HyperGrid(alphas=[0.5], betas=[1.0], cs=[0.05],
                          tau0s=None, eta0s=[0.2, 0.6])
         assert (empirical_bayes_fit(photo64, 2.0, spec, stats=stats)
                 == empirical_bayes_fit(photo64, 2.0, spec))
+
+
+class TestMemory:
+    def test_only_int8_decisions_are_held(self):
+        grid = random_grid(np.random.default_rng(17), (16, 8, 4))
+        post = build_posterior(grid, Hyperparams(sigma=2.0))
+        assert vars(post).keys() == {"stats", "hp", "decisions", "log_marginal", "log_map"}
+        assert isinstance(post.log_marginal, float) and isinstance(post.log_map, float)
+        stats = post.stats
+        assert post.decisions.keys() == {s for s in stats.shapes if any(s)}
+        for shape, axis in post.decisions.items():
+            assert axis.dtype == np.int8 and axis.base is None
+            assert axis.shape == stats.grid_shape(shape)
+        n = int(np.prod(stats.dims))
+        assert sum(a.nbytes for a in post.decisions.values()) == stats.node_count - n
+
+    def test_sweep_peak_within_the_stats_lattice(self):
+        grid = synthetic_photo(512, seed=7)
+        stats = build_stats(grid)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_posterior(grid, Hyperparams(sigma=2.0), stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stats.node_count * 16

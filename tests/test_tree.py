@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
-                  deserialize_tree, extract_map_tree, map_tree_log_posterior,
-                  permutation_from_tree, serialize_tree)
+                  deserialize_tree, extract_map_tree, permutation_from_tree,
+                  serialize_tree)
+from carp.model import _decide
 from conftest import random_grid, same_tree
-from oracles import (brute_force_map, reference_extract_map_tree,
-                     reference_permutation, reference_serialize_tree,
-                     tree_to_structure)
+from oracles import (brute_force_map, map_tree_log_posterior,
+                     reference_extract_map_tree, reference_log_kappa,
+                     reference_permutation, reference_posterior,
+                     reference_serialize_tree, tree_to_structure)
 
 
 def grid_of(arr):
@@ -27,15 +29,19 @@ def inverse_of(order):
 
 class TestKappa:
     def test_atomic_kappa_is_one(self):
+        # log kappa is 0 on atomic blocks, which carry no decision
         post = posterior_of([[1.0, 2.0], [3.0, 4.0]], sigma=1.0)
-        kappa = compute_kappa(post)
+        tables = reference_posterior(post.stats, post.hp)
+        kappa, _ = reference_log_kappa(post.stats, tables)
         np.testing.assert_array_equal(kappa[(0, 0)], 0.0)
+        assert (0, 0) not in compute_kappa(post)
+        assert compute_kappa(post)[(1, 1)].dtype == np.int8
 
     def test_certain_prune_gives_kappa_one(self):
         # at huge sigma everything looks like noise and eta0 -> 1 forces pruning
         post = posterior_of(np.zeros((2, 2)), sigma=5.0, eta0=1.0)
-        kappa = compute_kappa(post)
-        assert kappa[(1, 1)][0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert post.log_map == pytest.approx(0.0, abs=1e-12)
+        assert compute_kappa(post)[(1, 1)][0, 0] == -1
 
     @pytest.mark.parametrize("trial", range(4))
     def test_kappa_equals_max_posterior(self, trial):
@@ -43,10 +49,8 @@ class TestKappa:
         grid = random_grid(rng, (2, 2))
         hp = Hyperparams(sigma=float(rng.uniform(0.5, 12.0)))
         post = build_posterior(grid, hp)
-        kappa = compute_kappa(post)
         _, best_log_post, _ = brute_force_map(grid.values[0], hp)
-        root_val = float(kappa[post.root_shape].reshape(-1)[0])
-        assert root_val == pytest.approx(best_log_post, rel=1e-8, abs=1e-10)
+        assert post.log_map == pytest.approx(best_log_post, rel=1e-8, abs=1e-10)
 
 
 class TestExtractMapTree:
@@ -81,7 +85,8 @@ class TestExtractMapTree:
             post = build_posterior(grid, hp)
             tree = extract_map_tree(post)
             best, best_log_post, _ = brute_force_map(grid.values[0], hp)
-            extracted_log_post = map_tree_log_posterior(tree, post)
+            tables = reference_posterior(post.stats, hp)
+            extracted_log_post = map_tree_log_posterior(tree, tables)
             assert extracted_log_post == pytest.approx(best_log_post,
                                                        rel=1e-9, abs=1e-9)
             if len(best) == 1:
@@ -94,10 +99,9 @@ class TestExtractMapTree:
         grid = random_grid(rng, (8, 8))
         post = build_posterior(grid, Hyperparams(sigma=4.0))
         tree = extract_map_tree(post)
-        kappa = compute_kappa(post)
-        root_val = float(kappa[post.root_shape].reshape(-1)[0])
-        assert map_tree_log_posterior(tree, post) == pytest.approx(
-            root_val, rel=1e-9, abs=1e-9)
+        tables = reference_posterior(post.stats, post.hp)
+        assert map_tree_log_posterior(tree, tables) == pytest.approx(
+            post.log_map, rel=1e-9, abs=1e-9)
 
     def test_leaves_tile_the_space(self):
         rng = np.random.default_rng(9)
@@ -176,7 +180,7 @@ class TestPermutation:
 def assert_matches_reference(post):
     """Array-native tree path == recursive reference path, exactly."""
     tree = extract_map_tree(post)
-    structure, dims = reference_extract_map_tree(post)
+    structure, dims = reference_extract_map_tree(post.stats, post.hp)
     assert tree.dims_padded == dims
     assert tree_to_structure(tree) == structure
     order = permutation_from_tree(tree)
@@ -218,28 +222,31 @@ class TestMatchesReference:
         assert_matches_reference(posterior_of(board, sigma=sigma, eta0=eta0))
 
     def test_axis_tie_takes_lowest_axis(self):
-        # 2x2: both children shapes always split with probability one, so
-        # kappa is exactly 0 below the root and the two axes tie exactly
-        post = posterior_of([[1.0, 2.0], [3.0, 4.0]], sigma=1.0)
-        for child, d in (((0, 1), 1), ((1, 0), 0)):
-            grid_shape = post.log_prune[child].shape
-            post.log_prune[child] = np.full(grid_shape, -np.inf)
-            post.log_not_prune[child] = np.zeros(grid_shape)
-            post.log_split[(child, d)] = np.zeros(grid_shape)
-        post.log_prune[(1, 1)] = np.full((1, 1), -np.inf)
-        post.log_split[((1, 1), 0)] = np.full((1, 1), np.log(0.5))
-        post.log_split[((1, 1), 1)] = np.full((1, 1), np.log(0.5))
-        tree = assert_matches_reference(post)
-        assert tree.axis[0] == 0
+        # equal split scores on every axis: the lowest axis wins, also when
+        # a later axis ties the best so far after a worse one
+        scores = [np.array([1.5, 0.0, 2.0]), np.array([1.5, 1.0, 2.0]),
+                  np.array([1.5, 1.0, 2.0])]
+        log_kappa, axis = _decide(np.full(3, -np.inf), np.zeros(3), [0, 1, 2],
+                                  scores)
+        assert axis.dtype == np.int8
+        np.testing.assert_array_equal(axis, [0, 1, 0])
+        np.testing.assert_array_equal(log_kappa, [1.5, 1.0, 2.0])
+        _, axis = _decide(np.full(2, -np.inf), np.zeros(2), [1, 2],
+                          [np.array([-3.0, 0.5]), np.array([-3.0, 0.5])])
+        np.testing.assert_array_equal(axis, [1, 1])
 
     def test_prune_split_tie_splits(self):
-        # two pixels: atomic children and a single axis make the split
-        # score exactly log_not_prune
-        post = posterior_of([3.0, 5.0], sigma=1.0)
-        post.log_prune[(1,)] = post.log_not_prune[(1,)].copy()
-        tree = assert_matches_reference(post)
-        assert tree.axis[0] == 0
-        post.log_prune[(1,)] = np.nextafter(post.log_not_prune[(1,)], np.inf)
-        post.log_kappa = None
-        tree = assert_matches_reference(post)
-        assert tree.pruned[0]
+        # stopping must score strictly higher than splitting to win
+        log_not_prune = np.array([-0.75, -0.75])
+        score = np.array([-0.5, -0.5])
+        split = log_not_prune + score
+        log_prune = np.array([split[0], np.nextafter(split[1], np.inf)])
+        log_kappa, axis = _decide(log_prune.copy(), log_not_prune.copy(), [0],
+                                  [score.copy()])
+        np.testing.assert_array_equal(axis, [0, -1])
+        np.testing.assert_array_equal(log_kappa, log_prune)
+        # the same rule on a two-axis block, where the tie is with the
+        # better axis
+        _, axis = _decide(log_prune.copy(), log_not_prune.copy(), [0, 1],
+                          [score - 1.0, score.copy()])
+        np.testing.assert_array_equal(axis, [1, -1])
