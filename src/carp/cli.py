@@ -15,10 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import __version__
-from .codec import (compress, decompress, decompress_with_bits,
-                    target_ratio_search)
+from .codec import (_check_encode_budget, compress, decompress,
+                    decompress_with_bits, target_ratio_search)
 from .errors import CarpError
 from .grid import PixelGrid, load, original_region, pad, save
+from .lattice import StatsLattice, build_stats
 from .metrics import psnr, quality_report
 from .model import Hyperparams, empirical_bayes_fit
 from .stream import CompressedStream
@@ -40,9 +41,10 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta0", type=float, default=None)
 
 
-def _resolve_hyperparams(args, sigma: float, grid: PixelGrid) -> Hyperparams:
+def _resolve_hyperparams(args, sigma: float, grid: PixelGrid,
+                         stats: StatsLattice) -> Hyperparams:
     if args.empirical_bayes:
-        hp = empirical_bayes_fit(grid, sigma)
+        hp = empirical_bayes_fit(grid, sigma, stats=stats)
     else:
         hp = Hyperparams(sigma=sigma)
     overrides = {k: getattr(args, k) for k in ("alpha", "beta", "c", "tau0", "eta0")
@@ -111,16 +113,21 @@ def _load_padded(path: str) -> PixelGrid:
 
 def _cmd_compress(args) -> int:
     grid = _load_padded(args.input)
+    # check the whole encode before the hyperparameter fit sweeps the image,
+    # then share one set of block statistics between the fit and the encode
+    _check_encode_budget(grid)
+    stats = build_stats(grid)
     if args.target_ratio is not None:
-        hp_base = _resolve_hyperparams(args, sigma=1.0, grid=grid)
-        result = target_ratio_search(grid, hp_base, args.target_ratio, tol=args.tol)
+        hp_base = _resolve_hyperparams(args, sigma=1.0, grid=grid, stats=stats)
+        result = target_ratio_search(grid, hp_base, args.target_ratio, tol=args.tol,
+                                     stats=stats)
         stream = result.stream
         if not result.converged:
             print(f"warning: ratio search stopped at {result.ratio:.2f}",
                   file=sys.stderr)
     else:
-        hp = _resolve_hyperparams(args, sigma=args.sigma, grid=grid)
-        stream = compress(grid, hp, q=args.q)
+        hp = _resolve_hyperparams(args, sigma=args.sigma, grid=grid, stats=stats)
+        stream = compress(grid, hp, q=args.q, stats=stats)
     stream.write_file(args.output)
     print(f"{args.output}: {stream.size_bytes} bytes, "
           f"ratio {stream.compression_ratio:.2f}, sigma {stream.sigma:g}")

@@ -22,14 +22,17 @@ and the bulk decoder's per-bit and per-token arrays) fits in
 an upper bound from the dimensions and channel count alone, before it
 allocates anything sized by the image.
 
-``target_ratio_search`` builds the block statistics once and hands them
-to every ``compress`` attempt, since they do not depend on sigma.
+``target_ratio_search`` builds the block statistics once (unless they
+are passed in) and hands them to every ``compress`` attempt, since they do
+not depend on sigma.  It encodes the near-lossless floor sigma only when
+its bracket walks down to it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -293,56 +296,83 @@ def decompress_with_bits(stream: CompressedStream | bytes,
 # Rate targeting
 # ---------------------------------------------------------------------------
 
+# The lowest sigma the ratio search tries, and the lower end of its bracket.
+SIGMA_FLOOR = 1e-3
+
+
 @dataclass
 class RatioSearchResult:
     sigma: float
     stream: CompressedStream
     ratio: float
     converged: bool
+    # (sigma, ratio, encode_ms) per compress call, in the order encoded
+    attempts: tuple[tuple[float, float, float], ...] = ()
 
 
 def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
                         target_ratio: float, tol: float = 0.1,
-                        max_iter: int = 30) -> RatioSearchResult:
+                        max_iter: int = 30,
+                        stats: StatsLattice | None = None) -> RatioSearchResult:
     """Search sigma (with tau0 = 1/sigma and q tied to sigma) until the
     achieved ratio lands in target * (1 +- tol).
 
     The ratio grows monotonically with sigma, so a geometric bracket plus
-    bisection in log sigma converges quickly; if the budget of compress
-    calls runs out the closest attempt so far is returned with
-    converged=False.  Images whose minimum-sigma ratio already exceeds the
-    target (constant images, say) also return that stream un-converged.
+    bisection in log sigma converges quickly.  The search encodes sigma = 1
+    first and steps up by x4 until the ratio reaches the target; the
+    bracket's lower end starts at ``SIGMA_FLOOR`` (0.001) and midpoints
+    bisect log sigma between its ends.  The floor itself is encoded only
+    when the bracket walks down to it: when sigma = 1 and the first
+    midpoint (about 0.0316) both reach the target outside the band.  Then a
+    floor ratio already over the band returns the floor stream with a
+    warning and converged=False (constant images, say), and one in the
+    band returns it converged.  If the budget of ``max_iter`` compress
+    calls runs out, the closest attempt so far is returned with
+    converged=False; on ties the floor, then the earliest attempt, wins.
+
+    Two cases differ from encoding the floor first.  An image whose floor
+    ratio is already in the band returns the first in-band attempt rather
+    than the floor stream.  A non-monotone image whose floor ratio
+    overshoots while sigma = 1 (or the first midpoint) undershoots is
+    searched upward rather than returned at the floor.
+
+    ``stats`` may pass in the grid's block statistics, as for compress;
+    otherwise they are built once and shared by every attempt.  The result
+    lists every attempt as ``(sigma, ratio, encode_ms)`` in ``attempts``.
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    evals = 0
     _check_encode_budget(grid)
-    stats = build_stats(grid)
+    if stats is None:
+        stats = build_stats(grid)
+    trace: list[tuple[float, float, float]] = []
 
     def attempt(sigma: float) -> RatioSearchResult:
-        nonlocal evals
-        evals += 1
         hp = replace(hp_base, sigma=sigma, tau0=1.0 / sigma)
+        t0 = time.perf_counter()
         stream = compress(grid, hp, q=None, stats=stats)
-        return RatioSearchResult(sigma=sigma, stream=stream,
-                                 ratio=stream.compression_ratio, converged=False)
+        ratio = stream.compression_ratio
+        trace.append((sigma, ratio, 1000.0 * (time.perf_counter() - t0)))
+        return RatioSearchResult(sigma=sigma, stream=stream, ratio=ratio,
+                                 converged=False)
 
-    lo, hi = 1e-3, None
-    best = attempt(lo)
-    hits = [best]
-    if best.ratio > target_ratio * (1 + tol):
-        warnings.warn(
-            f"minimum-sigma ratio {best.ratio:.2f} already exceeds target "
-            f"{target_ratio}; returning minimal-sigma stream", stacklevel=2
-        )
-        return best
-    if abs(best.ratio - target_ratio) <= tol * target_ratio:
-        best.converged = True
-        return best
+    def in_band(result: RatioSearchResult) -> bool:
+        return abs(result.ratio - target_ratio) <= tol * target_ratio
 
+    def finish(result: RatioSearchResult, converged: bool) -> RatioSearchResult:
+        return replace(result, converged=converged, attempts=tuple(trace))
+
+    def closest() -> RatioSearchResult:
+        return min(hits, key=lambda r: abs(math.log(r.ratio / target_ratio)))
+
+    lo, hi = SIGMA_FLOOR, None
+    hits: list[RatioSearchResult] = []
+    floor_encoded = False
     sigma = 1.0
-    while evals < max_iter:
+    while len(trace) < max_iter:
         result = attempt(sigma)
         hits.append(result)
         if result.ratio >= target_ratio:
@@ -350,11 +380,25 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
             break
         lo = sigma
         sigma *= 4.0
-    while hi is not None and evals < max_iter:
-        closest = min(hits, key=lambda r: abs(math.log(r.ratio / target_ratio)))
-        if abs(closest.ratio - target_ratio) <= tol * target_ratio:
-            closest.converged = True
-            return closest
+    while hi is not None and len(trace) < max_iter:
+        best = closest()
+        if in_band(best):
+            return finish(best, True)
+        # lo never moved, so every attempt overshot: sigma = 1 and the
+        # first midpoint both reached the target outside the band
+        if lo == SIGMA_FLOOR and len(hits) >= 2 and not floor_encoded:
+            floor = attempt(SIGMA_FLOOR)
+            floor_encoded = True
+            if floor.ratio > target_ratio * (1 + tol):
+                warnings.warn(
+                    f"minimum-sigma ratio {floor.ratio:.2f} already exceeds target "
+                    f"{target_ratio}; returning minimal-sigma stream", stacklevel=2
+                )
+                return finish(floor, False)
+            if in_band(floor):
+                return finish(floor, True)
+            hits.insert(0, floor)
+            continue
         mid = math.sqrt(lo * hi)
         result = attempt(mid)
         hits.append(result)
@@ -363,12 +407,11 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
         else:
             lo = mid
 
-    closest = min(hits, key=lambda r: abs(math.log(r.ratio / target_ratio)))
-    if abs(closest.ratio - target_ratio) <= tol * target_ratio:
-        closest.converged = True
-        return closest
+    best = closest()
+    if in_band(best):
+        return finish(best, True)
     warnings.warn(
-        f"ratio search stopped after {evals} evaluations at ratio "
-        f"{closest.ratio:.2f} (target {target_ratio})", stacklevel=2
+        f"ratio search stopped after {len(trace)} evaluations at ratio "
+        f"{best.ratio:.2f} (target {target_ratio})", stacklevel=2
     )
-    return closest
+    return finish(best, False)

@@ -70,9 +70,6 @@ class StatsLattice:
         self.axis_exps: list[int] = _check_pow2_dims(self.dims)
         self.j_total: int = sum(self.axis_exps)
         self.m: int = len(self.dims)
-        # every block sum of an integer-valued plane is an integer too
-        self.integral: bool = bool(np.isfinite(plane).all()
-                                   and np.array_equal(plane, np.trunc(plane)))
 
         node_count = self.node_count
         estimate = node_count * _BYTES_PER_NODE
@@ -82,6 +79,9 @@ class StatsLattice:
                 f"(~{estimate / 2**20:.0f} MiB of aggregates), over the "
                 f"{max_bytes / 2**20:.0f} MiB budget"
             )
+        # every block sum of an integer-valued plane is an integer too
+        self.integral: bool = bool(np.isfinite(plane).all()
+                                   and np.array_equal(plane, np.trunc(plane)))
 
         # shapes ordered smallest blocks first so children always exist
         self.shapes: list[tuple[int, ...]] = sorted(

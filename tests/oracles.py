@@ -27,17 +27,24 @@ directly, not against the package's recursion paths:
   errors included.
 * ``reference_ms_ssim`` is a second MS-SSIM implementation built on
   scipy.ndimage filtering rather than the package's separable windows.
+* ``reference_target_ratio_search`` is the ratio search that encodes the
+  sigma = 0.001 floor first; the differential tests require the package's
+  search, which encodes the floor only when its bracket walks down to it,
+  to choose the same sigma and stream.
 """
 
 import itertools
 import math
+import warnings
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
 
+from carp.codec import RatioSearchResult, _check_encode_budget, compress
 from carp.errors import NumericError, StreamError
-from carp.lattice import _child, _halves
+from carp.lattice import _child, _halves, build_stats
 from carp.stream import ZERO_RUN_MAX, axis_bit_width
 from carp.tree import MapTree
 
@@ -692,3 +699,72 @@ def reference_ms_ssim(x, y, peak=255.0):
         else:
             score *= max(float(np.mean(lum * cs)), 0.0) ** weights[s]
     return float(score)
+
+
+# ---------------------------------------------------------------------------
+# Ratio search that encodes the floor first
+# ---------------------------------------------------------------------------
+
+def reference_target_ratio_search(grid, hp_base, target_ratio, tol=0.1, max_iter=30):
+    """Encode sigma = 0.001 first, return it if its ratio is already at or
+    over the band, else bracket from sigma = 1 by x4 steps and bisect log
+    sigma between 0.001 and the first sigma that reaches the target."""
+    if target_ratio <= 1.0:
+        raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
+
+    evals = 0
+    _check_encode_budget(grid)
+    stats = build_stats(grid)
+
+    def attempt(sigma):
+        nonlocal evals
+        evals += 1
+        hp = replace(hp_base, sigma=sigma, tau0=1.0 / sigma)
+        stream = compress(grid, hp, q=None, stats=stats)
+        return RatioSearchResult(sigma=sigma, stream=stream,
+                                 ratio=stream.compression_ratio, converged=False)
+
+    lo, hi = 1e-3, None
+    best = attempt(lo)
+    hits = [best]
+    if best.ratio > target_ratio * (1 + tol):
+        warnings.warn(
+            f"minimum-sigma ratio {best.ratio:.2f} already exceeds target "
+            f"{target_ratio}; returning minimal-sigma stream", stacklevel=2
+        )
+        return best
+    if abs(best.ratio - target_ratio) <= tol * target_ratio:
+        best.converged = True
+        return best
+
+    sigma = 1.0
+    while evals < max_iter:
+        result = attempt(sigma)
+        hits.append(result)
+        if result.ratio >= target_ratio:
+            hi = sigma
+            break
+        lo = sigma
+        sigma *= 4.0
+    while hi is not None and evals < max_iter:
+        closest = min(hits, key=lambda r: abs(math.log(r.ratio / target_ratio)))
+        if abs(closest.ratio - target_ratio) <= tol * target_ratio:
+            closest.converged = True
+            return closest
+        mid = math.sqrt(lo * hi)
+        result = attempt(mid)
+        hits.append(result)
+        if result.ratio >= target_ratio:
+            hi = mid
+        else:
+            lo = mid
+
+    closest = min(hits, key=lambda r: abs(math.log(r.ratio / target_ratio)))
+    if abs(closest.ratio - target_ratio) <= tol * target_ratio:
+        closest.converged = True
+        return closest
+    warnings.warn(
+        f"ratio search stopped after {evals} evaluations at ratio "
+        f"{closest.ratio:.2f} (target {target_ratio})", stacklevel=2
+    )
+    return closest

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carp import Hyperparams, compress, save
+from carp import Hyperparams, StatsLattice, cli, codec, compress, save
 from carp.cli import main
 
 from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
@@ -76,6 +76,22 @@ class TestCompressDecompress:
         main(["info", out])
         assert "hyperparams:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate", [["--sigma", "2"], ["--target-ratio", "8"]])
+    def test_empirical_bayes_shares_one_stats_build(self, tmp_path, monkeypatch, rate):
+        small = tmp_path / "small.pgm"
+        save(synthetic_photo(64, seed=33), str(small))
+        builds = []
+        original = StatsLattice.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StatsLattice, "__init__", counting)
+        assert main(["compress", str(small), str(tmp_path / "eb.carp"), *rate,
+                     "--empirical-bayes"]) == 0
+        assert len(builds) == 1
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_2(self, photo_path, tmp_path):
@@ -110,6 +126,21 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "--tau0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_over_budget_empirical_bayes_is_exit_1_before_the_fit(
+            self, photo_path, tmp_path, monkeypatch, capsys):
+        fits = []
+        monkeypatch.setattr(cli, "empirical_bayes_fit",
+                            lambda *args, **kwargs: fits.append(1))
+        monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", 1 << 20)
+        out = tmp_path / "x.carp"
+        for rate in (["--sigma", "2"], ["--target-ratio", "8"]):
+            assert main(["compress", photo_path, str(out), *rate,
+                         "--empirical-bayes"]) == 1
+        err = capsys.readouterr().err
+        assert "ResourceError" in err and "budget" in err
+        assert "Traceback" not in err
+        assert not fits and not out.exists()
 
     def test_pipeline_error_is_exit_1(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing.carp")]) == 1

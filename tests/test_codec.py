@@ -1,6 +1,8 @@
 import gc
+import math
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -12,6 +14,7 @@ from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
                   target_ratio_search)
 
 from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
+from oracles import reference_target_ratio_search
 
 
 def grid_of(arr, **kwargs):
@@ -331,3 +334,126 @@ class TestRateBehavior:
         assert not result.converged
         assert result.ratio > 3.0
         assert result.sigma == pytest.approx(1e-3)
+        # sigma = 1 and the first midpoint overshoot, then the floor
+        assert [s for s, _, _ in result.attempts] == pytest.approx(
+            [1.0, math.sqrt(1e-3), 1e-3])
+
+
+def _search_inputs():
+    """(name, grid, target ratio) for the differential search tests."""
+    cases = [(f"photo128-{seed}", synthetic_photo(128, seed=seed), 20.0)
+             for seed in range(8)]
+    photo256 = synthetic_photo(256, seed=7)
+    cases += [("photo256-3", photo256, 3.0), ("photo256-60", photo256, 60.0),
+              ("constant64-3", grid_of(np.full((64, 64), 9.0)), 3.0)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """Per input: the package's search and the floor-first reference."""
+    out = {}
+    for name, grid, target in _search_inputs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            new = target_ratio_search(grid, Hyperparams(sigma=1.0), target)
+            ref = reference_target_ratio_search(grid, Hyperparams(sigma=1.0), target)
+        out[name] = (target, new, ref)
+    return out
+
+
+class TestRatioSearch:
+    @pytest.mark.parametrize("name", [name for name, _, _ in _search_inputs()])
+    def test_matches_the_floor_first_search(self, searched, name):
+        _, new, ref = searched[name]
+        assert new.sigma == ref.sigma
+        assert new.converged == ref.converged
+        assert new.ratio == ref.ratio
+        assert new.stream.to_bytes() == ref.stream.to_bytes()
+
+    def test_floor_is_encoded_only_when_walked_down_to(self, searched):
+        undershoots = 0
+        for target, new, _ in searched.values():
+            sigmas = [s for s, _, _ in new.attempts]
+            assert sigmas[0] == 1.0
+            if new.attempts[0][1] < target:
+                undershoots += 1
+                assert 1e-3 not in sigmas
+        assert undershoots >= 8
+
+    def test_first_midpoint_decides_when_sigma_one_overshoots(self, searched):
+        target, new, _ = searched["photo256-3"]
+        assert new.attempts[0][1] > target * 1.1
+        assert new.converged and new.sigma in {s for s, _, _ in new.attempts}
+        assert 1e-3 not in [s for s, _, _ in new.attempts]
+
+    def test_attempts_trace_every_compress_call(self, monkeypatch):
+        encoded = []
+        original = codec.compress
+
+        def recording(grid, hp, *args, **kwargs):
+            stream = original(grid, hp, *args, **kwargs)
+            encoded.append((hp.sigma, stream.compression_ratio))
+            return stream
+
+        monkeypatch.setattr(codec, "compress", recording)
+        result = target_ratio_search(synthetic_photo(128, seed=3), Hyperparams(sigma=1.0),
+                                     20.0)
+        assert [(s, r) for s, r, _ in result.attempts] == encoded
+        assert all(ms > 0 for _, _, ms in result.attempts)
+        assert (result.sigma, result.ratio) in encoded
+
+    @pytest.mark.parametrize("grid,target", [
+        (synthetic_photo(128, seed=3), 20.0),
+        (grid_of(np.full((64, 64), 9.0)), 3.0),  # the floor would be third
+    ])
+    def test_max_iter_bounds_compress_calls(self, monkeypatch, grid, target):
+        calls = []
+        original = codec.compress
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "compress", counting)
+        with pytest.warns(UserWarning, match="stopped after 2 evaluations"):
+            result = target_ratio_search(grid, Hyperparams(sigma=1.0), target, max_iter=2)
+        assert len(calls) == len(result.attempts) == 2
+        assert not result.converged
+
+    def test_budget_can_run_out_on_the_floor(self, monkeypatch):
+        # sigma = 1 and the midpoint overshoot the 1 % band and the floor
+        # undershoots it, using up three attempts, as the floor-first
+        # search does with the same three
+        grid = synthetic_photo(256, seed=7)
+        calls = []
+        original = codec.compress
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "compress", counting)
+        with pytest.warns(UserWarning, match="stopped after 3 evaluations"):
+            new = target_ratio_search(grid, Hyperparams(sigma=1.0), 1.42, tol=0.01,
+                                      max_iter=3)
+        assert len(calls) == 3
+        assert [s for s, _, _ in new.attempts] == [1.0, math.sqrt(1e-3), 1e-3]
+        with pytest.warns(UserWarning, match="stopped after 3 evaluations"):
+            ref = reference_target_ratio_search(grid, Hyperparams(sigma=1.0), 1.42,
+                                                tol=0.01, max_iter=3)
+        assert (new.sigma, new.ratio, new.converged) == (ref.sigma, ref.ratio, ref.converged)
+        assert new.stream.to_bytes() == ref.stream.to_bytes()
+
+    def test_max_iter_must_allow_one_attempt(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0),
+                                4.0, max_iter=0)
+
+    def test_passed_stats_are_used(self, monkeypatch):
+        grid = synthetic_photo(64, seed=9)
+        alone = target_ratio_search(grid, Hyperparams(sigma=1.0), 8.0)
+        stats = codec.build_stats(grid)
+        monkeypatch.setattr(codec, "build_stats", None)
+        shared = target_ratio_search(grid, Hyperparams(sigma=1.0), 8.0, stats=stats)
+        assert shared.stream.to_bytes() == alone.stream.to_bytes()

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
 from carp.lattice import _child, _halves
 
-from conftest import random_grid
+from conftest import random_grid, synthetic_photo
 
 
 def grid_of(arr):
@@ -55,6 +57,18 @@ class TestBuildStats:
     def test_memory_budget(self):
         with pytest.raises(ResourceError, match="blocks"):
             build_stats(grid_of(np.zeros((64, 64))), max_bytes=1024)
+
+    def test_refused_budget_allocates_nothing_image_sized(self):
+        grid = synthetic_photo(512, seed=7)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="budget"):
+                build_stats(grid, max_bytes=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_against_direct_recomputation(self):
         rng = np.random.default_rng(21)
