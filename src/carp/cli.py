@@ -32,8 +32,6 @@ PROGRESSIVE_COLUMNS = ["scales", "bits_used", "psnr_db"]
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=None,
                    help="quantizer step override (default max(sigma, 0.5))")
-    p.add_argument("--empirical-bayes", action="store_true",
-                   help="fit alpha/beta/c/tau0/eta0 by marginal likelihood grid search")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
@@ -68,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="search sigma for this compression ratio")
     p.add_argument("--tol", type=float, default=0.1,
                    help="relative tolerance for --target-ratio")
+    p.add_argument("--empirical-bayes", action="store_true",
+                   help="fit alpha/beta/c/tau0/eta0 by marginal likelihood grid search")
     _add_hyper_flags(p)
 
     p = sub.add_parser("decompress", help="reconstruct an image from a stream")

@@ -2,13 +2,13 @@
 
 Encoding runs in five stages.  Block statistics and the posterior are
 fitted on the per-pixel channel mean; the extracted tree is shared by all
-channels.  Pixels of every leaf where partitioning stopped are replaced by
-that channel's block mean before permuting, which zeroes every detail
-coefficient inside the block; the means themselves need no extra syntax
-because the low scales of the transform carry them.  Each channel is then
-permuted, Haar-transformed, dead-zone quantized, and Huffman coded scale
-by scale, coarsest first, so prefixes of the payload decode to valid
-coarse reconstructions.
+channels.  Each channel is permuted into tree order; then the pixels of
+every leaf where partitioning stopped, one aligned run of that order, are
+replaced by the run's mean, which zeroes every detail coefficient inside
+the block; the means themselves need no extra syntax because the low
+scales of the transform carry them.  The vector is then Haar-transformed,
+dead-zone quantized, and Huffman coded scale by scale, coarsest first, so
+prefixes of the payload decode to valid coarse reconstructions.
 
 The permutation is a plain int64 index array (``order[i]`` is the
 row-major index of the i-th pixel in tree order), so the encoder gathers
@@ -65,14 +65,6 @@ def default_q(sigma: float) -> float:
     return max(sigma, 0.5)
 
 
-def _substitute_pruned_means(plane: np.ndarray, tree: MapTree) -> np.ndarray:
-    out = plane.copy()
-    for offset, extent in tree.pruned_regions():
-        sl = tuple(slice(o, o + e) for o, e in zip(offset, extent))
-        out[sl] = out[sl].mean()
-    return out
-
-
 def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
     """Upper bound on the bytes compress allocates for a padded grid of
     these dims and channels, from those alone, the grid itself not counted.
@@ -110,13 +102,13 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
     # the rows once per level and once concatenated, the sort key and
     # permutation, one shape group's rows
     extract = tree + 24 * nodes
-    # the order, the leaf shape groups, and one leaf shape's painted runs
+    # the order, the leaf shape groups, and one leaf shape's painted values
     order = 8 * n + 16 * nodes + (8 * m + 24) * n
     tokens = n - 1
     bits = tokens * max(1, (tokens - 1).bit_length())
     channel = (channels * bits // 8    # the coded payloads
                + 8 * n                 # the order
-               + max(32 * n,           # plane, gathered vector, pyramid
+               + max(32 * n,           # the vector, one leaf size's runs, pyramid
                      48 * n + 8 * tokens,  # quantizer and tokenizer arrays
                      # tokens, histogram, Huffman per-token and per-bit arrays
                      96 * tokens + bits))
@@ -137,9 +129,18 @@ def _check_encode_budget(grid: PixelGrid) -> None:
 
 def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
                     q: float) -> ChannelPayload:
-    plane = _substitute_pruned_means(plane, tree)
-    pyramid = haar_forward(plane.ravel()[order])
-    del plane
+    # a leaf of 2^k pixels is the run from pos, a multiple of 2^k, so the
+    # pruned leaves of each size are whole rows of the vector as rows of 2^k;
+    # no view of the vector outlives the loop, so that del frees it
+    vector = plane.ravel()[order]
+    pruned = np.flatnonzero(tree.pruned)
+    sizes = tree.shape[pruned].sum(axis=1)
+    for k in sorted(set(sizes.tolist())):
+        rows = tree.pos[pruned[sizes == k]] >> k
+        means = vector.reshape(-1, 1 << k)[rows].mean(axis=1, keepdims=True)
+        vector.reshape(-1, 1 << k)[rows] = means
+    pyramid = haar_forward(vector)
+    del vector
     scaling_symbol = int(quantize(pyramid.scaling, q))
     scale_tokens = [tokenize_scale(quantize(d, q)) for d in pyramid.details]
     del pyramid
@@ -230,7 +231,7 @@ def _decode_bytes(stream: CompressedStream) -> int:
     # tree bits and walk records; depths, subtree ends, the difference
     # arrays that become shape and index, and the rest of the tree
     parse = 2 * stream.tree_nbits + nodes * (32 * m + 48)
-    # order, and per leaf its shape group and painted runs
+    # order, and per leaf its shape group and painted values
     order = 8 * n + min(n, nodes) * (16 * m + 64)
     channel = (8 * n * len(stream.channels)  # the decoded planes
                # the dequantized pyramid and haar_inverse vectors
@@ -330,11 +331,12 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     calls runs out, the closest attempt so far is returned with
     converged=False; on ties the floor, then the earliest attempt, wins.
 
-    Two cases differ from encoding the floor first.  An image whose floor
+    Three cases differ from encoding the floor first.  An image whose floor
     ratio is already in the band returns the first in-band attempt rather
     than the floor stream.  A non-monotone image whose floor ratio
     overshoots while sigma = 1 (or the first midpoint) undershoots is
-    searched upward rather than returned at the floor.
+    searched upward rather than returned at the floor.  A x4 step in the
+    band below the target is returned at once rather than stepped past.
 
     ``stats`` may pass in the grid's block statistics, as for compress;
     otherwise they are built once and shared by every attempt.  The result
@@ -374,6 +376,8 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     sigma = 1.0
     while len(trace) < max_iter:
         result = attempt(sigma)
+        if in_band(result):
+            return finish(result, True)
         hits.append(result)
         if result.ratio >= target_ratio:
             hi = sigma

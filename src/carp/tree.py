@@ -43,8 +43,9 @@ class MapTree:
     Row k of every array describes the k-th node in preorder (a node, then
     its left subtree, then its right subtree).  A node's block has extent
     2^shape[k] and offset index[k] * 2^shape[k]; its pixels occupy the run
-    starting at pos[k] in tree order.  axis[k] is the split axis, or -1
-    for a leaf; a leaf whose shape is not all zero is pruned.
+    starting at pos[k] in tree order, a multiple of its 2^sum(shape[k])
+    pixels.  axis[k] is the split axis, or -1 for a leaf; a leaf whose
+    shape is not all zero is pruned.
     """
 
     dims_padded: tuple[int, ...]
@@ -67,13 +68,6 @@ class MapTree:
             "atomic_leaves": atomic,
             "total": internal + pruned + atomic,
         }
-
-    def pruned_regions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(offset, extent) of each pruned leaf, left to right."""
-        rows = self.pruned
-        extent = 1 << self.shape[rows]
-        offset = self.index[rows] * extent
-        return [(tuple(o), tuple(e)) for o, e in zip(offset.tolist(), extent.tolist())]
 
     def pruned_pixel_fraction(self) -> float:
         n = int(np.prod(self.dims_padded))
@@ -145,7 +139,7 @@ def permutation_from_tree(tree: MapTree) -> np.ndarray:
 
     Row-major order inside a leaf is what repeatedly halving along the
     lowest divisible axis produces; the decoder regenerates it without any
-    transmitted choice.  Each leaf shape is painted with one broadcast.
+    transmitted choice.  Each leaf shape paints its aligned runs at once.
     """
     dims = tree.dims_padded
     order = np.empty(int(np.prod(dims)), dtype=np.int64)
@@ -155,6 +149,6 @@ def permutation_from_tree(tree: MapTree) -> np.ndarray:
         extent = tuple(1 << a for a in s)
         local = np.indices(extent).reshape(len(dims), -1).T @ strides
         base = (tree.index[rows] << np.array(s)) @ strides
-        order[tree.pos[rows][:, None] + np.arange(len(local))] = base[:, None] + local
+        order.reshape(-1, len(local))[tree.pos[rows] >> sum(s)] = base[:, None] + local
     order.setflags(write=False)
     return order

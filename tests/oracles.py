@@ -25,6 +25,9 @@ directly, not against the package's recursion paths:
   stream paths; the differential tests require the package's bulk
   encoder, decoders and vectorized tokenizer to agree with them exactly,
   errors included.
+* ``reference_substitute_pruned_means`` replaces each pruned leaf's block
+  of a raster plane by its mean, one slice at a time; the encoder's
+  tree-order vector must equal it gathered into tree order.
 * ``reference_ms_ssim`` is a second MS-SSIM implementation built on
   scipy.ndimage filtering rather than the package's separable windows.
 * ``reference_target_ratio_search`` is the ratio search that encodes the
@@ -699,6 +702,20 @@ def reference_ms_ssim(x, y, peak=255.0):
         else:
             score *= max(float(np.mean(lum * cs)), 0.0) ** weights[s]
     return float(score)
+
+
+# ---------------------------------------------------------------------------
+# Pruned-mean substitution on the raster plane
+# ---------------------------------------------------------------------------
+
+def reference_substitute_pruned_means(plane, tree):
+    """A copy of the plane with each pruned leaf's block set to its mean."""
+    out = plane.copy()
+    for k in np.flatnonzero(tree.pruned).tolist():
+        extent = 1 << tree.shape[k]
+        sl = tuple(slice(o, o + e) for o, e in zip(tree.index[k] * extent, extent))
+        out[sl] = out[sl].mean()
+    return out
 
 
 # ---------------------------------------------------------------------------

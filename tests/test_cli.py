@@ -127,6 +127,14 @@ class TestExitCodes:
         assert "--tau0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empirical_bayes_is_a_compress_flag(self, photo_path, tmp_path, capsys):
+        out = tmp_path / "rd.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", photo_path, str(out), "--sigmas", "2,8", "--empirical-bayes"])
+        assert err.value.code == 2
+        assert "--empirical-bayes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_budget_empirical_bayes_is_exit_1_before_the_fit(
             self, photo_path, tmp_path, monkeypatch, capsys):
         fits = []

@@ -14,7 +14,7 @@ from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
                   target_ratio_search)
 
 from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
-from oracles import reference_target_ratio_search
+from oracles import reference_substitute_pruned_means, reference_target_ratio_search
 
 
 def grid_of(arr, **kwargs):
@@ -253,6 +253,65 @@ class TestResources:
         assert alone.to_bytes() == result.stream.to_bytes()
 
 
+def _half_flat(dims, fractional, channels=1, seed=0):
+    """A grid whose first half along the last axis is nearly flat and whose
+    second half is uniform noise, so MAP trees mix pruned and atomic
+    leaves; fractional planes carry non-integer samples."""
+    rng = np.random.default_rng(seed)
+    shape = (channels,) + dims
+    if fractional:
+        vals = 100.0 + 0.5 * rng.random(shape)
+    else:
+        vals = rng.integers(100, 103, size=shape).astype(float)
+    noisy = vals[..., dims[-1] // 2:]
+    noisy[...] = rng.integers(0, 255, size=noisy.shape) + fractional * rng.random(noisy.shape)
+    return PixelGrid(values=vals, dims_original=dims)
+
+
+def _tree_order_vectors(monkeypatch, grid, sigma):
+    """Per channel, the vector compress hands to haar_forward and the raster
+    substitution gathered into tree order."""
+    tree = codec.extract_map_tree(codec.build_posterior(grid, Hyperparams(sigma=sigma)))
+    counts = tree.node_counts()
+    assert counts["pruned_leaves"] and counts["atomic_leaves"]
+    order = codec.permutation_from_tree(tree)
+    fed = []
+    original = codec.haar_forward
+    monkeypatch.setattr(codec, "haar_forward",
+                        lambda vector: fed.append(vector.copy()) or original(vector))
+    compress(grid, Hyperparams(sigma=sigma))
+    assert len(fed) == grid.channels
+    return [(got, reference_substitute_pruned_means(grid.plane(c), tree).ravel()[order])
+            for c, got in enumerate(fed)]
+
+
+class TestTreeOrderVector:
+    @pytest.mark.parametrize("dims,fractional,sigma", [
+        (dims, fractional, sigma) for dims in ((256,), (32, 32), (8, 16, 32))
+        for fractional in (False, True) for sigma in (0.5, 1.0)
+    ] + [((64, 64, 16), False, 0.5)])
+    def test_matches_the_raster_substitution(self, monkeypatch, dims, fractional, sigma):
+        grid = _half_flat(dims, fractional)
+        for got, want in _tree_order_vectors(monkeypatch, grid, sigma):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_each_channel_matches(self, monkeypatch, fractional):
+        grid = _half_flat((32, 32), fractional, channels=3, seed=1)
+        for got, want in _tree_order_vectors(monkeypatch, grid, 1.0):
+            assert np.array_equal(got, want)
+
+    def test_large_fractional_leaf_within_an_ulp(self, monkeypatch):
+        # numpy sums a raster block that is not contiguous and holds 2^15 or
+        # more samples in 8192-sample buffers, one after another, while a
+        # contiguous run is summed pairwise; on fractional samples the two
+        # means can differ in the last bit, as the 64x64x8 flat leaf's do at
+        # seed 1.  Integer samples sum exactly, so their streams never differ.
+        grid = _half_flat((64, 64, 16), True, seed=1)
+        for got, want in _tree_order_vectors(monkeypatch, grid, 0.5):
+            np.testing.assert_allclose(got, want, rtol=np.finfo(np.float64).eps, atol=0)
+
+
 class TestProgressive:
     def test_prefix_zero_is_flat_mean_level(self):
         rng = np.random.default_rng(5)
@@ -444,6 +503,17 @@ class TestRatioSearch:
                                                 tol=0.01, max_iter=3)
         assert (new.sigma, new.ratio, new.converged) == (ref.sigma, ref.ratio, ref.converged)
         assert new.stream.to_bytes() == ref.stream.to_bytes()
+
+    def test_in_band_step_returns_at_once(self):
+        # sigma = 1 lands in the band below the target; stepping on to
+        # sigma = 4 (ratio 89.5) would only return the sigma = 1 stream
+        grid = synthetic_photo(256, seed=7)
+        result = target_ratio_search(grid, Hyperparams(sigma=1.0), 26.0)
+        assert len(result.attempts) == 1
+        assert result.converged and result.sigma == 1.0
+        assert 26.0 * 0.9 <= result.ratio < 26.0
+        alone = compress(grid, Hyperparams(sigma=1.0, tau0=1.0))
+        assert result.stream.to_bytes() == alone.to_bytes()
 
     def test_max_iter_must_allow_one_attempt(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
                   deserialize_tree, extract_map_tree, permutation_from_tree,
                   serialize_tree)
 from carp.model import _decide
-from conftest import random_grid, same_tree
+from conftest import random_grid, same_tree, synthetic_photo
 from oracles import (brute_force_map, map_tree_log_posterior,
                      reference_extract_map_tree, reference_log_kappa,
                      reference_permutation, reference_posterior,
@@ -61,7 +64,7 @@ class TestExtractMapTree:
         leaves = tree.axis < 0
         assert not tree.shape[leaves].any()
         assert np.count_nonzero(leaves) == 16
-        assert not tree.pruned_regions()
+        assert not tree.pruned.any()
 
     def test_1d_image_splits_along_sole_axis(self):
         rng = np.random.default_rng(6)
@@ -157,6 +160,18 @@ class TestPermutation:
         assert sorted(order.tolist()) == list(range(n))
         assert order.dtype == np.int64 and not order.flags.writeable
         np.testing.assert_array_equal(inverse_of(order)[order], np.arange(n))
+
+    def test_painting_peak_within_the_order(self):
+        tree = extract_map_tree(build_posterior(synthetic_photo(512, seed=7),
+                                                Hyperparams(sigma=8.0)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            order = permutation_from_tree(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * order.nbytes
 
     def test_nodes_occupy_dyadic_runs(self):
         rng = np.random.default_rng(12)
