@@ -1,10 +1,10 @@
-"""Bulk bit readers, MSB-first within each byte.
+"""Bulk bit readers and writer, MSB-first within each byte.
 
 A decoder unpacks a bitstream once (:func:`unpack_bits`) or reads a
 fixed-width integer at many bit positions with one gather
 (:func:`bit_windows`), so no decoder steps through a stream bit by bit
-in Python.  Writers pack their bits with ``np.packbits`` in the same
-order.
+in Python.  Encoders write a sequence of variable-width codes in one
+pass (:func:`pack_codes`), packed once with ``np.packbits``.
 """
 
 from __future__ import annotations
@@ -48,3 +48,20 @@ def bit_windows(data: bytes, positions: np.ndarray, width: int) -> np.ndarray:
     first -= lo
     shift = (positions & 7).astype(np.uint64)
     return (words[first] << shift) >> np.uint64(64 - width)
+
+
+def pack_codes(words: np.ndarray, sizes: np.ndarray) -> tuple[bytes, int]:
+    """The words, each MSB-first in its size in bits, one after another:
+    the bytes, zero-padded on the right, and the bit count.  Bit k of
+    every word longer than k is placed in one pass."""
+    words = np.asarray(words, dtype=np.uint64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes)
+    nbits = int(starts[-1]) if len(starts) else 0
+    starts -= sizes
+    bits = np.zeros(nbits, dtype=np.uint8)
+    for k in range(int(sizes.max()) if len(sizes) else 0):
+        rows = np.flatnonzero(sizes > k)
+        shift = (sizes[rows] - 1 - k).astype(np.uint64)
+        bits[starts[rows] + k] = (words[rows] >> shift) & np.uint64(1)
+    return np.packbits(bits).tobytes(), nbits

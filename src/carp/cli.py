@@ -92,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     pts.add_argument("--sigmas", help="comma-separated sigma grid")
     pts.add_argument("--ratios", help="comma-separated target ratios")
     p.add_argument("--tol", type=float, default=0.1)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("CARP_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=1)
     _add_hyper_flags(p)
 
     p = sub.add_parser("progressive",
@@ -281,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     if ratio_mode and args.tau0 is not None:
         parser.error("--tau0 cannot be combined with ratio targets "
                      "(the search ties tau0 to 1/sigma)")
+    if args.command == "sweep" and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         return _COMMANDS[args.command](args)
     except (CarpError, ValueError, OSError) as exc:

@@ -100,7 +100,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
     nodes = 2 * n - 1
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
     # the rows once per level and once concatenated, the sort key and
-    # permutation, one shape group's rows
+    # permutation; growing a level takes less
     extract = tree + 24 * nodes
     # the order, the leaf shape groups, and one leaf shape's painted values
     order = 8 * n + 16 * nodes + (8 * m + 24) * n
@@ -112,7 +112,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
                      48 * n + 8 * tokens,  # quantizer and tokenizer arrays
                      # tokens, histogram, Huffman per-token and per-bit arrays
                      96 * tokens + bits))
-    serial = 40 * nodes
+    serial = 40 * nodes  # pack_codes, for the at most n - 1 nodes with bits
     post = tree + max(extract, order, channel, serial)
     return _ENCODE_SLACK + held + max(build, sweep, post)
 
@@ -228,9 +228,9 @@ def _decode_bytes(stream: CompressedStream) -> int:
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
-    # tree bits and walk records; depths, subtree ends, the difference
-    # arrays that become shape and index, and the rest of the tree
-    parse = 2 * stream.tree_nbits + nodes * (32 * m + 48)
+    # tree bits and walk records; per node its depth, axis and rows, and
+    # one level's children and grower arrays (at most half the nodes)
+    parse = 4 * stream.tree_nbits + nodes * (32 * m + 40)
     # order, and per leaf its shape group and painted values
     order = 8 * n + min(n, nodes) * (16 * m + 64)
     channel = (8 * n * len(stream.channels)  # the decoded planes

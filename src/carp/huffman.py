@@ -5,8 +5,8 @@ actual codewords by the canonical rule (symbols sorted by length, then by
 value, assigned consecutive codes).  A single-symbol alphabet is padded
 with a dummy zero-frequency sibling so it still gets a 1-bit code.
 
-Encoding and decoding are in bulk.  The encoder places every codeword at
-the running sum of the lengths before it and packs the bits once.  For
+Encoding and decoding are in bulk.  The encoder packs the codewords with
+one ``bitio.pack_codes`` call.  For
 the decoder: left-justified to the longest length L, the canonical codes
 of each length fill one contiguous range of L-bit integers, and the
 ranges ascend with the length.  So the L-bit window at a bit position
@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bitio import bit_windows
+from .bitio import bit_windows, pack_codes
 from .errors import StreamError
 
 # Longest code length a stream may declare.  A Huffman code whose longest
@@ -97,8 +97,7 @@ def encode_symbols(symbols: np.ndarray,
     """The codewords of symbols, in order, packed MSB-first.
 
     Returns the bytes, the last one zero-padded on the right, and the bit
-    count.  Each codeword starts at the running sum of the lengths before
-    it; bit k of every codeword longer than k is placed in one pass.
+    count.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     alphabet = np.array(sorted(codes), dtype=np.int64)
@@ -110,15 +109,7 @@ def encode_symbols(symbols: np.ndarray,
     table = [codes[s] for s in alphabet.tolist()]
     words = np.array([c for c, _ in table], dtype=np.uint64)[at]
     sizes = np.array([l for _, l in table], dtype=np.int64)[at]
-    ends = np.cumsum(sizes)
-    nbits = int(ends[-1]) if len(ends) else 0
-    starts = ends - sizes
-    bits = np.zeros(nbits, dtype=np.uint8)
-    for k in range(int(sizes.max()) if len(sizes) else 0):
-        rows = np.flatnonzero(sizes > k)
-        shift = (sizes[rows] - 1 - k).astype(np.uint64)
-        bits[starts[rows] + k] = (words[rows] >> shift) & np.uint64(1)
-    return np.packbits(bits).tobytes(), nbits
+    return pack_codes(words, sizes)
 
 
 def decode_symbols(data: bytes, nbits: int, lengths: Mapping[int, int],

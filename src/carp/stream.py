@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import unpack_bits
+from .bitio import pack_codes, unpack_bits
 from .errors import StreamError
 from .huffman import check_code_lengths, decode_symbols
 from .model import Hyperparams
-from .tree import MapTree
+from .tree import MapTree, grow_level
 
 MAGIC = b"CARP"
 VERSION = 1
@@ -55,32 +55,28 @@ def axis_bit_width(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
-    """Preorder walk: one stop bit per non-atomic node, axis bits on splits."""
-    nbits_axis = axis_bit_width(len(tree.dims_padded))
+    """Preorder walk: one stop bit per non-atomic node, axis bits on splits.
+    A split is its axis as a word of 1 + axis_bit_width(m) bits."""
     axis = tree.axis[tree.shape.any(axis=1)]  # atomic nodes carry no bits
     split = axis >= 0
-    lengths = 1 + nbits_axis * split
-    starts = np.cumsum(lengths) - lengths
-    nbits = int(lengths.sum())
-    bits = np.zeros(nbits, dtype=np.uint8)
-    bits[starts[~split]] = 1
-    for k in range(nbits_axis):
-        bits[starts[split] + 1 + k] = (axis[split] >> (nbits_axis - 1 - k)) & 1
-    return np.packbits(bits).tobytes(), nbits
+    return pack_codes(np.where(split, axis, 1),
+                      1 + axis_bit_width(len(tree.dims_padded)) * split)
 
 
 def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> MapTree:
     """Parse preorder tree bits into a MapTree.
 
-    A walk over the bits visits only the non-atomic nodes, which carry
-    them, and keeps one stack of node depths: a node at depth d has
-    2^(j_total - d) pixels, so the atomic nodes are exactly those at depth
-    j_total, and each split at depth j_total - 1 has two implicit atomic
-    children.  Every visited node consumes at least one bit, so the work
-    and memory are bounded by nbits, whatever the header dims claim.
+    A walk over the bits keeps one stack of node depths: a node at depth d
+    has 2^(j_total - d) pixels, so the atomic nodes are exactly those at
+    depth j_total, and each split at depth j_total - 1 has two implicit
+    atomic children, which carry no bits.  Every other node consumes at
+    least one bit, so the work and memory are bounded by nbits, whatever
+    the header dims claim.
 
-    Shapes, grid indices and positions then follow from the depths and
-    split axes in a fixed number of vectorized passes.
+    The rows of one depth are one tree level in position order, so
+    ``tree.grow_level`` derives each level from the one above, as in
+    extraction.  A walk cut short reaches a prefix of each level, whose
+    axes are checked before the walk's own error is raised.
     """
     m = len(dims_padded)
     exps = [int(d).bit_length() - 1 for d in dims_padded]
@@ -90,11 +86,34 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
                           f"or 127 axes")
     nbits_axis = axis_bit_width(m)
     bits = unpack_bits(data, nbits)
-    visited, error = _walk_tree_bits(bits, nbits_axis, j_total)
-    depth, axis = _preorder_nodes(visited, bits, nbits_axis, j_total)
-    # Axes are checked before a walk error is raised: a node naming an
-    # undivisible axis comes earlier in the bits than where they end.
-    shape, index, pos = _blocks(depth, axis, exps)
+    visits, error = _walk_tree_bits(bits, nbits_axis, j_total)
+    nodes = len(visits)
+    depth = visits >> 1
+    split = (visits & 1) == 0
+    # a split's axis bits follow its stop bit; atomic nodes carry no bits
+    at = (np.cumsum(depth < j_total) + nbits_axis * (np.cumsum(split) - split))[split]
+    value = np.zeros(len(at), dtype=np.int8)
+    for _ in range(nbits_axis):
+        value = 2 * value + bits[at]
+        at += 1
+    axis = np.full(nodes, -1, dtype=np.int8)
+    axis[split] = value
+    del visits, split, at, value
+    shape = np.empty((nodes, m), dtype=np.int64)
+    index = np.empty((nodes, m), dtype=np.int64)
+    pos = np.empty(nodes, dtype=np.int64)
+    level = (np.array([exps], dtype=np.int64), np.zeros((1, m), dtype=np.int64),
+             np.zeros(1, dtype=np.int64))
+    for d in range(j_total + 1):
+        rows = (depth == d).nonzero()[0]
+        if not len(rows):
+            break
+        # a walk cut short reaches only the first nodes of a level
+        level = tuple(col[: len(rows)] for col in level)
+        for j in range(m):  # numpy scatters columns faster than short rows
+            shape[rows, j], index[rows, j] = level[0][:, j], level[1][:, j]
+        pos[rows] = level[2]
+        level = grow_level(*level, axis[rows])
     if error:
         raise StreamError(error)
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded), shape=shape,
@@ -103,112 +122,42 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
 
 def _walk_tree_bits(bits: np.ndarray, nbits_axis: int,
                     j_total: int) -> tuple[np.ndarray, str | None]:
-    """The non-atomic nodes in preorder, each as 2 * depth + its stop bit,
-    and the error that ended the walk early or late, if any.  Nodes whose
-    bits are cut off are left out."""
+    """Every node in preorder as 2 * depth + its stop bit, an atomic node
+    as a stop at depth j_total, and the error that ended the walk early or
+    late, if any.  A split whose axis bits are cut off is left out."""
     nbits = len(bits)
-    visits = np.empty(nbits, dtype=np.uint8)
+    # a node takes a bit at least and brings at most two atomic children
+    visits = np.full(3 * nbits + 1, 2 * j_total + 1, dtype=np.uint8)
     bits_view, visits_view = memoryview(bits), memoryview(visits)
-    stack: list[int] = []  # depths of the right children still to visit
-    count = cursor = depth = 0
+    # depths of the right children still to visit; popping -1 ends the walk
+    stack = [-1]
+    push, pop = stack.append, stack.pop
+    cursor = 0
     last = j_total - 1
-    complete = not j_total
-    while not complete and cursor < nbits:
+    step = 1 + nbits_axis
+    depth = 0 if j_total else -1  # the root of a one-pixel grid is atomic
+    count = int(not j_total)
+    while depth >= 0 and cursor < nbits:
         stop = bits_view[cursor]
         visits_view[count] = depth + depth + stop
         count += 1
         if stop:
             cursor += 1
         else:
-            cursor += 1 + nbits_axis
+            cursor += step
             if depth < last:  # go on to the left child
                 depth += 1
-                stack.append(depth)
+                push(depth)
                 continue
-        if stack:
-            depth = stack.pop()
-        else:
-            complete = True
-    if cursor > nbits:  # the last node's axis bits are cut off
-        return visits[: count - 1], "tree bits end mid-tree"
-    if not complete:
+            count += 2  # the atomic children, already in place
+        depth = pop()
+    if cursor > nbits:  # drop the cut-off split, and its atomic children
+        count -= 3 if visits_view[count - 1] & 1 else 1
+    if cursor > nbits or depth >= 0:
         return visits[:count], "tree bits end mid-tree"
     if cursor < nbits:
         return visits[:count], f"{nbits - cursor} unread bits after tree"
     return visits[:count], None
-
-
-def _preorder_nodes(visited: np.ndarray, bits: np.ndarray, nbits_axis: int,
-                    j_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Depth and split axis of every node in preorder: the visited nodes,
-    with two atomic children after each split at depth j_total - 1."""
-    if not j_total:  # one pixel: the root is atomic
-        return np.zeros(1, dtype=np.int8), np.full(1, -1, dtype=np.int8)
-    split = (visited & 1) == 0
-    with_atoms = split & (visited >> 1 == j_total - 1)
-    row = np.arange(len(visited)) + 2 * (np.cumsum(with_atoms) - with_atoms)
-    nodes = len(visited) + 2 * int(np.count_nonzero(with_atoms))
-    depth = np.full(nodes, j_total, dtype=np.int8)
-    depth[row] = visited >> 1
-    axis = np.full(nodes, -1, dtype=np.int8)
-    # a split's axis bits follow its stop bit
-    at = (np.arange(len(visited)) + nbits_axis * (np.cumsum(split) - split))[split]
-    value = np.zeros(len(at), dtype=np.int8)
-    for _ in range(nbits_axis):
-        at += 1
-        value = 2 * value + bits[at]
-    axis[row[split]] = value
-    return depth, axis
-
-
-def _blocks(depth: np.ndarray, axis: np.ndarray,
-            exps: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extent exponents, grid index and position of every node.
-
-    A node's position is the total size of the leaves before it, and its
-    subtree is the rows from it up to the first row at or past the end of
-    its block.  Every node below a split has its extent halved along the
-    split axis, and every node in the right subtree lies one child extent
-    further along it; both are summed over ancestors with a difference
-    array per axis and one cumulative sum, so the cost does not depend on
-    the depth of the tree.
-    """
-    nodes, m, j_total = len(depth), len(exps), sum(exps)
-    size = np.where(axis < 0, 1 << (j_total - depth.astype(np.int64)), 0)
-    pos = np.zeros(nodes, dtype=np.int64)
-    np.cumsum(size[:-1], out=pos[1:])
-    del size
-    splits = np.flatnonzero(axis >= 0)
-    ax = axis[splits].astype(np.intp)
-    col = np.minimum(ax, m - 1)
-    # the row after each subtree: the next one for a leaf; a split's
-    # subtree may stop short when the bits end mid-tree
-    end = np.minimum(np.arange(1, nodes + 2), nodes)
-    end[splits] = np.searchsorted(pos, pos[splits] + (1 << (j_total - depth[splits].astype(np.int64))))
-    right = end[splits + 1]  # a right child starts where the left subtree ends
-    # cumulative sums run in place over the (nodes + 1, m) difference arrays
-    halvings = np.zeros((nodes + 1, m), dtype=np.int64)
-    halvings.ravel()[(splits + 1) * m + col] = 1
-    np.add.at(halvings.ravel(), end[splits] * m + col, -1)
-    shape = halvings[:nodes]
-    np.cumsum(shape, axis=0, out=shape)
-    np.subtract(np.array(exps, dtype=np.int64), shape, out=shape)
-    at = splits * m + col
-    bad = (ax >= m) | (shape.ravel()[at] == 0)
-    if bad.any():
-        row = splits[bad.argmax()]
-        raise StreamError(
-            f"tree names split axis {axis[row]} on extent "
-            f"{tuple(1 << a for a in shape[row].tolist())}"
-        )
-    step = 1 << (shape.ravel()[at] - 1)
-    offsets = np.zeros((nodes + 1, m), dtype=np.int64)
-    offsets.ravel()[right * m + col] = step
-    np.add.at(offsets.ravel(), end[splits] * m + col, -step)
-    index = offsets[:nodes]
-    np.cumsum(index, axis=0, out=index)
-    index >>= shape
-    return shape, index, pos
 
 
 # ---------------------------------------------------------------------------

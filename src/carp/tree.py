@@ -20,8 +20,9 @@ one int8 array per block shape: -1 to stop, otherwise the split axis.
 
 Extraction then follows the decisions top-down, one tree level at a time
 and over the reached blocks only, so everything after the sweep costs
-time proportional to the tree, not the lattice.  A :class:`MapTree` is a
-set of per-node arrays in preorder, and the permutation it induces is a
+time proportional to the tree, not the lattice.  The tree-bit parser
+grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
+a set of per-node arrays in preorder, and the permutation it induces is a
 plain index array.  Blocks where partitioning stops are kept as leaves
 rather than expanded further: the reconstruction is constant on them, so
 nothing observable depends on how they would be subdivided.
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StreamError
 from .model import PosteriorLattice
 
 
@@ -78,7 +80,9 @@ class MapTree:
 def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray]:
     """The int8 decision of every non-atomic block, per shape: -1 to stop,
     otherwise the split axis.  The posterior sweep computes them in the
-    same pass as the marginal likelihood; extraction reads them here."""
+    same pass as the marginal likelihood.  A pass-through, kept so that the
+    benchmark's traced run can rebind it and record a ``tree.compute_kappa``
+    span until carp records its own stage times (ROADMAP item 1)."""
     return lattice.decisions
 
 
@@ -90,6 +94,31 @@ def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
     _, first, group = np.unique(shape_ids, return_index=True, return_inverse=True)
     for g, row in enumerate(rows[first].tolist()):
         yield tuple(shape[row].tolist()), rows[group == g]
+
+
+def grow_level(shape: np.ndarray, index: np.ndarray, pos: np.ndarray,
+               axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next tree level: from one level's rows in position order and
+    their int8 split axes (-1 for leaves), each split's left child, then
+    its right one.  A split along d halves the extent on d, and its right
+    child lies one child extent further along d.  Raises StreamError when
+    an axis names no axis or an extent of 1."""
+    m = shape.shape[1]
+    split = (axis >= 0).nonzero()[0]
+    d = axis[split]
+    step = (d[:, None] == np.arange(m)).astype(np.int64)  # one-hot split axes
+    child = shape.take(split, axis=0) - step
+    if (d >= m).any() or (child < 0).any():
+        row = int(((d >= m) | (child < 0).any(axis=1)).argmax())
+        raise StreamError(
+            f"tree names split axis {d[row]} on extent "
+            f"{tuple(1 << a for a in shape[split[row]].tolist())}"
+        )
+    index = (index.take(split, axis=0) << step).repeat(2, axis=0)
+    index[1::2] += step  # the right children
+    pos = pos.take(split).repeat(2)
+    pos[1::2] += 1 << int(child[:1].sum())  # the nodes of a level are one size
+    return child.repeat(2, axis=0), index, pos
 
 
 def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
@@ -105,18 +134,7 @@ def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
         for s, rows in _shape_groups(shape, np.flatnonzero(shape.any(axis=1)), stats.dims):
             axis[rows] = decisions[s][tuple(index[rows].T)]
         levels.append((shape, index, pos, axis))
-        split = np.flatnonzero(axis >= 0)
-        k, d = np.arange(len(split)), axis[split].astype(np.intp)
-        child = shape[split]
-        child[k, d] -= 1
-        left = index[split]
-        left[k, d] *= 2
-        right = left.copy()
-        right[k, d] += 1
-        start = pos[split]
-        shape = np.concatenate((child, child))
-        index = np.concatenate((left, right))
-        pos = np.concatenate((start, start + (1 << child.sum(axis=1))))
+        shape, index, pos = grow_level(shape, index, pos, axis)
     shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
     del levels
     # preorder: by position, and at equal position the larger block first.

@@ -127,6 +127,25 @@ class TestExitCodes:
         assert "--tau0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, photo_path, tmp_path, capsys,
+                                                workers):
+        out = tmp_path / "rd.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", photo_path, str(out), "--sigmas", "2", "--workers", workers])
+        assert err.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_environment_sets_no_default(self, monkeypatch, capsys):
+        monkeypatch.setenv("CARP_WORKERS", "abc")
+        with pytest.raises(SystemExit) as err:
+            main(["--version"])
+        assert err.value.code == 0
+        assert "carp" in capsys.readouterr().out
+        assert cli.build_parser().parse_args(
+            ["sweep", "in.pgm", "out.csv", "--sigmas", "2"]).workers == 1
+
     def test_empirical_bayes_is_a_compress_flag(self, photo_path, tmp_path, capsys):
         out = tmp_path / "rd.csv"
         with pytest.raises(SystemExit) as err:

@@ -172,6 +172,8 @@ class TestResources:
         (lambda: synthetic_photo(128, seed=7), Hyperparams(sigma=0.01, eta0=0.0)),
         (lambda: random_grid(np.random.default_rng(8), (4, 16, 32), channels=3),
          Hyperparams(sigma=1.0)),
+        (lambda: random_grid(np.random.default_rng(8), (16, 32, 32)),
+         Hyperparams(sigma=0.01, eta0=0.0)),
     ])
     def test_decode_budget_covers_the_traced_peak(self, make, hp):
         stream = CompressedStream.from_bytes(compress(make(), hp).to_bytes())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carp.bitio import bit_windows, unpack_bits
+from carp.bitio import bit_windows, pack_codes, unpack_bits
 from carp.errors import StreamError
 from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
                           check_code_lengths, decode_symbols, encode_symbols,
@@ -45,6 +45,9 @@ class TestBitIO:
             at = widths == width
             assert bit_windows(data, starts[at], width).tolist() == [
                 value for (value, _), hit in zip(fields, at) if hit]
+        words = np.array([value for value, _ in fields], dtype=np.uint64)
+        assert pack_codes(words, widths) == (data, w.bit_length)
+        assert pack_codes(words[:0], widths[:0]) == (b"", 0)
         bits = unpack_bits(data, w.bit_length)
         assert len(bits) == w.bit_length == int(widths.sum())
         assert bits.tolist() == [int(b) for value, nbits in fields

@@ -72,6 +72,16 @@ class TestTreeBits:
         with pytest.raises(StreamError, match="mid-tree"):
             deserialize_tree(bits, nbits - 1, tree.dims_padded)
 
+    def test_cut_off_axis_bits_end_mid_tree(self):
+        # the root splits on axis 0; its left child, one depth above the
+        # pixels, splits on the 2-bit axis 11 (no axis of m = 3), but the
+        # second of those bits lies past nbits, so the tree ends first
+        data, dims = bytes([0b00001100]), (2, 2, 1)
+        with pytest.raises(StreamError, match="mid-tree"):
+            reference_deserialize_tree(data, 5, dims)
+        with pytest.raises(StreamError, match="mid-tree"):
+            deserialize_tree(data, 5, dims)
+
     def test_trailing_bits_raise(self):
         tree = map_tree_for(np.random.default_rng(5), (8, 8), sigma=2.0)
         bits, nbits = serialize_tree(tree)
@@ -214,6 +224,33 @@ class TestBulkPathsMatchReference:
             want = reference_deserialize_tree(bits, nbits, tree.dims_padded)
             assert same_tree(deserialize_tree(bits, nbits, tree.dims_padded), want)
             assert same_tree(want, tree)
+
+    @pytest.mark.parametrize("shape,sigma,eta0", [
+        ((16, 16), 0.01, 0.0), ((16, 16), 2.0, 0.4),
+        ((8, 8, 4), 0.01, 0.0), ((8, 8, 4), 2.0, 0.4)])
+    def test_tree_parser_on_mutated_map_trees(self, shape, sigma, eta0):
+        # random bytes rarely reach deep levels; one flipped bit or a cut
+        # in a MAP tree's bits leaves a long valid prefix before it
+        tree = map_tree_for(np.random.default_rng(len(shape)), shape, sigma=sigma, eta0=eta0)
+        bits, nbits = serialize_tree(tree)
+        flips = []
+        for i in range(nbits):
+            data = bytearray(bits)
+            data[i // 8] ^= 0x80 >> (i % 8)
+            flips.append((bytes(data), nbits))
+        cuts = [(bits[: (n + 7) // 8], n) for n in range(nbits)]
+        outcomes = set()
+        for data, n in flips + cuts:
+            try:
+                want = reference_deserialize_tree(data, n, tree.dims_padded)
+            except StreamError as exc:
+                outcomes.add(" ".join(str(exc).split()[2:4]))
+                with pytest.raises(StreamError):
+                    deserialize_tree(data, n, tree.dims_padded)
+                continue
+            outcomes.add("parsed")
+            assert same_tree(deserialize_tree(data, n, tree.dims_padded), want)
+        assert {"split axis", "end mid-tree", "bits after"} <= outcomes
 
     @pytest.mark.parametrize("dims", [(8,), (8, 4), (4, 4, 4), (2, 2, 2, 2, 2)])
     def test_tree_parser_on_random_bits(self, dims):
