@@ -9,7 +9,7 @@ monotonically to the achieved compression ratio.
 Blocks of the partition lattice, their posteriors and the MAP tree are
 all held as numpy arrays: one array per block shape, indexed by grid
 position (:class:`StatsLattice`, :class:`PosteriorLattice`), and per-node
-arrays in preorder (:class:`MapTree`).  No per-block or per-node objects
+arrays in level order (:class:`MapTree`).  No per-block or per-node objects
 exist.
 """
 

@@ -53,15 +53,17 @@ def bit_windows(data: bytes, positions: np.ndarray, width: int) -> np.ndarray:
 def pack_codes(words: np.ndarray, sizes: np.ndarray) -> tuple[bytes, int]:
     """The words, each MSB-first in its size in bits, one after another:
     the bytes, zero-padded on the right, and the bit count.  Bit k of
-    every word longer than k is placed in one pass."""
+    every word longer than k is placed in one pass, with no gather below
+    the shortest size."""
     words = np.asarray(words, dtype=np.uint64)
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes)
     nbits = int(starts[-1]) if len(starts) else 0
     starts -= sizes
     bits = np.zeros(nbits, dtype=np.uint8)
+    shortest = int(sizes.min()) if len(sizes) else 0
     for k in range(int(sizes.max()) if len(sizes) else 0):
-        rows = np.flatnonzero(sizes > k)
+        rows = slice(None) if k < shortest else np.flatnonzero(sizes > k)
         shift = (sizes[rows] - 1 - k).astype(np.uint64)
         bits[starts[rows] + k] = (words[rows] >> shift) & np.uint64(1)
     return np.packbits(bits).tobytes(), nbits

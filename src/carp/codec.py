@@ -65,9 +65,9 @@ def default_q(sigma: float) -> float:
     return max(sigma, 0.5)
 
 
-def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
-    """Upper bound on the bytes compress allocates for a padded grid of
-    these dims and channels, from those alone, the grid itself not counted.
+def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
+    """Upper bound, in total and per tree phase, on what compress allocates
+    for a padded grid, from its dims and channels alone, the grid not counted.
 
     The block statistics (16 bytes per lattice block) and the int8
     decisions (one byte per block) are held from their construction to
@@ -99,9 +99,9 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
                  for s in shapes if any(s)), default=0)
     nodes = 2 * n - 1
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
-    # the rows once per level and once concatenated, the sort key and
-    # permutation; growing a level takes less
-    extract = tree + 24 * nodes
+    # the tree, its rows once more per level, and under 8 B per node to
+    # look up a level's decisions or grow it
+    extract = 2 * tree + 8 * nodes
     # the order, the leaf shape groups, and one leaf shape's painted values
     order = 8 * n + 16 * nodes + (8 * m + 24) * n
     tokens = n - 1
@@ -112,13 +112,14 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> int:
                      48 * n + 8 * tokens,  # quantizer and tokenizer arrays
                      # tokens, histogram, Huffman per-token and per-bit arrays
                      96 * tokens + bits))
-    serial = 40 * nodes  # pack_codes, for the at most n - 1 nodes with bits
-    post = tree + max(extract, order, channel, serial)
-    return _ENCODE_SLACK + held + max(build, sweep, post)
+    serial = 40 * nodes  # size, sort keys or pack_codes: <= 80 B per node with bits
+    post = max(extract, tree + max(order, channel, serial))
+    return dict(extract=extract, serial=serial,
+                total=_ENCODE_SLACK + held + max(build, sweep, post))
 
 
 def _check_encode_budget(grid: PixelGrid) -> None:
-    need = _encode_bytes(tuple(grid.dims_padded), grid.channels)
+    need = _encode_bytes(tuple(grid.dims_padded), grid.channels)["total"]
     if need > DEFAULT_MAX_BYTES:
         raise ResourceError(
             f"encoding {'x'.join(map(str, grid.dims_padded))} x{grid.channels} would "
@@ -212,9 +213,9 @@ def _decode_channel(ch: ChannelPayload, stream: CompressedStream,
     return vector, consumed
 
 
-def _decode_bytes(stream: CompressedStream) -> int:
-    """Upper bound on the bytes decompress_with_bits allocates, from the
-    header fields alone, so that it can be checked before any allocation.
+def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
+    """Upper bound, in total and for the parse, on what decompress_with_bits
+    allocates, from the header fields alone, to check before allocating.
 
     Decoding runs in three phases, and each holds what the earlier ones
     keep: parsing the tree; building the order from it; and decoding the
@@ -228,9 +229,9 @@ def _decode_bytes(stream: CompressedStream) -> int:
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
-    # tree bits and walk records; per node its depth, axis and rows, and
-    # one level's children and grower arrays (at most half the nodes)
-    parse = 4 * stream.tree_nbits + nodes * (32 * m + 40)
+    # bits, walk records, depths and axes; per node its rows per level and
+    # concatenated, or its axis position and sort index, or grower arrays
+    parse = 4 * stream.tree_nbits + nodes * (32 * m + 24)
     # order, and per leaf its shape group and painted values
     order = 8 * n + min(n, nodes) * (16 * m + 64)
     channel = (8 * n * len(stream.channels)  # the decoded planes
@@ -239,7 +240,8 @@ def _decode_bytes(stream: CompressedStream) -> int:
                # codeword length per payload bit, one chunk of windows,
                # and the bulk decoder's per-token arrays
                + bits + 64 * min(bits, CHUNK_BITS) + 96 * tokens)
-    return _DECODE_SLACK + max(parse, tree + order, tree + 8 * n + channel)
+    return dict(parse=parse,
+                total=_DECODE_SLACK + max(parse, tree + order, tree + 8 * n + channel))
 
 
 def decompress(stream: CompressedStream | bytes, prefix_scales: int | None = None
@@ -268,7 +270,7 @@ def decompress_with_bits(stream: CompressedStream | bytes,
     dims_padded = tuple(int(d) for d in stream.dims_padded)
     n = math.prod(dims_padded)
     n_channels = len(stream.channels)
-    need = _decode_bytes(stream)
+    need = _decode_bytes(stream)["total"]
     if need > DEFAULT_MAX_BYTES:
         raise ResourceError(
             f"decoding {'x'.join(map(str, dims_padded))} x{n_channels} would "

@@ -56,24 +56,28 @@ def axis_bit_width(m: int) -> int:
 
 def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
     """Preorder walk: one stop bit per non-atomic node, axis bits on splits.
-    A split is its axis as a word of 1 + axis_bit_width(m) bits."""
-    axis = tree.axis[tree.shape.any(axis=1)]  # atomic nodes carry no bits
+    A split is its axis as a word of 1 + axis_bit_width(m) bits.  The rows
+    may come in any order: this sorts them by position, larger block first."""
+    size = tree.shape.sum(axis=1)
+    rows = np.flatnonzero(size)  # atomic nodes carry no bits
+    axis = tree.axis[rows[np.lexsort((-size[rows], tree.pos[rows]))]]
+    del size, rows
     split = axis >= 0
     return pack_codes(np.where(split, axis, 1),
                       1 + axis_bit_width(len(tree.dims_padded)) * split)
 
 
 def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> MapTree:
-    """Parse preorder tree bits into a MapTree.
+    """Parse preorder tree bits into a MapTree, its rows in level order.
 
     A walk over the bits keeps one stack of node depths: a node at depth d
     has 2^(j_total - d) pixels, so the atomic nodes are exactly those at
-    depth j_total, and each split at depth j_total - 1 has two implicit
-    atomic children, which carry no bits.  Every other node consumes at
-    least one bit, so the work and memory are bounded by nbits, whatever
-    the header dims claim.
+    depth j_total, which carry no bits.  Every other node takes at least
+    one bit, so the work and memory are bounded by nbits, whatever the
+    header dims claim.
 
-    The rows of one depth are one tree level in position order, so
+    The walk's nodes of one depth are one tree level in position order, so
+    a stable sort by depth gives each level's axes as one slice, and
     ``tree.grow_level`` derives each level from the one above, as in
     extraction.  A walk cut short reaches a prefix of each level, whose
     axes are checked before the walk's own error is raised.
@@ -87,56 +91,52 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     nbits_axis = axis_bit_width(m)
     bits = unpack_bits(data, nbits)
     visits, error = _walk_tree_bits(bits, nbits_axis, j_total)
-    nodes = len(visits)
-    depth = visits >> 1
     split = (visits & 1) == 0
-    # a split's axis bits follow its stop bit; atomic nodes carry no bits
-    at = (np.cumsum(depth < j_total) + nbits_axis * (np.cumsum(split) - split))[split]
+    # a split's axis bits follow every stop bit up to its own and earlier axis bits
+    at = split.nonzero()[0]
+    at += 1 + nbits_axis * np.arange(len(at))
     value = np.zeros(len(at), dtype=np.int8)
     for _ in range(nbits_axis):
         value = 2 * value + bits[at]
         at += 1
-    axis = np.full(nodes, -1, dtype=np.int8)
+    axis = np.full(len(visits), -1, dtype=np.int8)
     axis[split] = value
+    depth = visits >> 1
     del visits, split, at, value
-    shape = np.empty((nodes, m), dtype=np.int64)
-    index = np.empty((nodes, m), dtype=np.int64)
-    pos = np.empty(nodes, dtype=np.int64)
+    axis = axis[depth.argsort(kind="stable")]
     level = (np.array([exps], dtype=np.int64), np.zeros((1, m), dtype=np.int64),
              np.zeros(1, dtype=np.int64))
-    for d in range(j_total + 1):
-        rows = (depth == d).nonzero()[0]
-        if not len(rows):
-            break
+    levels = []
+    for count in np.bincount(depth).tolist():
         # a walk cut short reaches only the first nodes of a level
-        level = tuple(col[: len(rows)] for col in level)
-        for j in range(m):  # numpy scatters columns faster than short rows
-            shape[rows, j], index[rows, j] = level[0][:, j], level[1][:, j]
-        pos[rows] = level[2]
-        level = grow_level(*level, axis[rows])
+        levels.append(tuple(col[:count] for col in level) + (axis[:count],))
+        axis = axis[count:]
+        level = grow_level(*levels[-1])
     if error:
         raise StreamError(error)
+    # the level grown from the last one with bits holds only atomic nodes
+    levels.append(level + (np.full(len(level[2]), -1, dtype=np.int8),))
+    shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded), shape=shape,
                    index=index, pos=pos, axis=axis)
 
 
 def _walk_tree_bits(bits: np.ndarray, nbits_axis: int,
                     j_total: int) -> tuple[np.ndarray, str | None]:
-    """Every node in preorder as 2 * depth + its stop bit, an atomic node
-    as a stop at depth j_total, and the error that ended the walk early or
+    """Every node with bits (all but the atomic ones) in preorder, as
+    2 * depth + its stop bit, and the error that ended the walk early or
     late, if any.  A split whose axis bits are cut off is left out."""
     nbits = len(bits)
-    # a node takes a bit at least and brings at most two atomic children
-    visits = np.full(3 * nbits + 1, 2 * j_total + 1, dtype=np.uint8)
+    visits = np.empty(nbits, dtype=np.uint8)
     bits_view, visits_view = memoryview(bits), memoryview(visits)
     # depths of the right children still to visit; popping -1 ends the walk
     stack = [-1]
     push, pop = stack.append, stack.pop
     cursor = 0
+    count = 0
     last = j_total - 1
     step = 1 + nbits_axis
     depth = 0 if j_total else -1  # the root of a one-pixel grid is atomic
-    count = int(not j_total)
     while depth >= 0 and cursor < nbits:
         stop = bits_view[cursor]
         visits_view[count] = depth + depth + stop
@@ -149,10 +149,8 @@ def _walk_tree_bits(bits: np.ndarray, nbits_axis: int,
                 depth += 1
                 push(depth)
                 continue
-            count += 2  # the atomic children, already in place
         depth = pop()
-    if cursor > nbits:  # drop the cut-off split, and its atomic children
-        count -= 3 if visits_view[count - 1] & 1 else 1
+    count -= cursor > nbits  # drop a cut-off split
     if cursor > nbits or depth >= 0:
         return visits[:count], "tree bits end mid-tree"
     if cursor < nbits:

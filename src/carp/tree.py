@@ -22,10 +22,11 @@ Extraction then follows the decisions top-down, one tree level at a time
 and over the reached blocks only, so everything after the sweep costs
 time proportional to the tree, not the lattice.  The tree-bit parser
 grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
-a set of per-node arrays in preorder, and the permutation it induces is a
-plain index array.  Blocks where partitioning stops are kept as leaves
-rather than expanded further: the reconstruction is constant on them, so
-nothing observable depends on how they would be subdivided.
+a set of per-node arrays in level order, as the levels are grown; only the
+tree bits are in preorder.  The permutation it induces is a plain index
+array.  Blocks where partitioning stops are kept as leaves rather than
+expanded further: the reconstruction is constant on them, so nothing
+observable depends on how they would be subdivided.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .model import PosteriorLattice
 class MapTree:
     """Binary partition tree over the padded pixel space.
 
-    Row k of every array describes the k-th node in preorder (a node, then
-    its left subtree, then its right subtree).  A node's block has extent
+    Row k of every array describes the k-th node in level order (by depth,
+    then by position, as the levels are grown).  A node's block has extent
     2^shape[k] and offset index[k] * 2^shape[k]; its pixels occupy the run
     starting at pos[k] in tree order, a multiple of its 2^sum(shape[k])
     pixels.  axis[k] is the split axis, or -1 for a leaf; a leaf whose
@@ -136,16 +137,6 @@ def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
         levels.append((shape, index, pos, axis))
         shape, index, pos = grow_level(shape, index, pos, axis)
     shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
-    del levels
-    # preorder: by position, and at equal position the larger block first.
-    # pos < 2^j_total and the lattice holds over 2^j_total blocks, so any
-    # lattice that fits in memory keeps this key far inside int64.
-    preorder = np.argsort(pos * (stats.j_total + 1) - shape.sum(axis=1))
-    # one column at a time, so that each unsorted column is freed in turn
-    shape = shape[preorder]
-    index = index[preorder]
-    pos = pos[preorder]
-    axis = axis[preorder]
     return MapTree(dims_padded=stats.dims, shape=shape, index=index, pos=pos, axis=axis)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from carp import Hyperparams, PixelGrid, compress
 
+from oracles import preorder_rows
+
 
 def _spectral_field(rng, size: int, exponent: float) -> np.ndarray:
     """Random field with a 1/f^exponent amplitude spectrum, scaled to [0, 1]."""
@@ -76,7 +78,9 @@ def random_grid(rng, shape, bit_depth=8, channels=1) -> PixelGrid:
 
 
 def same_tree(a, b) -> bool:
-    """MapTree equality: in preorder the four node arrays fix the tree."""
+    """MapTree equality, whatever order the rows come in: in preorder the
+    four node arrays fix the tree."""
+    a, b = preorder_rows(a), preorder_rows(b)
     return tuple(a.dims_padded) == tuple(b.dims_padded) and all(
         np.array_equal(getattr(a, name), getattr(b, name))
         for name in ("shape", "index", "pos", "axis"))

@@ -209,8 +209,19 @@ def brute_force_map(image, hp):
     return best, float(peak - log_marginal), log_marginal
 
 
+def preorder_rows(tree):
+    """The MapTree with its rows in preorder (a node, then its left
+    subtree, then its right one): by position, and at equal position the
+    larger block first."""
+    rows = np.lexsort((-tree.shape.sum(axis=1), tree.pos))
+    return MapTree(dims_padded=tree.dims_padded, shape=tree.shape[rows],
+                   index=tree.index[rows], pos=tree.pos[rows], axis=tree.axis[rows])
+
+
 def tree_to_structure(tree):
-    """Convert a package MapTree's preorder arrays into the tuple form."""
+    """Convert a package MapTree's arrays, in any row order, into the
+    tuple form."""
+    tree = preorder_rows(tree)
     rows = zip(tree.shape.tolist(), tree.index.tolist(), tree.axis.tolist())
 
     def take():

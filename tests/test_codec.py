@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import time
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
-                  ResourceError, codec, compress, crop, decompress,
-                  decompress_with_bits, default_q, pad, psnr,
+                  ResourceError, build_posterior, codec, compress, crop,
+                  decompress, decompress_with_bits, default_q, deserialize_tree,
+                  extract_map_tree, pad, psnr, serialize_tree,
                   target_ratio_search)
 
 from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
@@ -184,7 +186,7 @@ class TestResources:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= codec._decode_bytes(stream)
+        assert peak <= codec._decode_bytes(stream)["total"]
 
     @pytest.mark.parametrize("make,hp", [
         (lambda: pad(grid_of(synthetic_photo(64, seed=3).values[0].ravel())),
@@ -206,22 +208,52 @@ class TestResources:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= codec._encode_bytes(grid.dims, grid.channels)
+        assert peak <= codec._encode_bytes(grid.dims, grid.channels)["total"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_grid(np.random.default_rng(8), (4096,)),
+        lambda: synthetic_photo(128, seed=7),
+        lambda: random_grid(np.random.default_rng(8), (16, 32, 32)),
+    ], ids=["1d", "2d", "3d"])
+    def test_tree_phases_stay_within_their_own_terms(self, make):
+        # full near-lossless trees, the largest a grid of these dims has;
+        # the posterior lattice is built before tracing starts
+        grid = make()
+        hp = Hyperparams(sigma=0.01, eta0=0.0)
+        post = build_posterior(grid, hp)
+        tree = extract_map_tree(post)
+        assert len(tree.pos) == 2 * grid.values[0].size - 1
+        stream = compress(grid, hp)
+        parse = functools.partial(deserialize_tree, stream.tree_bits, stream.tree_nbits,
+                                  grid.dims)
+        parse()  # first-call allocations outside the phases
+        encode = codec._encode_bytes(grid.dims, grid.channels)
+        for phase, term in ((lambda: extract_map_tree(post), encode["extract"]),
+                            (lambda: serialize_tree(tree), encode["serial"]),
+                            (parse, codec._decode_bytes(stream)["parse"])):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                phase()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= term
 
     def test_encode_budget_counts_the_stats_lattice(self):
         # huffman.L_MAX relies on every encodable image of N samples having
         # N <= 2^27, since the budget counts 16 bytes per lattice block
         for dims in ((1 << 27,), (1 << 14, 1 << 13), (1 << 9, 1 << 9, 1 << 9)):
             blocks = int(np.prod([2 * d - 1 for d in dims]))
-            assert codec._encode_bytes(dims, 1) >= 16 * blocks
-            assert codec._encode_bytes(dims, 1) > codec.DEFAULT_MAX_BYTES
+            assert codec._encode_bytes(dims, 1)["total"] >= 16 * blocks
+            assert codec._encode_bytes(dims, 1)["total"] > codec.DEFAULT_MAX_BYTES
         # the 16 bytes per block alone let this image through
         assert 16 * (2 * 8192 - 1) ** 2 <= codec.DEFAULT_MAX_BYTES
-        assert codec._encode_bytes((8192, 8192), 1) > codec.DEFAULT_MAX_BYTES
+        assert codec._encode_bytes((8192, 8192), 1)["total"] > codec.DEFAULT_MAX_BYTES
 
     def test_over_budget_encode_fails_before_allocating(self, monkeypatch):
         grid = synthetic_photo(512, seed=7)
-        need = codec._encode_bytes(grid.dims, grid.channels)
+        need = codec._encode_bytes(grid.dims, grid.channels)["total"]
         monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", need - 1)
         for encode in (lambda: compress(grid, Hyperparams(sigma=2.0)),
                        lambda: target_ratio_search(grid, Hyperparams(sigma=1.0), 20.0)):

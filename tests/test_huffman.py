@@ -48,6 +48,12 @@ class TestBitIO:
         words = np.array([value for value, _ in fields], dtype=np.uint64)
         assert pack_codes(words, widths) == (data, w.bit_length)
         assert pack_codes(words[:0], widths[:0]) == (b"", 0)
+        for width in (1, 7, 23):  # words of one size: every bit through a full slice
+            same = ReferenceBitWriter()
+            for value in words.tolist():
+                same.write(value % (1 << width), width)
+            assert pack_codes(words % (1 << width), np.full(len(words), width)) == (
+                same.getvalue(), same.bit_length)
         bits = unpack_bits(data, w.bit_length)
         assert len(bits) == w.bit_length == int(widths.sum())
         assert bits.tolist() == [int(b) for value, nbits in fields

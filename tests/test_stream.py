@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carp import (CompressedStream, Hyperparams, PixelGrid, StreamError,
+from carp import (CompressedStream, Hyperparams, MapTree, PixelGrid, StreamError,
                   build_posterior, compress, extract_map_tree)
 from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
                           encode_symbols, histogram)
@@ -22,6 +22,11 @@ def map_tree_for(rng, shape, sigma=4.0, eta0=0.4):
     post = build_posterior(grid, Hyperparams(sigma=sigma, eta0=eta0))
     return extract_map_tree(post)
 
+
+# (shape, sigma, eta0) of MAP trees: full, pruned and one-pixel, in 1D to 3D
+MAP_TREE_CASES = [((64,), 0.01, 0.0), ((16,), 4.0, 0.4), ((16, 16), 0.01, 0.0),
+                  ((16, 8), 2.0, 0.4), ((8, 8, 4), 0.01, 0.0), ((4, 8, 4), 8.0, 0.4),
+                  ((1,), 1.0, 0.4)]
 
 class TestAxisBits:
     def test_widths(self):
@@ -119,6 +124,46 @@ class TestTreeBits:
             deserialize_tree(b"\x80", 1, dims)
 
 
+class TestLevelOrder:
+    """MapTree rows are in level order (by depth, then by position);
+    only the tree bits are in preorder."""
+
+    @staticmethod
+    def rows(tree):
+        return [tree.shape, tree.index, tree.pos, tree.axis]
+
+    @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
+    def test_extracted_and_parsed_rows_are_in_level_order(self, shape, sigma, eta0):
+        rng = np.random.default_rng(len(shape) + int(sigma))
+        for _ in range(3):
+            tree = map_tree_for(rng, shape, sigma=sigma, eta0=eta0)
+            parsed = deserialize_tree(*serialize_tree(tree), tree.dims_padded)
+            for t in (tree, parsed):
+                depth = -t.shape.sum(axis=1)
+                assert (np.diff(depth) >= 0).all()
+                assert (np.diff(t.pos)[depth[1:] == depth[:-1]] > 0).all()
+
+    @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
+    def test_parsing_returns_the_serialized_rows_unsorted(self, shape, sigma, eta0):
+        rng = np.random.default_rng(len(shape) + int(sigma))
+        for _ in range(3):
+            tree = map_tree_for(rng, shape, sigma=sigma, eta0=eta0)
+            back = deserialize_tree(*serialize_tree(tree), tree.dims_padded)
+            assert back.dims_padded == tree.dims_padded
+            for got, want in zip(self.rows(back), self.rows(tree)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
+    def test_bits_do_not_depend_on_row_order(self, shape, sigma, eta0):
+        rng = np.random.default_rng(len(shape) + int(sigma))
+        for _ in range(3):
+            tree = map_tree_for(rng, shape, sigma=sigma, eta0=eta0)
+            shuffle = rng.permutation(len(tree.pos))
+            shuffled = MapTree(tree.dims_padded, *(col[shuffle] for col in self.rows(tree)))
+            assert serialize_tree(shuffled) == serialize_tree(tree)
+
+
 class TestTokens:
     def test_literals_and_runs(self):
         symbols = np.array([0, 0, 0, 5, -2, 0], dtype=np.int64)
@@ -212,10 +257,7 @@ class TestBulkPathsMatchReference:
                 if kind == 0 and prefix == n_scales:
                     assert got == symbols.tolist() and used == nbits
 
-    @pytest.mark.parametrize("shape,sigma,eta0", [
-        ((64,), 0.01, 0.0), ((16,), 4.0, 0.4), ((16, 16), 0.01, 0.0),
-        ((16, 8), 2.0, 0.4), ((8, 8, 4), 0.01, 0.0), ((4, 8, 4), 8.0, 0.4),
-        ((1,), 1.0, 0.4)])
+    @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
     def test_tree_parser_on_map_trees(self, shape, sigma, eta0):
         rng = np.random.default_rng(len(shape) + int(sigma))
         for _ in range(3):
@@ -227,7 +269,7 @@ class TestBulkPathsMatchReference:
 
     @pytest.mark.parametrize("shape,sigma,eta0", [
         ((16, 16), 0.01, 0.0), ((16, 16), 2.0, 0.4),
-        ((8, 8, 4), 0.01, 0.0), ((8, 8, 4), 2.0, 0.4)])
+        ((8, 8, 4), 0.01, 0.0), ((8, 8, 4), 2.0, 0.4), ((64,), 0.01, 0.0)])
     def test_tree_parser_on_mutated_map_trees(self, shape, sigma, eta0):
         # random bytes rarely reach deep levels; one flipped bit or a cut
         # in a MAP tree's bits leaves a long valid prefix before it
@@ -244,13 +286,19 @@ class TestBulkPathsMatchReference:
             try:
                 want = reference_deserialize_tree(data, n, tree.dims_padded)
             except StreamError as exc:
-                outcomes.add(" ".join(str(exc).split()[2:4]))
-                with pytest.raises(StreamError):
+                # the same kind of error: a bad axis is found first even
+                # when the bits after it end mid-tree
+                outcome = " ".join(str(exc).split()[2:4])
+                outcomes.add(outcome)
+                with pytest.raises(StreamError, match=outcome):
                     deserialize_tree(data, n, tree.dims_padded)
                 continue
             outcomes.add("parsed")
             assert same_tree(deserialize_tree(data, n, tree.dims_padded), want)
-        assert {"split axis", "end mid-tree", "bits after"} <= outcomes
+        expected = {"end mid-tree", "bits after"}
+        if len(shape) > 1:  # with m = 1 there are no axis bits to be bad
+            expected.add("split axis")
+        assert expected <= outcomes
 
     @pytest.mark.parametrize("dims", [(8,), (8, 4), (4, 4, 4), (2, 2, 2, 2, 2)])
     def test_tree_parser_on_random_bits(self, dims):
