@@ -25,14 +25,12 @@ from .metrics import QualityReport, ms_ssim, psnr, quality_report
 from .model import (Hyperparams, HyperGrid, PosteriorLattice, build_posterior,
                     empirical_bayes_fit)
 from .stream import CompressedStream, deserialize_tree, serialize_tree
-from .transform import (CoefficientPyramid, dequantize, haar_forward,
-                        haar_inverse, quantize)
+from .transform import dequantize, haar_forward, haar_inverse, quantize
 from .tree import (MapTree, compute_kappa, extract_map_tree,
                    permutation_from_tree)
 
 __all__ = [
     "CarpError",
-    "CoefficientPyramid",
     "CompressedStream",
     "DimensionError",
     "HyperGrid",

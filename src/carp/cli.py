@@ -22,7 +22,7 @@ from .grid import PixelGrid, load, original_region, pad, save
 from .lattice import StatsLattice, build_stats
 from .metrics import psnr, quality_report
 from .model import Hyperparams, empirical_bayes_fit
-from .stream import CompressedStream
+from .stream import PRIOR_FIELDS, CompressedStream
 
 SWEEP_COLUMNS = ["sigma", "q", "bytes", "ratio", "psnr_db", "ms_ssim",
                  "encode_ms", "decode_ms"]
@@ -144,7 +144,6 @@ def _cmd_decompress(args) -> int:
 
 def _cmd_info(args) -> int:
     stream = CompressedStream.read_file(args.input)
-    hp = stream.hyperparams
     tree = stream.decode_tree()
     counts = tree.node_counts()
     print(f"m: {stream.m}")
@@ -154,8 +153,8 @@ def _cmd_info(args) -> int:
     print(f"bit_depth: {stream.bit_depth}")
     print(f"sigma: {stream.sigma:g}")
     print(f"q: {stream.q:g}")
-    print(f"hyperparams: alpha={hp.alpha:g} beta={hp.beta:g} c={hp.c:g} "
-          f"tau0={hp.tau0:g} eta0={hp.eta0:g}")
+    print("hyperparams: " + " ".join(f"{name}={value:g}"
+                                     for name, value in zip(PRIOR_FIELDS, stream.prior)))
     print(f"tree nodes: {counts['total']} ({counts['internal']} internal, "
           f"{counts['pruned_leaves']} pruned leaves, "
           f"{counts['atomic_leaves']} atomic leaves)")

@@ -13,10 +13,11 @@ prefixes of the payload decode to valid coarse reconstructions.
 The permutation is a plain int64 index array (``order[i]`` is the
 row-major index of the i-th pixel in tree order), so the encoder gathers
 with it and the decoder scatters with it.  The decoder reads each
-channel's payload with one bulk call (``detokenize``), which yields every
-decoded scale at once.  Before it allocates anything sized by the header,
-it checks that an upper bound on all it will allocate (the tree, the
-order, the planes, one channel's pyramid and inverse-transform vectors,
+channel's payload with one bulk call (``detokenize``), which yields the
+heap indices (``transform.haar_forward``) of every decoded coefficient at
+once.  Before it allocates anything sized by the header, it checks that
+an upper bound on all it will allocate (the tree, the order, the planes,
+one channel's coefficient and inverse-transform vectors,
 and the bulk decoder's per-bit and per-token arrays) fits in
 ``lattice.DEFAULT_MAX_BYTES``.  The encoder checks the same budget against
 an upper bound from the dimensions and channel count alone, before it
@@ -44,10 +45,9 @@ from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
 from .lattice import DEFAULT_MAX_BYTES, StatsLattice, build_stats
 from .model import Hyperparams, build_posterior
-from .stream import (ChannelPayload, CompressedStream, detokenize,
-                     serialize_tree, tokenize_scale)
-from .transform import (CoefficientPyramid, dequantize, haar_forward,
-                        haar_inverse, quantize)
+from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream,
+                     detokenize, serialize_tree, tokenize_scale)
+from .transform import dequantize, haar_forward, haar_inverse, quantize
 from .tree import MapTree, extract_map_tree, permutation_from_tree
 
 
@@ -108,7 +108,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     bits = tokens * max(1, (tokens - 1).bit_length())
     channel = (channels * bits // 8    # the coded payloads
                + 8 * n                 # the order
-               + max(32 * n,           # the vector, one leaf size's runs, pyramid
+               + max(32 * n,           # the vector, one leaf size's runs, coefficients
                      48 * n + 8 * tokens,  # quantizer and tokenizer arrays
                      # tokens, histogram, Huffman per-token and per-bit arrays
                      96 * tokens + bits))
@@ -140,11 +140,12 @@ def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
         rows = tree.pos[pruned[sizes == k]] >> k
         means = vector.reshape(-1, 1 << k)[rows].mean(axis=1, keepdims=True)
         vector.reshape(-1, 1 << k)[rows] = means
-    pyramid = haar_forward(vector)
+    coefficients = haar_forward(vector)
     del vector
-    scaling_symbol = int(quantize(pyramid.scaling, q))
-    scale_tokens = [tokenize_scale(quantize(d, q)) for d in pyramid.details]
-    del pyramid
+    scaling_symbol = int(quantize(coefficients[0], q))
+    scale_tokens = [tokenize_scale(quantize(coefficients[1 << j : 2 << j], q))
+                    for j in range(len(coefficients).bit_length() - 1)]
+    del coefficients
     if scale_tokens:
         tokens = np.concatenate(scale_tokens)
         del scale_tokens
@@ -191,7 +192,7 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
         bit_depth=grid.bit_depth,
         sigma=hp.sigma,
         q=q,
-        hyperparams=hp,
+        prior=tuple(float(getattr(hp, name)) for name in PRIOR_FIELDS),
         tree_bits=tree_bits,
         tree_nbits=tree_nbits,
         channels=channels,
@@ -200,17 +201,17 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
 
 def _decode_channel(ch: ChannelPayload, stream: CompressedStream,
                     prefix_scales: int) -> tuple[np.ndarray, int]:
-    """Dequantized pyramid -> spatial vector, plus payload bits consumed."""
+    """The channel's vector in tree order, plus payload bits consumed: its
+    heap-ordered coefficients, those of scales from prefix_scales on zero,
+    through haar_inverse."""
     if prefix_scales and not ch.code_lengths:
         raise StreamError("stream has detail scales but no code table")
     at, symbols, consumed = detokenize(ch.code_lengths, ch.payload, ch.payload_nbits,
                                        prefix_scales)
-    coefficients = np.zeros((1 << stream.n_scales) - 1)
+    coefficients = np.zeros(1 << stream.n_scales)
+    coefficients[0] = dequantize(ch.scaling_symbol, stream.q)
     coefficients[at] = dequantize(symbols, stream.q)
-    details = [coefficients[(1 << j) - 1 : (2 << j) - 1] for j in range(stream.n_scales)]
-    scaling = float(dequantize(ch.scaling_symbol, stream.q))
-    vector = haar_inverse(CoefficientPyramid(scaling=scaling, details=details))
-    return vector, consumed
+    return haar_inverse(coefficients), consumed
 
 
 def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
@@ -235,7 +236,7 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     # order, and per leaf its shape group and painted values
     order = 8 * n + min(n, nodes) * (16 * m + 64)
     channel = (8 * n * len(stream.channels)  # the decoded planes
-               # the dequantized pyramid and haar_inverse vectors
+               # the dequantized coefficients and haar_inverse vectors
                + 40 * n
                # codeword length per payload bit, one chunk of windows,
                # and the bulk decoder's per-token arrays

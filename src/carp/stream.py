@@ -36,13 +36,15 @@ import numpy as np
 from .bitio import pack_codes, unpack_bits
 from .errors import StreamError
 from .huffman import check_code_lengths, decode_symbols
-from .model import Hyperparams
 from .tree import MapTree, grow_level
 
 MAGIC = b"CARP"
 VERSION = 1
 FILE_EXTENSION = ".carp"
 ZERO_RUN_MAX = 65535
+# the prior hyperparameters, in header order; the decoder reads none of them
+PRIOR_FIELDS = ("alpha", "beta", "c", "tau0", "eta0")
+TABLE_ENTRY = np.dtype([("symbol", "<i8"), ("length", "u1")])
 
 
 def axis_bit_width(m: int) -> int:
@@ -195,10 +197,12 @@ def detokenize(lengths: dict[int, int], payload: bytes, nbits: int,
                n_scales: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode the first n_scales scales of one channel payload.
 
-    The coefficients of scale j sit at [2^j - 1, 2^(j+1) - 1) of one
-    vector.  Returns the positions and quantized values of the literal
-    tokens (the nonzero coefficients, in any stream the encoder writes),
-    every other coefficient being 0, and the payload bits the tokens take.
+    The coefficients of scale j sit at heap indices [2^j, 2^(j+1)), as
+    ``transform.haar_forward`` lays them out; index 0, the scaling
+    coefficient, is not in the payload.  Returns the heap indices and
+    quantized values of the literal tokens (the nonzero coefficients, in
+    any stream the encoder writes), every other coefficient being 0, and
+    the payload bits the tokens take.
     The tokens are decoded in bulk; each scale must end exactly at a token
     end, which the cumulative coefficient counts show.
     """
@@ -225,7 +229,7 @@ def detokenize(lengths: dict[int, int], payload: bytes, nbits: int,
     if not np.array_equal(covered[at], scale_ends):
         raise StreamError("zero run crosses a scale boundary")
     literal = ~run[:used]
-    return covered[literal] - 1, tokens[:used][literal] >> 1, int(ends[used - 1])
+    return covered[literal], tokens[:used][literal] >> 1, int(ends[used - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ class CompressedStream:
     bit_depth: int
     sigma: float
     q: float
-    hyperparams: Hyperparams
+    prior: tuple[float, ...]  # values of PRIOR_FIELDS
     tree_bits: bytes
     tree_nbits: int
     channels: list[ChannelPayload]
@@ -266,12 +270,10 @@ class CompressedStream:
         return samples * (1 if self.bit_depth == 8 else 2)
 
     def to_bytes(self) -> bytes:
-        hp = self.hyperparams
         out = bytearray()
         out += MAGIC
         out += struct.pack("<BBHB", VERSION, self.m, len(self.channels), self.bit_depth)
-        out += struct.pack("<7d", self.sigma, self.q, hp.alpha, hp.beta,
-                           hp.c, hp.tau0, hp.eta0)
+        out += struct.pack("<7d", self.sigma, self.q, *self.prior)
         out += struct.pack(f"<{self.m}I", *self.dims_original)
         out += struct.pack(f"<{self.m}I", *self.dims_padded)
         out += struct.pack("<I", self.tree_nbits)
@@ -279,8 +281,8 @@ class CompressedStream:
         for ch in self.channels:
             out += struct.pack("<q", ch.scaling_symbol)
             out += struct.pack("<I", len(ch.code_lengths))
-            for sym in sorted(ch.code_lengths):
-                out += struct.pack("<qB", sym, ch.code_lengths[sym])
+            table = np.fromiter(ch.code_lengths.items(), TABLE_ENTRY, len(ch.code_lengths))
+            out += table[table["symbol"].argsort()].tobytes()
             out += struct.pack("<Q", ch.payload_nbits)
             out += ch.payload
         return bytes(out)
@@ -292,7 +294,7 @@ class CompressedStream:
                 + 2 * struct.calcsize(f"<{self.m}I") + struct.calcsize("<I")
                 + len(self.tree_bits))
         for ch in self.channels:
-            size += (struct.calcsize("<qI") + len(ch.code_lengths) * struct.calcsize("<qB")
+            size += (struct.calcsize("<qI") + len(ch.code_lengths) * TABLE_ENTRY.itemsize
                      + struct.calcsize("<Q") + len(ch.payload))
         return size
 
@@ -312,7 +314,7 @@ class CompressedStream:
             raise StreamError(
                 f"invalid header: m={m}, channels={n_channels}, bit_depth={bit_depth}"
             )
-        sigma, q, alpha, beta, c, tau0, eta0 = struct.unpack("<7d", cursor.take(56))
+        sigma, q, *prior = struct.unpack("<7d", cursor.take(56))
         if not (math.isfinite(q) and q > 0):
             raise StreamError(f"invalid quantizer step q={q} in header")
         dims_original = struct.unpack(f"<{m}I", cursor.take(4 * m))
@@ -326,10 +328,8 @@ class CompressedStream:
         for _ in range(n_channels):
             (scaling_symbol,) = struct.unpack("<q", cursor.take(8))
             (count,) = struct.unpack("<I", cursor.take(4))
-            lengths: dict[int, int] = {}
-            for _ in range(count):
-                sym, length = struct.unpack("<qB", cursor.take(9))
-                lengths[sym] = length
+            table = np.frombuffer(cursor.take(count * TABLE_ENTRY.itemsize), TABLE_ENTRY)
+            lengths = dict(zip(table["symbol"].tolist(), table["length"].tolist()))
             check_code_lengths(lengths)
             (payload_nbits,) = struct.unpack("<Q", cursor.take(8))
             payload = cursor.take((payload_nbits + 7) // 8)
@@ -339,13 +339,8 @@ class CompressedStream:
                                            payload_nbits=payload_nbits))
         if cursor.remaining:
             raise StreamError(f"{cursor.remaining} trailing bytes after the last payload")
-        try:
-            hp = Hyperparams(sigma=sigma, alpha=alpha, beta=beta, c=c,
-                             tau0=tau0, eta0=eta0)
-        except ValueError as exc:
-            raise StreamError(f"invalid hyperparameters in header: {exc}") from exc
         return cls(dims_original=dims_original, dims_padded=dims_padded,
-                   bit_depth=bit_depth, sigma=sigma, q=q, hyperparams=hp,
+                   bit_depth=bit_depth, sigma=sigma, q=q, prior=tuple(prior),
                    tree_bits=tree_bits, tree_nbits=tree_nbits, channels=channels)
 
     def decode_tree(self) -> MapTree:

@@ -3,59 +3,46 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass
-class CoefficientPyramid:
-    """Haar decomposition of a length-2^J vector.
+def haar_forward(v: np.ndarray) -> np.ndarray:
+    """Haar coefficients of a length-2^J vector, in heap order.
 
-    details[j] holds the 2^j detail coefficients of scale j; scale 0 is the
-    coarsest.  Together with the single scaling coefficient the pyramid has
-    exactly as many entries as the input, and preserves its energy.
+    c[0] is the scaling coefficient and c[2^j : 2^(j+1)] holds the 2^j
+    detail coefficients of scale j, scale 0 being the coarsest, so the
+    detail of the aligned run of 2^(J - j) samples from p is
+    c[2^j + (p >> (J - j))].  The transform is orthonormal.
     """
-
-    scaling: float
-    details: list[np.ndarray]
-
-    @property
-    def n_scales(self) -> int:
-        return len(self.details)
-
-    @property
-    def n(self) -> int:
-        return 1 + sum(d.size for d in self.details)
-
-    def energy(self) -> float:
-        return self.scaling**2 + sum(float(np.sum(d * d)) for d in self.details)
-
-
-def haar_forward(v: np.ndarray) -> CoefficientPyramid:
     v = np.asarray(v, dtype=np.float64)
-    n = v.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    details: list[np.ndarray] = []
+    if v.size == 0 or v.size & (v.size - 1):
+        raise ValueError(f"length must be a power of two, got {v.size}")
+    c = np.empty(v.size, dtype=np.float64)
     approx = v
     while approx.size > 1:
         a, b = approx[0::2], approx[1::2]
-        details.append((a - b) / SQRT2)
-        approx = (a + b) / SQRT2
-    details.reverse()  # coarsest first
-    return CoefficientPyramid(scaling=float(approx[0]), details=details)
+        if approx.base is c:  # the details and sums overwrite approx
+            a, b = a.copy(), b.copy()
+        detail = np.subtract(a, b, out=c[a.size : 2 * a.size])
+        detail /= SQRT2
+        # only the first sums get their own array, so c and N/2 more at most
+        approx = np.add(a, b, out=None if approx is v else c[: a.size])
+        approx /= SQRT2
+    c[0] = approx[0]
+    return c
 
 
-def haar_inverse(p: CoefficientPyramid) -> np.ndarray:
-    approx = np.array([p.scaling], dtype=np.float64)
-    for d in p.details:
-        if d.size != approx.size:
-            raise ValueError(
-                f"detail scale of size {d.size} does not match approx {approx.size}"
-            )
+def haar_inverse(c: np.ndarray) -> np.ndarray:
+    """The vector whose heap-ordered Haar coefficients are c."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.size == 0 or c.size & (c.size - 1):
+        raise ValueError(f"length must be a power of two, got {c.size}")
+    approx = c[:1].copy()
+    while approx.size < c.size:
+        d = c[approx.size : 2 * approx.size]
         out = np.empty(2 * approx.size, dtype=np.float64)
         out[0::2] = (approx + d) / SQRT2
         out[1::2] = (approx - d) / SQRT2

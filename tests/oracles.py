@@ -25,6 +25,9 @@ directly, not against the package's recursion paths:
   stream paths; the differential tests require the package's bulk
   encoder, decoders and vectorized tokenizer to agree with them exactly,
   errors included.
+* ``reference_haar_forward`` is the Haar analysis with a new array per
+  scale, concatenated into heap order at the end; the package's transform,
+  which writes every scale into one vector, must match it bit for bit.
 * ``reference_substitute_pruned_means`` replaces each pruned leaf's block
   of a raster plane by its mean, one slice at a time; the encoder's
   tree-order vector must equal it gathered into tree order.
@@ -561,6 +564,18 @@ class ReferenceCanonicalDecoder:
             if first <= code < first + count:
                 return self._symbols[start + (code - first)]
         raise StreamError("invalid Huffman codeword")
+
+
+def reference_haar_forward(v):
+    """Heap-ordered Haar coefficients: the scaling coefficient, then the
+    details scale by scale, coarsest first."""
+    approx = np.asarray(v, dtype=np.float64)
+    details = []
+    while approx.size > 1:
+        a, b = approx[0::2], approx[1::2]
+        details.append((a - b) / math.sqrt(2.0))
+        approx = (a + b) / math.sqrt(2.0)
+    return np.concatenate([approx] + details[::-1])
 
 
 def reference_tokenize_scale(symbols):

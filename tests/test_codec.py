@@ -16,6 +16,7 @@ from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
                   target_ratio_search)
 
 from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
+from test_golden import CASES as GOLDEN_CASES
 from oracles import reference_substitute_pruned_means, reference_target_ratio_search
 
 
@@ -344,6 +345,37 @@ class TestTreeOrderVector:
         grid = _half_flat((64, 64, 16), True, seed=1)
         for got, want in _tree_order_vectors(monkeypatch, grid, 0.5):
             np.testing.assert_allclose(got, want, rtol=np.finfo(np.float64).eps, atol=0)
+
+
+# the golden cases, and photo256 from near-lossless to heavily pruned
+NODE_CASES = [(name, case[:3]) for name, case in sorted(GOLDEN_CASES.items())] + [
+    (f"photo256_s{sigma:g}", (None, Hyperparams(sigma=sigma), None))
+    for sigma in (0.18, 0.5, 2.0, 8.0)]
+
+
+@pytest.mark.parametrize("case", [case for _, case in NODE_CASES],
+                         ids=[name for name, _ in NODE_CASES])
+def test_nonzero_coefficients_sit_at_internal_nodes(monkeypatch, request, case):
+    """The heap index of every nonzero decoded coefficient is
+    2^d + (pos >> (J - d)) for some internal node at depth d of the tree."""
+    make, hp, prefix_scales = case
+    grid = pad(make()) if make else request.getfixturevalue("photo256")
+    data = compress(grid, hp).to_bytes()
+    fed = []
+    original = codec.haar_inverse
+    monkeypatch.setattr(codec, "haar_inverse",
+                        lambda c: fed.append(c.copy()) or original(c))
+    decompress(data, prefix_scales=prefix_scales)
+    stream = CompressedStream.from_bytes(data)
+    tree = stream.decode_tree()
+    size_exp = tree.shape.sum(axis=1)[tree.axis >= 0]
+    depth = stream.n_scales - size_exp
+    nodes = (1 << depth) + (tree.pos[tree.axis >= 0] >> size_exp)
+    assert len(fed) == len(stream.channels)
+    nonzero = [np.flatnonzero(c[1:]) + 1 for c in fed]
+    assert sum(map(len, nonzero))
+    for at in nonzero:
+        assert np.isin(at, nodes).all()
 
 
 class TestProgressive:

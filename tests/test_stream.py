@@ -1,16 +1,18 @@
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from carp import (CompressedStream, Hyperparams, MapTree, PixelGrid, StreamError,
-                  build_posterior, compress, extract_map_tree)
+                  build_posterior, compress, decompress, extract_map_tree)
 from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
                           encode_symbols, histogram)
-from carp.stream import (ZERO_RUN_MAX, axis_bit_width, deserialize_tree,
-                         detokenize, serialize_tree, tokenize_scale)
+from carp.stream import (PRIOR_FIELDS, ZERO_RUN_MAX, axis_bit_width,
+                         deserialize_tree, detokenize, serialize_tree,
+                         tokenize_scale)
 
 from conftest import random_grid, same_tree
 from oracles import (reference_deserialize_tree, reference_detokenize,
@@ -193,10 +195,12 @@ def _encoded(tokens, extra=()):
 
 
 def dense(at, symbols, n_scales):
-    """The 2^n_scales - 1 coefficients from detokenize's nonzero ones."""
-    out = np.zeros((1 << n_scales) - 1, dtype=np.int64)
+    """The 2^n_scales - 1 detail coefficients from detokenize's nonzero
+    ones, which sit at heap indices 1 on."""
+    assert np.all(at >= 1)
+    out = np.zeros(1 << n_scales, dtype=np.int64)
     out[at] = symbols
-    return out
+    return out[1:]
 
 
 class TestDetokenize:
@@ -346,7 +350,7 @@ class TestContainer:
         back = CompressedStream.from_bytes(data)
         assert back.to_bytes() == data
         assert back.dims_original == stream.dims_original
-        assert back.hyperparams == stream.hyperparams
+        assert back.prior == stream.prior
         assert same_tree(back.decode_tree(), stream.decode_tree())
 
     def test_bad_magic(self):
@@ -365,6 +369,39 @@ class TestContainer:
         data = self.make_stream()[0].to_bytes()
         with pytest.raises(StreamError):
             CompressedStream.from_bytes(data[: len(data) - 3])
+
+    @pytest.mark.parametrize("cut", [0, 4, 9, 13])
+    def test_truncated_table(self, cut):
+        stream, _ = self.make_stream(shape=(16, 16), sigma=1.0)
+        data = stream.to_bytes()[: self._table_at(stream) + cut]
+        with pytest.raises(StreamError, match="truncated"):
+            CompressedStream.from_bytes(data)
+
+    def test_duplicate_table_symbols_keep_the_last_entry(self):
+        stream, _ = self.make_stream(shape=(16, 16), sigma=1.0)
+        data = bytearray(stream.to_bytes())
+        at = self._table_at(stream)
+        data[at + 9 : at + 17] = data[at : at + 8]  # entry 1 repeats entry 0's symbol
+        want = {}
+        for k in range(len(stream.channels[0].code_lengths)):
+            symbol, length = struct.unpack_from("<qB", data, at + 9 * k)
+            want[symbol] = length
+        back = CompressedStream.from_bytes(bytes(data))
+        assert back.channels[0].code_lengths == want
+
+    @pytest.mark.parametrize("field,value", [
+        (field, value) for field in ("sigma",) + PRIOR_FIELDS
+        for value in (2.0, -1.0, float("nan"))] + [("sigma", 1e-9)])
+    def test_unused_header_fields_leave_the_pixels(self, field, value):
+        # the decoder reads q, never sigma or the prior
+        stream, _ = self.make_stream(channels=2)
+        data = bytearray(stream.to_bytes())
+        at = 4 + 5 + 8 * ("sigma", "q", *PRIOR_FIELDS).index(field)
+        data[at : at + 8] = struct.pack("<d", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = decompress(bytes(data))
+        assert np.array_equal(got.values, decompress(stream).values)
 
     def test_file_roundtrip(self, tmp_path):
         stream, _ = self.make_stream(channels=2)
