@@ -11,14 +11,22 @@ dead-zone quantized, and Huffman coded scale by scale, coarsest first, so
 prefixes of the payload decode to valid coarse reconstructions.
 
 The permutation is a plain int64 index array (``order[i]`` is the
-row-major index of the i-th pixel in tree order), so the encoder gathers
-with it and the decoder scatters with it.  The decoder reads each
-channel's payload with one bulk call (``detokenize``), which yields the
-heap indices (``transform.haar_forward``) of every decoded coefficient at
-once.  Before it allocates anything sized by the header, it checks that
-an upper bound on all it will allocate (the tree, the order, the planes,
-one channel's coefficient and inverse-transform vectors,
-and the bulk decoder's per-bit and per-token arrays) fits in
+row-major index of the i-th pixel in tree order), and only the encoder
+builds it.  Every nonzero coefficient sits at an internal node of the
+tree: the node at depth d whose run starts at p owns heap index
+2^d + (p >> (J - d)) (``transform.haar_forward``).  So the decoder reads
+each channel's payload with one bulk call (``detokenize``), which yields
+the heap indices of every decoded coefficient at once, and matches them
+to the tree's splits; a nonzero coefficient anywhere else is a corrupt
+stream.  It then rebuilds one value per tree node top-down, the root from
+the scaling coefficient and each child from its parent's value and
+coefficient, with the arithmetic of the inverse Haar transform, and paints
+each leaf's value into the raster planes (``tree.paint_leaves``).  Nothing
+sized by the pixel count is allocated but the planes and, for a padded
+image, their crop.  Before it allocates anything sized by the header, it
+checks that an upper bound on all it will allocate (the tree, the planes
+and their crop, the node values, the painting indices, and the bulk
+decoder's per-bit and per-token arrays) fits in
 ``lattice.DEFAULT_MAX_BYTES``.  The encoder checks the same budget against
 an upper bound from the dimensions and channel count alone, before it
 allocates anything sized by the image.
@@ -47,8 +55,12 @@ from .lattice import DEFAULT_MAX_BYTES, StatsLattice, build_stats
 from .model import Hyperparams, build_posterior
 from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream,
                      detokenize, serialize_tree, tokenize_scale)
-from .transform import dequantize, haar_forward, haar_inverse, quantize
-from .tree import MapTree, extract_map_tree, permutation_from_tree
+# haar_inverse is not called here; it stays imported because the
+# benchmark's traced run rebinds it, as it does tree.compute_kappa, until
+# carp records its own stage times (ROADMAP item 1)
+from .transform import SQRT2, dequantize, haar_forward, haar_inverse, quantize
+from .tree import (MapTree, extract_map_tree, paint_leaves, permutation_from_tree,
+                   sum_columns)
 
 
 # Decoding allocations of fixed size: small arrays, Python objects.
@@ -135,7 +147,7 @@ def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
     # no view of the vector outlives the loop, so that del frees it
     vector = plane.ravel()[order]
     pruned = np.flatnonzero(tree.pruned)
-    sizes = tree.shape[pruned].sum(axis=1)
+    sizes = sum_columns(tree.shape[pruned])
     for k in sorted(set(sizes.tolist())):
         rows = tree.pos[pruned[sizes == k]] >> k
         means = vector.reshape(-1, 1 << k)[rows].mean(axis=1, keepdims=True)
@@ -199,32 +211,80 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
     )
 
 
-def _decode_channel(ch: ChannelPayload, stream: CompressedStream,
+def _decode_channel(ch: ChannelPayload, stream: CompressedStream, split_heap: np.ndarray,
                     prefix_scales: int) -> tuple[np.ndarray, int]:
-    """The channel's vector in tree order, plus payload bits consumed: its
-    heap-ordered coefficients, those of scales from prefix_scales on zero,
-    through haar_inverse."""
+    """The dequantized coefficient of every split, given the splits' heap
+    indices in ascending order, plus payload bits consumed.  Scales from
+    prefix_scales on are not read, so their coefficients are zero.  Raises
+    StreamError for a nonzero coefficient at any other heap index."""
     if prefix_scales and not ch.code_lengths:
         raise StreamError("stream has detail scales but no code table")
     at, symbols, consumed = detokenize(ch.code_lengths, ch.payload, ch.payload_nbits,
                                        prefix_scales)
-    coefficients = np.zeros(1 << stream.n_scales)
-    coefficients[0] = dequantize(ch.scaling_symbol, stream.q)
-    coefficients[at] = dequantize(symbols, stream.q)
-    return haar_inverse(coefficients), consumed
+    k = np.searchsorted(split_heap, at)
+    hit = k < len(split_heap)
+    hit[hit] = split_heap[k[hit]] == at[hit]
+    stray = ~hit & (symbols != 0)
+    if stray.any():
+        raise StreamError(f"nonzero coefficient at heap index {at[stray.argmax()]}, "
+                          f"which is no internal node of the tree")
+    coefficients = np.zeros(len(split_heap))
+    coefficients[k[hit]] = dequantize(symbols[hit], stream.q)
+    return coefficients, consumed
+
+
+def _node_values(stream: CompressedStream, tree: MapTree,
+                 prefix_scales: int) -> tuple[np.ndarray, int]:
+    """Per channel, the value of every tree node in row order, each leaf's
+    divided down to its pixels' values, plus payload bits consumed.
+
+    These are the numbers haar_inverse computes, by the same float
+    operations: a split of value a and coefficient w at depth d gives its
+    children (a + w) / SQRT2 and (a - w) / SQRT2 at depth d + 1, and a leaf
+    of 2^s pixels divides its value by SQRT2 s times, as (a + 0) / SQRT2
+    once per level.  The children of the k-th split are rows 2k + 1 and
+    2k + 2 (level order), so one level of splits writes one strided slice.
+    """
+    size = sum_columns(tree.shape)
+    leaf = np.flatnonzero((tree.axis < 0) & (size > 0))  # the pruned leaves
+    leaf_size = size[leaf]
+    split = np.flatnonzero(tree.axis >= 0)
+    size = size.take(split)
+    ends = np.cumsum(np.bincount(stream.n_scales - size)).tolist()  # per depth
+    # 2^d + (pos >> (J - d)) for a node of 2^(J - d) pixels
+    split_heap = ((1 << stream.n_scales) + tree.pos.take(split)) >> size
+    del size
+    values = np.empty((len(stream.channels), len(tree.axis)))
+    coefficients = np.empty((len(stream.channels), len(split)))
+    consumed = 0
+    for c, ch in enumerate(stream.channels):
+        values[c, 0] = dequantize(ch.scaling_symbol, stream.q)
+        coefficients[c], bits = _decode_channel(ch, stream, split_heap, prefix_scales)
+        consumed += bits
+    del split_heap
+    for lo, hi in zip([0] + ends[:-1], ends):
+        a, w = values[:, split[lo:hi]], coefficients[:, lo:hi]
+        values[:, 2 * lo + 1 : 2 * hi + 1 : 2] = (a + w) / SQRT2
+        values[:, 2 * lo + 2 : 2 * hi + 2 : 2] = (a - w) / SQRT2
+    while len(leaf):
+        values[:, leaf] /= SQRT2
+        leaf, leaf_size = leaf[leaf_size > 1], leaf_size[leaf_size > 1] - 1
+    return values, consumed
 
 
 def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     """Upper bound, in total and for the parse, on what decompress_with_bits
     allocates, from the header fields alone, to check before allocating.
 
-    Decoding runs in three phases, and each holds what the earlier ones
-    keep: parsing the tree; building the order from it; and decoding the
-    channels one at a time into their planes.  Per item, the counts below
-    are the arrays each phase allocates, rounded up.
+    Decoding runs in three phases: parsing the tree; then, holding the
+    tree and the output planes, rebuilding the node values channel by
+    channel and painting the leaves; then cropping the planes to the
+    original dims.  Per item, the counts below are the arrays each phase
+    allocates, rounded up.
     """
     n = math.prod(int(d) for d in stream.dims_padded)
     m = len(stream.dims_padded)
+    channels = len(stream.channels)
     # every parsed node but the implicit atomic ones takes a tree bit
     nodes = min(2 * n - 1, 3 * stream.tree_nbits + 1)
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
@@ -233,16 +293,20 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     # bits, walk records, depths and axes; per node its rows per level and
     # concatenated, or its axis position and sort index, or grower arrays
     parse = 4 * stream.tree_nbits + nodes * (32 * m + 24)
-    # order, and per leaf its shape group and painted values
-    order = 8 * n + min(n, nodes) * (16 * m + 64)
-    channel = (8 * n * len(stream.channels)  # the decoded planes
-               # the dequantized coefficients and haar_inverse vectors
-               + 40 * n
-               # codeword length per payload bit, one chunk of windows,
-               # and the bulk decoder's per-token arrays
-               + bits + 64 * min(bits, CHUNK_BITS) + 96 * tokens)
-    return dict(parse=parse,
-                total=_DECODE_SLACK + max(parse, tree + order, tree + 8 * n + channel))
+    planes = 8 * n * channels
+    crop = 8 * channels * math.prod(stream.dims_original) * (
+        tuple(stream.dims_original) != tuple(stream.dims_padded))
+    # sizes, split rows, depths and heap indices, then per channel the
+    # node values and split coefficients
+    held = 32 * nodes + 16 * nodes * channels
+    # codeword length per payload bit, one chunk of windows, the bulk
+    # decoder's per-token arrays, and their match to the splits
+    channel = bits + 64 * min(bits, CHUNK_BITS) + 112 * tokens
+    # one level's or the leaves' values and masks, or per leaf its shape
+    # id, sort and grid index, and its painted values
+    paint = nodes * (8 * m + 16 * channels + 48)
+    return dict(parse=parse, total=_DECODE_SLACK + max(
+        parse, tree + planes + max(held + max(channel, paint), crop)))
 
 
 def decompress(stream: CompressedStream | bytes, prefix_scales: int | None = None
@@ -269,7 +333,6 @@ def decompress_with_bits(stream: CompressedStream | bytes,
         )
 
     dims_padded = tuple(int(d) for d in stream.dims_padded)
-    n = math.prod(dims_padded)
     n_channels = len(stream.channels)
     need = _decode_bytes(stream)["total"]
     if need > DEFAULT_MAX_BYTES:
@@ -280,17 +343,14 @@ def decompress_with_bits(stream: CompressedStream | bytes,
         )
 
     tree = stream.decode_tree()
-    order = permutation_from_tree(tree)
-    peak = float(2**stream.bit_depth - 1)
-    values = np.empty((n_channels, n), dtype=np.float64)
+    values, consumed = _node_values(stream, tree, prefix_scales)
+    planes = np.empty((n_channels,) + dims_padded)
+    paint_leaves(tree, values, planes)
+    del values
     payload_bits_total = sum(ch.payload_nbits for ch in stream.channels)
-    bits_used = 8 * stream.size_bytes - payload_bits_total
-    for c, ch in enumerate(stream.channels):
-        vector, consumed = _decode_channel(ch, stream, prefix_scales)
-        bits_used += consumed
-        values[c, order] = vector
-    np.clip(values, 0.0, peak, out=values)
-    padded = PixelGrid(values=_freeze(values.reshape((n_channels,) + dims_padded)),
+    bits_used = 8 * stream.size_bytes - payload_bits_total + consumed
+    np.clip(planes, 0.0, float(2**stream.bit_depth - 1), out=planes)
+    padded = PixelGrid(values=_freeze(planes),
                        dims_original=tuple(int(d) for d in stream.dims_original),
                        bit_depth=stream.bit_depth)
     return original_region(padded), bits_used

@@ -36,7 +36,7 @@ import numpy as np
 from .bitio import pack_codes, unpack_bits
 from .errors import StreamError
 from .huffman import check_code_lengths, decode_symbols
-from .tree import MapTree, grow_level
+from .tree import MapTree, grow_level, sum_columns
 
 MAGIC = b"CARP"
 VERSION = 1
@@ -60,7 +60,7 @@ def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
     """Preorder walk: one stop bit per non-atomic node, axis bits on splits.
     A split is its axis as a word of 1 + axis_bit_width(m) bits.  The rows
     may come in any order: this sorts them by position, larger block first."""
-    size = tree.shape.sum(axis=1)
+    size = sum_columns(tree.shape)
     rows = np.flatnonzero(size)  # atomic nodes carry no bits
     axis = tree.axis[rows[np.lexsort((-size[rows], tree.pos[rows]))]]
     del size, rows

@@ -23,8 +23,11 @@ and over the reached blocks only, so everything after the sweep costs
 time proportional to the tree, not the lattice.  The tree-bit parser
 grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
 a set of per-node arrays in level order, as the levels are grown; only the
-tree bits are in preorder.  The permutation it induces is a plain index
-array.  Blocks where partitioning stops are kept as leaves rather than
+tree bits are in preorder.  Level order is a heap: the children of the
+k-th split row, counting splits in row order, are rows 2k + 1 and 2k + 2.
+The permutation the tree induces is a plain index array, and
+:func:`paint_leaves` writes one value per leaf over its block of a raster
+plane.  Blocks where partitioning stops are kept as leaves rather than
 expanded further: the reconstruction is constant on them, so nothing
 observable depends on how they would be subdivided.
 """
@@ -59,7 +62,7 @@ class MapTree:
 
     @property
     def pruned(self) -> np.ndarray:
-        return (self.axis < 0) & self.shape.any(axis=1)
+        return (self.axis < 0) & (sum_columns(self.shape) > 0)
 
     def node_counts(self) -> dict[str, int]:
         internal = int(np.count_nonzero(self.axis >= 0))
@@ -74,7 +77,7 @@ class MapTree:
 
     def pruned_pixel_fraction(self) -> float:
         n = int(np.prod(self.dims_padded))
-        covered = int(np.sum(1 << self.shape[self.pruned].sum(axis=1)))
+        covered = int(np.sum(1 << sum_columns(self.shape[self.pruned])))
         return covered / n
 
 
@@ -87,14 +90,34 @@ def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray
     return lattice.decisions
 
 
+def sum_columns(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of a (rows, m) integer array, by adding its m columns:
+    numpy reduces along a short axis several times slower, and integer sums
+    are exact either way."""
+    total = a[:, 0].copy()
+    for column in a.T[1:]:
+        total += column
+    return total
+
+
 def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
-    """(shape tuple, rows of that shape) for each distinct shape among rows."""
+    """(shape tuple, rows of that shape) for each distinct shape among rows,
+    shapes in row-major order and rows in their given order."""
     if not len(rows):
         return
-    shape_ids = np.ravel_multi_index(shape[rows].T, [int(n).bit_length() for n in dims])
-    _, first, group = np.unique(shape_ids, return_index=True, return_inverse=True)
-    for g, row in enumerate(rows[first].tolist()):
-        yield tuple(shape[row].tolist()), rows[group == g]
+    columns = shape.take(rows, axis=0).T
+    ids = columns[0].copy()
+    for a, n in zip(columns[1:], dims[1:]):
+        ids *= int(n).bit_length()
+        ids += a
+    if (ids == ids[0]).all():
+        yield tuple(shape[rows[0]].tolist()), rows
+        return
+    by_shape = ids.argsort(kind="stable")
+    ids, rows = ids[by_shape], rows[by_shape]
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), len(rows)]):
+        yield tuple(shape[rows[lo]].tolist()), rows[lo:hi]
 
 
 def grow_level(shape: np.ndarray, index: np.ndarray, pos: np.ndarray,
@@ -132,8 +155,8 @@ def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
     levels = []
     while len(pos):
         axis = np.full(len(pos), -1, dtype=np.int8)
-        for s, rows in _shape_groups(shape, np.flatnonzero(shape.any(axis=1)), stats.dims):
-            axis[rows] = decisions[s][tuple(index[rows].T)]
+        for s, rows in _shape_groups(shape, np.flatnonzero(sum_columns(shape)), stats.dims):
+            axis[rows] = decisions[s][tuple(index.take(rows, axis=0).T)]
         levels.append((shape, index, pos, axis))
         shape, index, pos = grow_level(shape, index, pos, axis)
     shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
@@ -157,7 +180,32 @@ def permutation_from_tree(tree: MapTree) -> np.ndarray:
     for s, rows in _shape_groups(tree.shape, np.flatnonzero(tree.axis < 0), dims):
         extent = tuple(1 << a for a in s)
         local = np.indices(extent).reshape(len(dims), -1).T @ strides
-        base = (tree.index[rows] << np.array(s)) @ strides
+        base = (tree.index.take(rows, axis=0) << np.array(s)) @ strides
         order.reshape(-1, len(local))[tree.pos[rows] >> sum(s)] = base[:, None] + local
     order.setflags(write=False)
     return order
+
+
+def paint_leaves(tree: MapTree, values: np.ndarray, planes: np.ndarray) -> None:
+    """Write values[:, k] over the block of each leaf row k in planes, shaped
+    (channels,) + dims_padded.
+
+    Each leaf shape 2^a paints at once through a view of planes that splits
+    axis i into (n_i >> a_i, 2^a_i): a leaf is its grid index on the outer
+    axes and a whole slice on the inner ones.  Atomic leaves index planes
+    directly.
+    """
+    dims = tree.dims_padded
+    channel = np.arange(len(planes))[:, None]
+    for s, rows in _shape_groups(tree.shape, np.flatnonzero(tree.axis < 0), dims):
+        leaf = values.take(rows, axis=1)
+        index = tree.index.take(rows, axis=0).T
+        if not any(s):
+            planes[(channel, *index)] = leaf
+            continue
+        view = planes.reshape((len(planes),) + sum(((n >> a, 1 << a)
+                                                    for n, a in zip(dims, s)), ()))
+        # the channel and grid indices broadcast to (channels, leaves), which
+        # numpy puts first because slices separate them
+        key = (channel,) + sum(((i, slice(None)) for i in index), ())
+        view[key] = leaf.reshape(leaf.shape + (1,) * len(dims))

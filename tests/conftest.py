@@ -1,11 +1,13 @@
 """Shared fixtures: deterministic synthetic photographs and small images."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from carp import Hyperparams, PixelGrid, compress
+from carp import Hyperparams, MapTree, PixelGrid, compress, serialize_tree
+from carp.stream import detokenize
 
 from oracles import preorder_rows
 
@@ -97,3 +99,25 @@ def forged_huge_dims_stream() -> bytes:
     dims_at = 4 + 5 + 56  # magic, version/m/channels/depth, 7 doubles
     data[dims_at : dims_at + 16] = struct.pack("<4I", *(2**20,) * 4)
     return bytes(data)
+
+
+def stray_coefficient_stream() -> bytes:
+    """A 64x64 stream at sigma 1 whose tree bits are re-serialized with the
+    deepest split that carries a nonzero coefficient turned into a leaf, so
+    that coefficient sits at a heap index that is no internal node."""
+    stream = compress(synthetic_photo(64, seed=3), Hyperparams(sigma=1.0))
+    ch = stream.channels[0]
+    at, symbols, _ = detokenize(ch.code_lengths, ch.payload, ch.payload_nbits,
+                                stream.n_scales)
+    tree = stream.decode_tree()
+    size = tree.shape.sum(axis=1)
+    heap = (1 << (stream.n_scales - size)) + (tree.pos >> size)
+    row = int(np.flatnonzero((tree.axis >= 0) & np.isin(heap, at[symbols != 0]))[-1])
+    inside = (tree.pos >= tree.pos[row]) & (tree.pos < tree.pos[row] + (1 << size[row]))
+    keep = ~(inside & (size < size[row]))  # drop the split's descendants
+    axis = tree.axis.copy()
+    axis[row] = -1
+    leaf = MapTree(dims_padded=tree.dims_padded, shape=tree.shape[keep],
+                   index=tree.index[keep], pos=tree.pos[keep], axis=axis[keep])
+    bits, nbits = serialize_tree(leaf)
+    return replace(stream, tree_bits=bits, tree_nbits=nbits).to_bytes()

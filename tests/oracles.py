@@ -28,6 +28,11 @@ directly, not against the package's recursion paths:
 * ``reference_haar_forward`` is the Haar analysis with a new array per
   scale, concatenated into heap order at the end; the package's transform,
   which writes every scale into one vector, must match it bit for bit.
+* ``reference_decompress`` is the decoder that drops each channel's
+  coefficients into a dense heap-ordered vector, runs ``haar_inverse`` over
+  all of it and scatters the result through ``permutation_from_tree``; the
+  package's decoder, which computes one value per tree node and paints the
+  leaves, must match it bit for bit.
 * ``reference_substitute_pruned_means`` replaces each pruned leaf's block
   of a raster plane by its mean, one slice at a time; the encoder's
   tree-order vector must equal it gathered into tree order.
@@ -50,9 +55,11 @@ from scipy import ndimage
 
 from carp.codec import RatioSearchResult, _check_encode_budget, compress
 from carp.errors import NumericError, StreamError
+from carp.grid import PixelGrid, original_region
 from carp.lattice import _child, _halves, build_stats
-from carp.stream import ZERO_RUN_MAX, axis_bit_width
-from carp.tree import MapTree
+from carp.stream import CompressedStream, ZERO_RUN_MAX, axis_bit_width, detokenize
+from carp.transform import dequantize, haar_inverse
+from carp.tree import MapTree, permutation_from_tree
 
 # ---------------------------------------------------------------------------
 # Exhaustive pruned-tree enumeration
@@ -728,6 +735,35 @@ def reference_ms_ssim(x, y, peak=255.0):
         else:
             score *= max(float(np.mean(lum * cs)), 0.0) ** weights[s]
     return float(score)
+
+
+# ---------------------------------------------------------------------------
+# Dense decoder
+# ---------------------------------------------------------------------------
+
+def reference_decompress(stream, prefix_scales=None):
+    """Decode through a dense coefficient vector per channel, haar_inverse
+    and a scatter through the tree's pixel order."""
+    if isinstance(stream, bytes):
+        stream = CompressedStream.from_bytes(stream)
+    if prefix_scales is None:
+        prefix_scales = stream.n_scales
+    dims = tuple(int(d) for d in stream.dims_padded)
+    order = permutation_from_tree(stream.decode_tree())
+    values = np.empty((len(stream.channels), order.size))
+    for c, ch in enumerate(stream.channels):
+        if prefix_scales and not ch.code_lengths:
+            raise StreamError("stream has detail scales but no code table")
+        at, symbols, _ = detokenize(ch.code_lengths, ch.payload, ch.payload_nbits,
+                                    prefix_scales)
+        coefficients = np.zeros(order.size)
+        coefficients[0] = dequantize(ch.scaling_symbol, stream.q)
+        coefficients[at] = dequantize(symbols, stream.q)
+        values[c, order] = haar_inverse(coefficients)
+    np.clip(values, 0.0, float(2**stream.bit_depth - 1), out=values)
+    return original_region(PixelGrid(values=values.reshape((-1,) + dims),
+                                     dims_original=tuple(stream.dims_original),
+                                     bit_depth=stream.bit_depth))
 
 
 # ---------------------------------------------------------------------------

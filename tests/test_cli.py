@@ -8,7 +8,8 @@ import pytest
 from carp import Hyperparams, StatsLattice, cli, codec, compress, save
 from carp.cli import main
 
-from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
+from conftest import (forged_huge_dims_stream, random_grid, stray_coefficient_stream,
+                      synthetic_photo)
 
 
 @pytest.fixture()
@@ -191,6 +192,14 @@ class TestExitCodes:
         assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
         err = capsys.readouterr().err
         assert "StreamError" in err and "Traceback" not in err
+
+    def test_stray_coefficient_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "stray.carp"
+        bad.write_bytes(stray_coefficient_stream())
+        assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert "StreamError" in err and "Traceback" not in err
+        assert not (tmp_path / "y.pgm").exists()
 
     def test_huge_header_dims_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "huge.carp"

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
-                  ResourceError, build_posterior, codec, compress, crop,
+                  ResourceError, StreamError, build_posterior, codec, compress, crop,
                   decompress, decompress_with_bits, default_q, deserialize_tree,
                   extract_map_tree, pad, psnr, serialize_tree,
                   target_ratio_search)
 
-from conftest import forged_huge_dims_stream, random_grid, synthetic_photo
+from conftest import (forged_huge_dims_stream, random_grid, stray_coefficient_stream,
+                      synthetic_photo)
 from test_golden import CASES as GOLDEN_CASES
-from oracles import reference_substitute_pruned_means, reference_target_ratio_search
+from oracles import (reference_decompress, reference_substitute_pruned_means,
+                     reference_target_ratio_search)
 
 
 def grid_of(arr, **kwargs):
@@ -172,6 +174,9 @@ class TestResources:
 
     @pytest.mark.parametrize("make,hp", [
         (lambda: synthetic_photo(256, seed=7), Hyperparams(sigma=2.0)),
+        (lambda: synthetic_photo(512, seed=7), Hyperparams(sigma=8.0)),
+        (lambda: pad(PixelGrid.from_array(synthetic_photo(512, seed=7).values[0][:300, :200])),
+         Hyperparams(sigma=2.0)),
         (lambda: synthetic_photo(128, seed=7), Hyperparams(sigma=0.01, eta0=0.0)),
         (lambda: random_grid(np.random.default_rng(8), (4, 16, 32), channels=3),
          Hyperparams(sigma=1.0)),
@@ -188,6 +193,19 @@ class TestResources:
         finally:
             tracemalloc.stop()
         assert peak <= codec._decode_bytes(stream)["total"]
+
+    def test_decode_peak_is_little_more_than_the_planes(self):
+        # the planes are the only pixel-sized allocation: no order, no
+        # coefficient vector and no inverse-transform levels
+        stream = compress(synthetic_photo(1024, seed=7), Hyperparams(sigma=8.0))
+        decompress(stream)  # first-call allocations outside the decoder
+        tracemalloc.start()
+        try:
+            decompress(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 1024**2
 
     @pytest.mark.parametrize("make,hp", [
         (lambda: pad(grid_of(synthetic_photo(64, seed=3).values[0].ravel())),
@@ -362,9 +380,14 @@ def test_nonzero_coefficients_sit_at_internal_nodes(monkeypatch, request, case):
     grid = pad(make()) if make else request.getfixturevalue("photo256")
     data = compress(grid, hp).to_bytes()
     fed = []
-    original = codec.haar_inverse
-    monkeypatch.setattr(codec, "haar_inverse",
-                        lambda c: fed.append(c.copy()) or original(c))
+    original = codec.detokenize
+
+    def capture(*args):
+        at, symbols, consumed = original(*args)
+        fed.append((at, symbols))
+        return at, symbols, consumed
+
+    monkeypatch.setattr(codec, "detokenize", capture)
     decompress(data, prefix_scales=prefix_scales)
     stream = CompressedStream.from_bytes(data)
     tree = stream.decode_tree()
@@ -372,10 +395,66 @@ def test_nonzero_coefficients_sit_at_internal_nodes(monkeypatch, request, case):
     depth = stream.n_scales - size_exp
     nodes = (1 << depth) + (tree.pos[tree.axis >= 0] >> size_exp)
     assert len(fed) == len(stream.channels)
-    nonzero = [np.flatnonzero(c[1:]) + 1 for c in fed]
+    nonzero = [at[symbols != 0] for at, symbols in fed]
     assert sum(map(len, nonzero))
     for at in nonzero:
         assert np.isin(at, nodes).all()
+
+
+# grids from 1D to 4D, one and three channels, padded and not, half flat
+# and half noise where they are generated; with sigmas from near-lossless
+# to heavily pruned, their trees range from all atomic to mostly pruned
+PAINT_GRIDS = {
+    "1d": lambda: _half_flat((100,), False),
+    "2d-odd": lambda: PixelGrid.from_array(synthetic_photo(64, seed=5).values[0][:45, :29]),
+    "2d-fractional-3ch": lambda: _half_flat((16, 32), True, channels=3, seed=2),
+    "3d": lambda: _half_flat((8, 8, 16), False, seed=3),
+    "4d-3ch": lambda: _half_flat((4, 3, 8, 8), False, channels=3, seed=4),
+}
+PAINT_HPS = {
+    "near-lossless": Hyperparams(sigma=0.01, eta0=0.0),
+    "s0.5": Hyperparams(sigma=0.5),
+    "s2": Hyperparams(sigma=2.0),
+    "s2-eta1": Hyperparams(sigma=2.0, eta0=1.0),
+    "s8": Hyperparams(sigma=8.0),
+}
+
+
+class TestPaintedDecoder:
+    @staticmethod
+    def _assert_matches_reference(data):
+        for prefix in range(CompressedStream.from_bytes(data).n_scales + 1):
+            got = decompress(data, prefix_scales=prefix).values
+            want = reference_decompress(data, prefix_scales=prefix).values
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_cases_match_the_dense_decoder(self, name):
+        make, hp = GOLDEN_CASES[name][:2]
+        self._assert_matches_reference(compress(pad(make()), hp).to_bytes())
+
+    @pytest.mark.parametrize("grid", sorted(PAINT_GRIDS))
+    @pytest.mark.parametrize("hp", sorted(PAINT_HPS))
+    def test_matches_the_dense_decoder_at_every_prefix(self, grid, hp):
+        data = compress(pad(PAINT_GRIDS[grid]()), PAINT_HPS[hp]).to_bytes()
+        self._assert_matches_reference(data)
+
+    def test_builds_no_order_and_no_inverse_transform(self, monkeypatch):
+        data = compress(synthetic_photo(64, seed=3), Hyperparams(sigma=1.0)).to_bytes()
+        want = reference_decompress(data).values
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decoder called a dense-path function")
+
+        monkeypatch.setattr(codec, "permutation_from_tree", refuse)
+        monkeypatch.setattr(codec, "haar_inverse", refuse)
+        assert decompress(data).values.tobytes() == want.tobytes()
+
+    def test_coefficient_off_the_internal_nodes_raises(self):
+        data = stray_coefficient_stream()
+        reference_decompress(data)  # the dense decoder paints it silently
+        with pytest.raises(StreamError, match="no internal node"):
+            decompress(data)
 
 
 class TestProgressive:

@@ -8,6 +8,7 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
                   deserialize_tree, extract_map_tree, permutation_from_tree,
                   serialize_tree)
 from carp.model import _decide
+from carp.tree import _shape_groups, sum_columns
 from conftest import random_grid, same_tree, synthetic_photo
 from oracles import (brute_force_map, map_tree_log_posterior,
                      reference_extract_map_tree, reference_log_kappa,
@@ -190,6 +191,22 @@ class TestPermutation:
             assert positions[0] == start
             np.testing.assert_array_equal(
                 positions, np.arange(positions[0], positions[0] + size))
+
+
+class TestShapeGroups:
+    @pytest.mark.parametrize("dims", [(64,), (16, 8), (4, 8, 2), (2, 4, 4, 8)])
+    @pytest.mark.parametrize("kinds", [1, 5])
+    def test_groups_each_shape_in_row_order(self, dims, kinds):
+        rng = np.random.default_rng(10 * len(dims) + kinds)
+        exps = np.array([int(n).bit_length() - 1 for n in dims])
+        shape = rng.integers(0, exps + 1, size=(kinds, len(dims)))[
+            rng.integers(0, kinds, size=200)]
+        rows = np.sort(rng.choice(200, size=120, replace=False))
+        got = [(s, r.tolist()) for s, r in _shape_groups(shape, rows, dims)]
+        want = [(s, [r for r in rows.tolist() if tuple(shape[r].tolist()) == s])
+                for s in sorted(set(map(tuple, shape[rows].tolist())))]
+        assert got == want
+        np.testing.assert_array_equal(sum_columns(shape), shape.sum(axis=1))
 
 
 def assert_matches_reference(post):
