@@ -20,13 +20,13 @@ the heap indices of every decoded coefficient at once, and matches them
 to the tree's splits; a nonzero coefficient anywhere else is a corrupt
 stream.  It then rebuilds one value per tree node top-down, the root from
 the scaling coefficient and each child from its parent's value and
-coefficient, with the arithmetic of the inverse Haar transform, and paints
-each leaf's value into the raster planes (``tree.paint_leaves``).  Nothing
-sized by the pixel count is allocated but the planes and, for a padded
-image, their crop.  Before it allocates anything sized by the header, it
-checks that an upper bound on all it will allocate (the tree, the planes
-and their crop, the node values, the painting indices, and the bulk
-decoder's per-bit and per-token arrays) fits in
+coefficient, with the arithmetic of the inverse Haar transform
+(``tree.node_values``), and paints each leaf's value into the raster
+planes (``tree.paint_leaves``).  Nothing sized by the pixel count is
+allocated but the planes and, for a padded image, their crop.  Before it allocates anything sized by the header, it
+checks that an upper bound on all it will allocate (the tree, the split
+coefficients, the bulk decoder's per-bit and per-token arrays, the node
+values, the planes and their crop, and the painting indices) fits in
 ``lattice.DEFAULT_MAX_BYTES``.  The encoder checks the same budget against
 an upper bound from the dimensions and channel count alone, before it
 allocates anything sized by the image.
@@ -58,9 +58,9 @@ from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream,
 # haar_inverse is not called here; it stays imported because the
 # benchmark's traced run rebinds it, as it does tree.compute_kappa, until
 # carp records its own stage times (ROADMAP item 1)
-from .transform import SQRT2, dequantize, haar_forward, haar_inverse, quantize
-from .tree import (MapTree, extract_map_tree, paint_leaves, permutation_from_tree,
-                   sum_columns)
+from .transform import dequantize, haar_forward, haar_inverse, quantize
+from .tree import (MapTree, extract_map_tree, node_values, paint_leaves,
+                   permutation_from_tree, split_heap_indices, sum_columns)
 
 
 # Decoding allocations of fixed size: small arrays, Python objects.
@@ -233,80 +233,57 @@ def _decode_channel(ch: ChannelPayload, stream: CompressedStream, split_heap: np
     return coefficients, consumed
 
 
-def _node_values(stream: CompressedStream, tree: MapTree,
-                 prefix_scales: int) -> tuple[np.ndarray, int]:
-    """Per channel, the value of every tree node in row order, each leaf's
-    divided down to its pixels' values, plus payload bits consumed.
-
-    These are the numbers haar_inverse computes, by the same float
-    operations: a split of value a and coefficient w at depth d gives its
-    children (a + w) / SQRT2 and (a - w) / SQRT2 at depth d + 1, and a leaf
-    of 2^s pixels divides its value by SQRT2 s times, as (a + 0) / SQRT2
-    once per level.  The children of the k-th split are rows 2k + 1 and
-    2k + 2 (level order), so one level of splits writes one strided slice.
-    """
-    size = sum_columns(tree.shape)
-    leaf = np.flatnonzero((tree.axis < 0) & (size > 0))  # the pruned leaves
-    leaf_size = size[leaf]
-    split = np.flatnonzero(tree.axis >= 0)
-    size = size.take(split)
-    ends = np.cumsum(np.bincount(stream.n_scales - size)).tolist()  # per depth
-    # 2^d + (pos >> (J - d)) for a node of 2^(J - d) pixels
-    split_heap = ((1 << stream.n_scales) + tree.pos.take(split)) >> size
-    del size
-    values = np.empty((len(stream.channels), len(tree.axis)))
-    coefficients = np.empty((len(stream.channels), len(split)))
-    consumed = 0
-    for c, ch in enumerate(stream.channels):
-        values[c, 0] = dequantize(ch.scaling_symbol, stream.q)
-        coefficients[c], bits = _decode_channel(ch, stream, split_heap, prefix_scales)
-        consumed += bits
-    del split_heap
-    for lo, hi in zip([0] + ends[:-1], ends):
-        a, w = values[:, split[lo:hi]], coefficients[:, lo:hi]
-        values[:, 2 * lo + 1 : 2 * hi + 1 : 2] = (a + w) / SQRT2
-        values[:, 2 * lo + 2 : 2 * hi + 2 : 2] = (a - w) / SQRT2
-    while len(leaf):
-        values[:, leaf] /= SQRT2
-        leaf, leaf_size = leaf[leaf_size > 1], leaf_size[leaf_size > 1] - 1
-    return values, consumed
-
-
 def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     """Upper bound, in total and for the parse, on what decompress_with_bits
     allocates, from the header fields alone, to check before allocating.
 
-    Decoding runs in three phases: parsing the tree; then, holding the
-    tree and the output planes, rebuilding the node values channel by
-    channel and painting the leaves; then cropping the planes to the
-    original dims.  Per item, the counts below are the arrays each phase
-    allocates, rounded up.
+    Decoding runs in five phases, each holding the tree once it is parsed:
+    parsing the tree; decoding every channel's split coefficients; rebuilding
+    the node values; painting the leaves into the output planes; then
+    cropping the planes to the original dims.  A tree of at most `nodes`
+    nodes has at most nodes // 2 splits and one leaf more, and only the
+    node values are counted for every node of every channel.  Per item, the
+    counts below are the arrays each phase allocates, rounded up.
     """
     n = math.prod(int(d) for d in stream.dims_padded)
     m = len(stream.dims_padded)
     channels = len(stream.channels)
     # every parsed node but the implicit atomic ones takes a tree bit
     nodes = min(2 * n - 1, 3 * stream.tree_nbits + 1)
+    splits = nodes // 2
+    leaves = splits + 1
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
     # bits, walk records, depths and axes; per node its rows per level and
     # concatenated, or its axis position and sort index, or grower arrays
     parse = 4 * stream.tree_nbits + nodes * (32 * m + 24)
+    coefficients = 8 * channels * splits
+    values = 8 * channels * nodes
     planes = 8 * n * channels
+    # the split rows, shapes, positions and sizes behind the heap indices;
+    # then next to these, one channel's codeword length per payload bit, a
+    # chunk of windows, the bulk decoder's per-token arrays and their match
+    heap = max(8 * (m + 3) * splits,
+               8 * splits + bits + 64 * min(bits, CHUNK_BITS) + 112 * tokens)
+    # the splits of one level, or the pruned leaves, are disjoint blocks of
+    # two pixels or more: at most n // 2 of them
+    wide = n // 2
+    # pruned-leaf rows and sizes and the split rows, next to the node sizes
+    # and split depths, or one level's values and children, or the pruned
+    # leaves' values and masks
+    walk = 16 * leaves + 8 * splits + max(9 * nodes + 16 * splits,
+                                          24 * channels * min(splits, wide),
+                                          (8 * channels + 17) * min(leaves, wide))
+    # per leaf its rows, shape columns, shape id and sort, grid index and
+    # painted values
+    paint = leaves * (16 * m + 8 * channels + 24)
     crop = 8 * channels * math.prod(stream.dims_original) * (
         tuple(stream.dims_original) != tuple(stream.dims_padded))
-    # sizes, split rows, depths and heap indices, then per channel the
-    # node values and split coefficients
-    held = 32 * nodes + 16 * nodes * channels
-    # codeword length per payload bit, one chunk of windows, the bulk
-    # decoder's per-token arrays, and their match to the splits
-    channel = bits + 64 * min(bits, CHUNK_BITS) + 112 * tokens
-    # one level's or the leaves' values and masks, or per leaf its shape
-    # id, sort and grid index, and its painted values
-    paint = nodes * (8 * m + 16 * channels + 48)
     return dict(parse=parse, total=_DECODE_SLACK + max(
-        parse, tree + planes + max(held + max(channel, paint), crop)))
+        parse,
+        tree + coefficients + max(heap, values + walk),
+        tree + planes + max(values + paint, crop)))
 
 
 def decompress(stream: CompressedStream | bytes, prefix_scales: int | None = None
@@ -343,7 +320,16 @@ def decompress_with_bits(stream: CompressedStream | bytes,
         )
 
     tree = stream.decode_tree()
-    values, consumed = _node_values(stream, tree, prefix_scales)
+    split_heap = split_heap_indices(tree)
+    coefficients = np.empty((n_channels, len(split_heap)))
+    consumed = 0
+    for c, ch in enumerate(stream.channels):
+        coefficients[c], bits = _decode_channel(ch, stream, split_heap, prefix_scales)
+        consumed += bits
+    del split_heap
+    root = np.array([dequantize(ch.scaling_symbol, stream.q) for ch in stream.channels])
+    values = node_values(tree, root, coefficients)
+    del coefficients
     planes = np.empty((n_channels,) + dims_padded)
     paint_leaves(tree, values, planes)
     del values

@@ -25,11 +25,13 @@ grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
 a set of per-node arrays in level order, as the levels are grown; only the
 tree bits are in preorder.  Level order is a heap: the children of the
 k-th split row, counting splits in row order, are rows 2k + 1 and 2k + 2.
-The permutation the tree induces is a plain index array, and
-:func:`paint_leaves` writes one value per leaf over its block of a raster
-plane.  Blocks where partitioning stops are kept as leaves rather than
-expanded further: the reconstruction is constant on them, so nothing
-observable depends on how they would be subdivided.
+The permutation the tree induces is a plain index array.  The decoder
+walks the same heap: :func:`node_values` rebuilds every node's value from
+its parent's and the parent's Haar coefficient, and :func:`paint_leaves`
+writes one value per leaf over its block of a raster plane.  Blocks where
+partitioning stops are kept as leaves rather than expanded further: the
+reconstruction is constant on them, so nothing observable depends on how
+they would be subdivided.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 
 from .errors import StreamError
 from .model import PosteriorLattice
+from .transform import SQRT2
 
 
 @dataclass(eq=False)
@@ -186,26 +189,62 @@ def permutation_from_tree(tree: MapTree) -> np.ndarray:
     return order
 
 
+def split_heap_indices(tree: MapTree) -> np.ndarray:
+    """The heap index of each split, in row order: 2^d + (pos >> (J - d))
+    for a node of 2^(J - d) pixels at depth d (``transform.haar_forward``).
+    Level order makes them ascend, so ``np.searchsorted`` matches heap
+    indices to splits."""
+    split = np.flatnonzero(tree.axis >= 0)
+    size = sum_columns(tree.shape.take(split, axis=0))
+    return ((1 << int(tree.shape[0].sum())) + tree.pos.take(split)) >> size
+
+
+def node_values(tree: MapTree, root: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Per channel, the value of every node in row order, each leaf's
+    divided down to its pixels' values, from the root values (channels,)
+    and the splits' Haar coefficients (channels, splits) in row order.
+
+    These are the numbers ``transform.haar_inverse`` computes, by the same
+    float operations: a split of value a and coefficient w gives its
+    children (a + w) / SQRT2 and (a - w) / SQRT2, and a leaf of 2^s pixels
+    divides its value by SQRT2 s times, as (a + 0) / SQRT2 once per level.
+    The children of the k-th split are rows 2k + 1 and 2k + 2, so one level
+    of splits writes one strided slice.
+    """
+    size = sum_columns(tree.shape)
+    leaf = np.flatnonzero((tree.axis < 0) & (size > 0))  # the pruned leaves
+    leaf_size = size[leaf]
+    split = np.flatnonzero(tree.axis >= 0)
+    ends = np.cumsum(np.bincount(size[0] - size.take(split))).tolist()  # per depth
+    del size
+    values = np.empty((len(root), len(tree.axis)))
+    values[:, 0] = root
+    for lo, hi in zip([0] + ends[:-1], ends):
+        a, w = values[:, split[lo:hi]], coefficients[:, lo:hi]
+        values[:, 2 * lo + 1 : 2 * hi + 1 : 2] = (a + w) / SQRT2
+        values[:, 2 * lo + 2 : 2 * hi + 2 : 2] = (a - w) / SQRT2
+    while len(leaf):
+        values[:, leaf] /= SQRT2
+        leaf, leaf_size = leaf[leaf_size > 1], leaf_size[leaf_size > 1] - 1
+    return values
+
+
 def paint_leaves(tree: MapTree, values: np.ndarray, planes: np.ndarray) -> None:
     """Write values[:, k] over the block of each leaf row k in planes, shaped
     (channels,) + dims_padded.
 
     Each leaf shape 2^a paints at once through a view of planes that splits
     axis i into (n_i >> a_i, 2^a_i): a leaf is its grid index on the outer
-    axes and a whole slice on the inner ones.  Atomic leaves index planes
-    directly.
+    axes and a whole slice on the inner ones.
     """
     dims = tree.dims_padded
     channel = np.arange(len(planes))[:, None]
     for s, rows in _shape_groups(tree.shape, np.flatnonzero(tree.axis < 0), dims):
         leaf = values.take(rows, axis=1)
-        index = tree.index.take(rows, axis=0).T
-        if not any(s):
-            planes[(channel, *index)] = leaf
-            continue
         view = planes.reshape((len(planes),) + sum(((n >> a, 1 << a)
                                                     for n, a in zip(dims, s)), ()))
         # the channel and grid indices broadcast to (channels, leaves), which
         # numpy puts first because slices separate them
-        key = (channel,) + sum(((i, slice(None)) for i in index), ())
+        key = (channel,) + sum(((i, slice(None))
+                                for i in tree.index.take(rows, axis=0).T), ())
         view[key] = leaf.reshape(leaf.shape + (1,) * len(dims))

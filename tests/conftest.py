@@ -8,6 +8,7 @@ import pytest
 
 from carp import Hyperparams, MapTree, PixelGrid, compress, serialize_tree
 from carp.stream import detokenize
+from carp.tree import split_heap_indices
 
 from oracles import preorder_rows
 
@@ -110,9 +111,9 @@ def stray_coefficient_stream() -> bytes:
     at, symbols, _ = detokenize(ch.code_lengths, ch.payload, ch.payload_nbits,
                                 stream.n_scales)
     tree = stream.decode_tree()
+    split = np.flatnonzero(tree.axis >= 0)
+    row = int(split[np.isin(split_heap_indices(tree), at[symbols != 0])][-1])
     size = tree.shape.sum(axis=1)
-    heap = (1 << (stream.n_scales - size)) + (tree.pos >> size)
-    row = int(np.flatnonzero((tree.axis >= 0) & np.isin(heap, at[symbols != 0]))[-1])
     inside = (tree.pos >= tree.pos[row]) & (tree.pos < tree.pos[row] + (1 << size[row]))
     keep = ~(inside & (size < size[row]))  # drop the split's descendants
     axis = tree.axis.copy()

@@ -14,6 +14,7 @@ from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
                   decompress, decompress_with_bits, default_q, deserialize_tree,
                   extract_map_tree, pad, psnr, serialize_tree,
                   target_ratio_search)
+from carp.stream import PRIOR_FIELDS, ChannelPayload, axis_bit_width
 
 from conftest import (forged_huge_dims_stream, random_grid, stray_coefficient_stream,
                       synthetic_photo)
@@ -182,6 +183,8 @@ class TestResources:
          Hyperparams(sigma=1.0)),
         (lambda: random_grid(np.random.default_rng(8), (16, 32, 32)),
          Hyperparams(sigma=0.01, eta0=0.0)),
+        (lambda: random_grid(np.random.default_rng(9), (64, 64), channels=3),
+         Hyperparams(sigma=0.01, eta0=0.0)),
     ])
     def test_decode_budget_covers_the_traced_peak(self, make, hp):
         stream = CompressedStream.from_bytes(compress(make(), hp).to_bytes())
@@ -193,6 +196,24 @@ class TestResources:
         finally:
             tracemalloc.stop()
         assert peak <= codec._decode_bytes(stream)["total"]
+
+    @pytest.mark.parametrize("dims,channels", [
+        ((1 << 23,), 3), ((2048, 4096), 3), ((32, 512, 512), 3), ((2048, 4096), 4),
+    ])
+    def test_decode_budget_admits_every_full_tree_the_encoder_admits(self, dims, channels):
+        # a full tree of n - 1 splits, each payload at the encoder's bound of
+        # ceil(log2 tokens) bits per token
+        n = math.prod(dims)
+        assert codec._encode_bytes(dims, channels)["total"] <= codec.DEFAULT_MAX_BYTES
+        payload = ChannelPayload(scaling_symbol=0, code_lengths={}, payload=b"",
+                                 payload_nbits=(n - 1) * (n - 2).bit_length())
+        stream = CompressedStream(
+            dims_original=dims, dims_padded=dims, bit_depth=8, sigma=1.0, q=1.0,
+            prior=(0.0,) * len(PRIOR_FIELDS), tree_bits=b"",
+            tree_nbits=(n - 1) * (1 + axis_bit_width(len(dims))),
+            channels=[payload] * channels)
+        assert 3 * stream.tree_nbits + 1 >= 2 * n - 1
+        assert codec._decode_bytes(stream)["total"] <= codec.DEFAULT_MAX_BYTES
 
     def test_decode_peak_is_little_more_than_the_planes(self):
         # the planes are the only pixel-sized allocation: no order, no
