@@ -22,7 +22,7 @@ from .errors import (CarpError, DimensionError, NumericError, ParseError,
 from .grid import PixelGrid, crop, load, pad, save
 from .lattice import StatsLattice, build_stats
 from .metrics import QualityReport, ms_ssim, psnr, quality_report
-from .model import (Hyperparams, HyperGrid, PosteriorLattice, build_posterior,
+from .model import (Hyperparams, PosteriorLattice, build_posterior,
                     empirical_bayes_fit)
 from .stream import CompressedStream, deserialize_tree, serialize_tree
 from .transform import dequantize, haar_forward, haar_inverse, quantize
@@ -33,7 +33,6 @@ __all__ = [
     "CarpError",
     "CompressedStream",
     "DimensionError",
-    "HyperGrid",
     "Hyperparams",
     "MapTree",
     "NumericError",

@@ -21,15 +21,17 @@ to the tree's splits; a nonzero coefficient anywhere else is a corrupt
 stream.  It then rebuilds one value per tree node top-down, the root from
 the scaling coefficient and each child from its parent's value and
 coefficient, with the arithmetic of the inverse Haar transform
-(``tree.node_values``), and paints each leaf's value into the raster
-planes (``tree.paint_leaves``).  Nothing sized by the pixel count is
-allocated but the planes and, for a padded image, their crop.  Before it allocates anything sized by the header, it
-checks that an upper bound on all it will allocate (the tree, the split
-coefficients, the bulk decoder's per-bit and per-token arrays, the node
-values, the planes and their crop, and the painting indices) fits in
-``lattice.DEFAULT_MAX_BYTES``.  The encoder checks the same budget against
-an upper bound from the dimensions and channel count alone, before it
-allocates anything sized by the image.
+(``tree.node_values``); a value that is not finite, from a hostile q or
+symbol, is a corrupt stream too.  Then it paints each leaf's value into
+the raster planes (``tree.paint_leaves``).  Nothing sized by the pixel
+count is allocated but the planes and, for a padded image, their crop.
+Before it allocates anything sized by the header, it checks that an upper
+bound on all it will allocate (the tree, the split coefficients, the bulk
+decoder's per-bit and per-token arrays, the node values, the planes and
+their crop, and the painting indices) fits in ``lattice.DEFAULT_MAX_BYTES``.
+The encoder checks the same budget against an upper bound from the
+dimensions and channel count alone, before it allocates anything sized by
+the image.
 
 ``target_ratio_search`` builds the block statistics once (unless they
 are passed in) and hands them to every ``compress`` attempt, since they do
@@ -323,13 +325,18 @@ def decompress_with_bits(stream: CompressedStream | bytes,
     split_heap = split_heap_indices(tree)
     coefficients = np.empty((n_channels, len(split_heap)))
     consumed = 0
-    for c, ch in enumerate(stream.channels):
-        coefficients[c], bits = _decode_channel(ch, stream, split_heap, prefix_scales)
-        consumed += bits
-    del split_heap
-    root = np.array([dequantize(ch.scaling_symbol, stream.q) for ch in stream.channels])
-    values = node_values(tree, root, coefficients)
+    # a hostile q or symbol may overflow; the values are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, ch in enumerate(stream.channels):
+            coefficients[c], bits = _decode_channel(ch, stream, split_heap, prefix_scales)
+            consumed += bits
+        del split_heap
+        root = np.array([dequantize(ch.scaling_symbol, stream.q) for ch in stream.channels])
+        values = node_values(tree, root, coefficients)
     del coefficients
+    if not np.isfinite(values).all():
+        raise StreamError(f"quantizer step q={stream.q} and the coded coefficients "
+                          f"give non-finite pixel values")
     planes = np.empty((n_channels,) + dims_padded)
     paint_leaves(tree, values, planes)
     del values
@@ -348,6 +355,8 @@ def decompress_with_bits(stream: CompressedStream | bytes,
 
 # The lowest sigma the ratio search tries, and the lower end of its bracket.
 SIGMA_FLOOR = 1e-3
+# The most compress calls one ratio search makes.
+SEARCH_ATTEMPTS = 30
 
 
 @dataclass
@@ -362,7 +371,6 @@ class RatioSearchResult:
 
 def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
                         target_ratio: float, tol: float = 0.1,
-                        max_iter: int = 30,
                         stats: StatsLattice | None = None) -> RatioSearchResult:
     """Search sigma (with tau0 = 1/sigma and q tied to sigma) until the
     achieved ratio lands in target * (1 +- tol).
@@ -376,8 +384,8 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     midpoint (about 0.0316) both reach the target outside the band.  Then a
     floor ratio already over the band returns the floor stream with a
     warning and converged=False (constant images, say), and one in the
-    band returns it converged.  If the budget of ``max_iter`` compress
-    calls runs out, the closest attempt so far is returned with
+    band returns it converged.  If the budget of ``SEARCH_ATTEMPTS``
+    compress calls runs out, the closest attempt so far is returned with
     converged=False; on ties the floor, then the earliest attempt, wins.
 
     Three cases differ from encoding the floor first.  An image whose floor
@@ -393,8 +401,6 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     _check_encode_budget(grid)
     if stats is None:
@@ -423,7 +429,7 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     hits: list[RatioSearchResult] = []
     floor_encoded = False
     sigma = 1.0
-    while len(trace) < max_iter:
+    while len(trace) < SEARCH_ATTEMPTS:
         result = attempt(sigma)
         if in_band(result):
             return finish(result, True)
@@ -433,7 +439,7 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
             break
         lo = sigma
         sigma *= 4.0
-    while hi is not None and len(trace) < max_iter:
+    while hi is not None and len(trace) < SEARCH_ATTEMPTS:
         best = closest()
         if in_band(best):
             return finish(best, True)

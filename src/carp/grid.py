@@ -15,7 +15,7 @@ Grids are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class PixelGrid:
                 f"stored dims {vals.shape[1:]} smaller than original {self.dims_original}"
             )
         peak = float(2**self.bit_depth - 1)
-        if vals.size and (vals.min() < 0.0 or vals.max() > peak):
+        # written so that NaN fails it too
+        if vals.size and not (vals.min() >= 0.0 and vals.max() <= peak):
             raise ValueError(
                 f"intensities outside [0, {peak}]: range "
                 f"[{vals.min()}, {vals.max()}]"
@@ -294,30 +295,19 @@ def save_raw(grid: PixelGrid, path: str) -> None:
         fh.write(f"channels={grid.channels}\n")
 
 
-def load(path: str, fmt: str | None = None) -> PixelGrid:
-    """Load an image; the format is inferred from the extension unless given.
-
-    ``fmt`` is 'pgm' or 'raw'.  Padding is NOT applied here.
-    """
-    if fmt is None:
-        fmt = "pgm" if path.lower().endswith(".pgm") else "raw"
+def load(path: str) -> PixelGrid:
+    """Load a binary PGM when the name ends in ``.pgm`` (any case), else a
+    raw payload with its ``.meta`` sidecar.  Padding is NOT applied here."""
     if not os.path.exists(path):
         raise ParseError(f"{path}: no such file")
     if os.path.getsize(path) == 0:
         raise ParseError(f"{path}: empty file")
-    if fmt == "pgm":
-        return load_pgm(path)
-    if fmt == "raw":
-        return load_raw(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    return load_pgm(path) if path.lower().endswith(".pgm") else load_raw(path)
 
 
-def save(grid: PixelGrid, path: str, fmt: str | None = None) -> None:
-    if fmt is None:
-        fmt = "pgm" if path.lower().endswith(".pgm") else "raw"
-    if fmt == "pgm":
+def save(grid: PixelGrid, path: str) -> None:
+    """Write a binary PGM or a raw payload and sidecar, chosen as in load."""
+    if path.lower().endswith(".pgm"):
         save_pgm(grid, path)
-    elif fmt == "raw":
-        save_raw(grid, path)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        save_raw(grid, path)

@@ -64,10 +64,6 @@ def build_code_lengths(freqs: Mapping[int, int]) -> dict[int, int]:
     return lengths
 
 
-def kraft_sum(lengths: Mapping[int, int]) -> float:
-    return sum(2.0 ** (-l) for l in lengths.values())
-
-
 def check_code_lengths(lengths: Mapping[int, int]) -> None:
     """Raise StreamError unless every length is in 1..L_MAX and the Kraft
     sum is at most 1, so the lengths describe a prefix code."""

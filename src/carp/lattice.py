@@ -125,11 +125,6 @@ class StatsLattice:
         left, right = _halves(self.m, d)
         return cs[left], cs[right]
 
-    def haar_array(self, shape: tuple[int, ...], d: int) -> np.ndarray:
-        """w_d(A) for every block of this shape at once."""
-        sum_l, sum_r = self.child_sum_arrays(shape, d)
-        return (sum_l - sum_r) / math.sqrt(float(2 ** sum(shape)))
-
 
 def build_stats(grid: PixelGrid, max_bytes: int = DEFAULT_MAX_BYTES) -> StatsLattice:
     """Aggregate sums and SSTs for every lattice block of the padded grid.

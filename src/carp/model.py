@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,23 +109,10 @@ class Hyperparams:
         return 2.0 ** (-self.alpha * level) * self.tau0
 
 
-@dataclass
-class HyperGrid:
-    """Candidate values for the empirical-Bayes search, one list per knob."""
-
-    alphas: list[float] = field(default_factory=lambda: [0.1, 0.5, 1.0])
-    betas: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    cs: list[float] = field(default_factory=lambda: [0.01, 0.05, 0.2])
-    tau0s: list[float] | None = None  # None -> {0.5/sigma, 1/sigma, 2/sigma}
-    eta0s: list[float] = field(default_factory=lambda: [0.2, 0.4, 0.6])
-
-    def points(self, sigma: float):
-        tau0s = self.tau0s if self.tau0s is not None else [0.5 / sigma, 1.0 / sigma, 2.0 / sigma]
-        if not (self.alphas and self.betas and self.cs and tau0s and self.eta0s):
-            raise ValueError("hyperparameter grid must be non-empty")
-        for a, b, c, t, e in itertools.product(self.alphas, self.betas, self.cs,
-                                               tau0s, self.eta0s):
-            yield Hyperparams(sigma=sigma, alpha=a, beta=b, c=c, tau0=t, eta0=e)
+# The empirical-Bayes candidates: every combination of alpha, beta, c,
+# tau0 * sigma and eta0, in this order, so ties go to the earliest.
+FIT_GRID = ((0.1, 0.5, 1.0), (0.5, 1.0, 2.0), (0.01, 0.05, 0.2),
+            (0.5, 1.0, 2.0), (0.2, 0.4, 0.6))
 
 
 def _log_normal(w: np.ndarray | float, var: float):
@@ -304,10 +291,6 @@ class PosteriorLattice:
         self.decisions: dict[tuple[int, ...], np.ndarray] = {}
         self.log_marginal, self.log_map = _sweep(stats, hp, self.decisions)
 
-    @property
-    def root_shape(self) -> tuple[int, ...]:
-        return tuple(self.stats.axis_exps)
-
 
 def build_posterior(grid: PixelGrid, hp: Hyperparams,
                     stats: StatsLattice | None = None) -> PosteriorLattice:
@@ -318,20 +301,18 @@ def build_posterior(grid: PixelGrid, hp: Hyperparams,
 
 
 def empirical_bayes_fit(grid: PixelGrid, sigma: float,
-                        grid_spec: HyperGrid | None = None,
                         stats: StatsLattice | None = None) -> Hyperparams:
-    """Pick the grid point maximizing the image's marginal likelihood.
+    """Pick the ``FIT_GRID`` point maximizing the image's marginal likelihood.
 
     Ties break in favor of the earliest grid point.  The block statistics
     do not depend on the hyperparameters, so they are shared across points.
     """
-    if grid_spec is None:
-        grid_spec = HyperGrid()
     if stats is None:
         stats = build_stats(grid)
     best_hp: Hyperparams | None = None
     best_lp = -math.inf
-    for hp in grid_spec.points(sigma):
+    for a, b, c, t, e in itertools.product(*FIT_GRID):
+        hp = Hyperparams(sigma=sigma, alpha=a, beta=b, c=c, tau0=t / sigma, eta0=e)
         lp, _ = _sweep(stats, hp, None)
         if lp > best_lp:
             best_lp, best_hp = lp, hp

@@ -17,12 +17,12 @@ can stop cleanly at any scale boundary.  The single scaling coefficient
 rides in the header as its quantizer symbol rather than through the
 entropy coder, where a one-off large value would only bloat the table.
 
-Parsing checks every code table: each length must lie in 1..L_MAX and
-the Kraft sum may not exceed 1, so a table always describes a prefix
-code.  The stream ends with the last payload, and bytes after it are
-rejected.  Tree bits and payloads are decoded in bulk, with numpy passes
-over all bits and Python work only per non-atomic tree node and per
-token.
+Parsing checks every code table: its symbols must ascend strictly, as
+they are written, each length must lie in 1..L_MAX and the Kraft sum may
+not exceed 1, so a table always describes a prefix code.  The stream
+ends with the last payload, and bytes after it are rejected.  Tree bits
+and payloads are decoded in bulk, with numpy passes over all bits and
+Python work only per non-atomic tree node and per token.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .tree import MapTree, grow_level, sum_columns
 
 MAGIC = b"CARP"
 VERSION = 1
-FILE_EXTENSION = ".carp"
 ZERO_RUN_MAX = 65535
 # the prior hyperparameters, in header order; the decoder reads none of them
 PRIOR_FIELDS = ("alpha", "beta", "c", "tau0", "eta0")
@@ -329,6 +328,8 @@ class CompressedStream:
             (scaling_symbol,) = struct.unpack("<q", cursor.take(8))
             (count,) = struct.unpack("<I", cursor.take(4))
             table = np.frombuffer(cursor.take(count * TABLE_ENTRY.itemsize), TABLE_ENTRY)
+            if (table["symbol"][1:] <= table["symbol"][:-1]).any():
+                raise StreamError("code table symbols are not strictly ascending")
             lengths = dict(zip(table["symbol"].tolist(), table["length"].tolist()))
             check_code_lengths(lengths)
             (payload_nbits,) = struct.unpack("<Q", cursor.take(8))

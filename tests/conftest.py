@@ -122,3 +122,20 @@ def stray_coefficient_stream() -> bytes:
                    index=tree.index[keep], pos=tree.pos[keep], axis=axis[keep])
     bits, nbits = serialize_tree(leaf)
     return replace(stream, tree_bits=bits, tree_nbits=nbits).to_bytes()
+
+
+def overflowing_q_stream(q: float = 1e308) -> bytes:
+    """A 16x16 stream at sigma 1 whose header q is patched so large that
+    dequantizing its coefficients overflows to infinities, whose sums and
+    differences down the tree are NaN."""
+    stream = compress(random_grid(np.random.default_rng(8), (16, 16)), Hyperparams(sigma=1.0))
+    return replace(stream, q=q).to_bytes()
+
+
+def tableless_stream() -> tuple[bytes, bytes]:
+    """(original, corrupt): a 16x16 stream at sigma 1, and the same stream
+    with its channel's code table emptied but its payload bits kept."""
+    stream = compress(random_grid(np.random.default_rng(8), (16, 16)), Hyperparams(sigma=1.0))
+    assert stream.channels[0].payload_nbits > 0
+    channel = replace(stream.channels[0], code_lengths={})
+    return stream.to_bytes(), replace(stream, channels=[channel]).to_bytes()

@@ -42,6 +42,9 @@ directly, not against the package's recursion paths:
   sigma = 0.001 floor first; the differential tests require the package's
   search, which encodes the floor only when its bracket walks down to it,
   to choose the same sigma and stream.
+* ``haar_array``, ``root_shape`` and ``kraft_sum`` read quantities the
+  package never needs: the Haar coefficient of every block of a shape, the
+  root's shape, and a code's Kraft sum in floating point.
 """
 
 import itertools
@@ -60,6 +63,22 @@ from carp.lattice import _child, _halves, build_stats
 from carp.stream import CompressedStream, ZERO_RUN_MAX, axis_bit_width, detokenize
 from carp.transform import dequantize, haar_inverse
 from carp.tree import MapTree, permutation_from_tree
+
+def haar_array(stats, shape, d):
+    """w_d(A) for every block A of this shape at once, from the lattice's
+    child sums, rounded as the package's lattice build rounds it."""
+    sum_l, sum_r = stats.child_sum_arrays(shape, d)
+    return (sum_l - sum_r) / math.sqrt(float(2 ** sum(shape)))
+
+
+def root_shape(stats):
+    """The shape of the lattice's one root block."""
+    return tuple(stats.axis_exps)
+
+
+def kraft_sum(lengths):
+    return sum(2.0 ** (-l) for l in lengths.values())
+
 
 # ---------------------------------------------------------------------------
 # Exhaustive pruned-tree enumeration
@@ -293,7 +312,7 @@ def reference_posterior(stats, hp):
         log_lambda = -math.log(len(div))
         d_terms = []
         for d in div:
-            w = stats.haar_array(shape, d)
+            w = haar_array(stats, shape, d)
             with np.errstate(invalid="ignore"):  # NaN inputs caught below
                 mix = np.logaddexp(log_rho + _sweep_log_normal(w, var_wide),
                                    log_1m_rho + _sweep_log_normal(w, sigma2))

@@ -18,14 +18,15 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compress,
                   decompress, extract_map_tree, haar_forward, haar_inverse,
                   ms_ssim, psnr, target_ratio_search)
 from carp.huffman import (build_code_lengths, canonical_codes, decode_symbols,
-                          encode_symbols, histogram, kraft_sum)
+                          encode_symbols, histogram)
 from carp.lattice import _halves, build_stats
 from carp.codec import default_q
 from carp.stream import deserialize_tree, serialize_tree
 
 from conftest import random_grid, same_tree, synthetic_photo
-from oracles import (brute_force_map, map_tree_log_posterior,
-                     reference_ms_ssim, reference_posterior, tree_to_structure)
+from oracles import (brute_force_map, haar_array, kraft_sum,
+                     map_tree_log_posterior, reference_ms_ssim,
+                     reference_posterior, tree_to_structure)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -155,7 +156,7 @@ def test_criterion_04_transform():
         for d in [i for i, a in enumerate(shape) if a > 0]:
             child = tuple(a - 1 if i == d else a for i, a in enumerate(shape))
             left, right = _halves(3, d)
-            w = stats.haar_array(shape, d)
+            w = haar_array(stats, shape, d)
             recon = stats.ssts[child][left] + stats.ssts[child][right] + w * w
             denom = np.maximum(np.abs(stats.ssts[shape]), 1.0)
             worst_split = max(worst_split,

@@ -8,8 +8,8 @@ import pytest
 from carp import Hyperparams, StatsLattice, cli, codec, compress, save
 from carp.cli import main
 
-from conftest import (forged_huge_dims_stream, random_grid, stray_coefficient_stream,
-                      synthetic_photo)
+from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
+                      stray_coefficient_stream, synthetic_photo, tableless_stream)
 
 
 @pytest.fixture()
@@ -221,6 +221,15 @@ class TestExitCodes:
         assert "StreamError" in err and "Traceback" not in err
         assert not (tmp_path / "y.pgm").exists()
 
+    @pytest.mark.parametrize("make", [overflowing_q_stream, lambda: tableless_stream()[1]],
+                             ids=["overflowing_q", "tableless"])
+    def test_corrupt_values_are_exit_1(self, tmp_path, capsys, make):
+        bad = tmp_path / "bad.carp"
+        bad.write_bytes(make())
+        assert main(["decompress", str(bad), str(tmp_path / "y.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert "StreamError" in err and "Traceback" not in err
+        assert not (tmp_path / "y.pgm").exists()
 
     @pytest.mark.parametrize("q", ["nan", "inf"])
     def test_non_finite_q_compress_is_exit_1(self, photo_path, tmp_path, capsys, q):

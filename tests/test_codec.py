@@ -3,6 +3,7 @@ import gc
 import math
 import time
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -10,14 +11,14 @@ import numpy as np
 import pytest
 
 from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
-                  ResourceError, StreamError, build_posterior, codec, compress, crop,
+                  ResourceError, StreamError, build_posterior, codec, compress,
                   decompress, decompress_with_bits, default_q, deserialize_tree,
                   extract_map_tree, pad, psnr, serialize_tree,
                   target_ratio_search)
 from carp.stream import PRIOR_FIELDS, ChannelPayload, axis_bit_width
 
-from conftest import (forged_huge_dims_stream, random_grid, stray_coefficient_stream,
-                      synthetic_photo)
+from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
+                      stray_coefficient_stream, synthetic_photo, tableless_stream)
 from test_golden import CASES as GOLDEN_CASES
 from oracles import (reference_decompress, reference_substitute_pruned_means,
                      reference_target_ratio_search)
@@ -477,6 +478,24 @@ class TestPaintedDecoder:
         with pytest.raises(StreamError, match="no internal node"):
             decompress(data)
 
+    @pytest.mark.parametrize("q", [1e308, 1e306])
+    def test_non_finite_values_raise(self, q):
+        data = overflowing_q_stream(q)
+        with pytest.raises(StreamError, match="non-finite"):
+            decompress(data)  # every warning is an error here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StreamError, match="non-finite"):
+                decompress(data)
+        assert caught == []
+
+    def test_payload_without_code_table_raises(self):
+        original, data = tableless_stream()
+        with pytest.raises(StreamError, match="detail scales but no code table"):
+            decompress(data)
+        got = decompress(data, prefix_scales=0).values
+        assert got.tobytes() == decompress(original, prefix_scales=0).values.tobytes()
+
 
 class TestProgressive:
     def test_prefix_zero_is_flat_mean_level(self):
@@ -641,8 +660,9 @@ class TestRatioSearch:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(codec, "compress", counting)
+        monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", 2)
         with pytest.warns(UserWarning, match="stopped after 2 evaluations"):
-            result = target_ratio_search(grid, Hyperparams(sigma=1.0), target, max_iter=2)
+            result = target_ratio_search(grid, Hyperparams(sigma=1.0), target)
         assert len(calls) == len(result.attempts) == 2
         assert not result.converged
 
@@ -659,9 +679,9 @@ class TestRatioSearch:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(codec, "compress", counting)
+        monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", 3)
         with pytest.warns(UserWarning, match="stopped after 3 evaluations"):
-            new = target_ratio_search(grid, Hyperparams(sigma=1.0), 1.42, tol=0.01,
-                                      max_iter=3)
+            new = target_ratio_search(grid, Hyperparams(sigma=1.0), 1.42, tol=0.01)
         assert len(calls) == 3
         assert [s for s, _, _ in new.attempts] == [1.0, math.sqrt(1e-3), 1e-3]
         with pytest.warns(UserWarning, match="stopped after 3 evaluations"):
@@ -681,10 +701,29 @@ class TestRatioSearch:
         alone = compress(grid, Hyperparams(sigma=1.0, tau0=1.0))
         assert result.stream.to_bytes() == alone.to_bytes()
 
-    def test_max_iter_must_allow_one_attempt(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0),
-                                4.0, max_iter=0)
+    @staticmethod
+    def _stub_compress(monkeypatch, ratios):
+        """Replace compress by a stub whose stream for sigma has ratios[sigma]."""
+        def stub(grid, hp, q=None, stats=None):
+            return types.SimpleNamespace(compression_ratio=ratios[hp.sigma], sigma=hp.sigma)
+        monkeypatch.setattr(codec, "compress", stub)
+
+    def test_floor_in_band_returns_the_floor_converged(self, monkeypatch):
+        # sigma = 1 and the first midpoint overshoot the band, the floor is
+        # in it, though sigma = 1 is closer in log ratio (0.097 against 0.100)
+        self._stub_compress(monkeypatch, {1.0: 2.203, math.sqrt(1e-3): 2.21, 1e-3: 1.81})
+        result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0), 2.0)
+        assert result.converged and result.sigma == 1e-3 and result.ratio == 1.81
+        assert result.stream.sigma == 1e-3
+        assert [s for s, _, _ in result.attempts] == [1.0, math.sqrt(1e-3), 1e-3]
+
+    def test_budget_can_run_out_on_an_in_band_attempt(self, monkeypatch):
+        # the last attempt the budget allows lands in the band
+        self._stub_compress(monkeypatch, {1.0: 10.0, math.sqrt(1e-3): 4.1})
+        monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", 2)
+        result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0), 4.0)
+        assert result.converged and result.sigma == math.sqrt(1e-3) and result.ratio == 4.1
+        assert len(result.attempts) == 2
 
     def test_passed_stats_are_used(self, monkeypatch):
         grid = synthetic_photo(64, seed=9)

@@ -1,12 +1,13 @@
 """Hostile-input decoding: any corruption of a stream either decodes or
-raises a CarpError subclass, never another exception."""
+raises a CarpError subclass, never another exception, and every stream
+that parses is one that to_bytes writes."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carp import CarpError, Hyperparams, PixelGrid, compress, decompress
+from carp import CarpError, CompressedStream, Hyperparams, PixelGrid, compress, decompress
 
 from conftest import random_grid, synthetic_photo
 
@@ -25,9 +26,23 @@ def _streams():
 STREAMS = _streams()
 
 
-def _decodes_or_refuses(data: bytes) -> None:
+def _parsed(data: bytes) -> CompressedStream | None:
+    """The parsed stream, which must re-serialize to data, or None when
+    the parser refuses data."""
     try:
-        grid = decompress(data)
+        stream = CompressedStream.from_bytes(data)
+    except CarpError:
+        return None
+    assert stream.to_bytes() == data
+    return stream
+
+
+def _decodes_or_refuses(data: bytes) -> None:
+    stream = _parsed(data)
+    if stream is None:
+        return
+    try:
+        grid = decompress(stream)
     except CarpError:
         return
     assert isinstance(grid, PixelGrid)
@@ -47,3 +62,13 @@ def test_mutated_or_truncated_streams_decode_or_raise(name, data):
     if data.draw(st.booleans(), label="truncate"):
         stream = stream[:cut]
     _decodes_or_refuses(bytes(stream))
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_every_byte_rewrite_that_parses_reserializes_to_itself(name):
+    original = STREAMS[name]
+    for at in range(len(original)):
+        for byte in (0x00, 0x01, 0x80, 0xFF):
+            data = bytearray(original)
+            data[at] = byte
+            _parsed(bytes(data))

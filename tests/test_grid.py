@@ -149,6 +149,11 @@ class TestPixelGrid:
         with pytest.raises(ValueError):
             PixelGrid.from_array(np.array([[300.0]]), bit_depth=8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            PixelGrid.from_array(np.array([[bad, 1.0]]))
+
     def test_raw_bytes(self):
         grid = PixelGrid.from_array(np.zeros((4, 8)), bit_depth=16)
         assert grid.raw_bytes == 4 * 8 * 2

@@ -5,11 +5,11 @@ from carp.bitio import bit_windows, pack_codes, unpack_bits
 from carp.errors import StreamError
 from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
                           check_code_lengths, decode_symbols, encode_symbols,
-                          histogram, kraft_sum)
+                          histogram)
 from carp.lattice import DEFAULT_MAX_BYTES
 
 from oracles import (ReferenceBitReader, ReferenceBitWriter,
-                     ReferenceCanonicalDecoder, reference_encode_symbols)
+                     ReferenceCanonicalDecoder, kraft_sum, reference_encode_symbols)
 
 
 def decode_all(data, nbits, lengths, count):

@@ -9,6 +9,7 @@ from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
 from carp.lattice import _child, _halves
 
 from conftest import random_grid, synthetic_photo
+from oracles import haar_array
 
 
 def grid_of(arr):
@@ -18,17 +19,17 @@ def grid_of(arr):
 class TestHaarCoefficient:
     def test_two_pixels(self):
         stats = build_stats(grid_of([[4.0, 2.0]]))
-        w = stats.haar_array((0, 1), 1)[0, 0]
+        w = haar_array(stats, (0, 1), 1)[0, 0]
         assert w == pytest.approx((4 - 2) / np.sqrt(2), rel=1e-12)
 
     def test_constant_block_is_zero(self):
         stats = build_stats(grid_of(np.full((4, 4), 9.0)))
         for d in (0, 1):
-            assert stats.haar_array((2, 2), d)[0, 0] == 0.0
+            assert haar_array(stats, (2, 2), d)[0, 0] == 0.0
 
     def test_2x2_row_split(self):
         stats = build_stats(grid_of([[1.0, 2.0], [3.0, 4.0]]))
-        w = stats.haar_array((1, 1), 0)[0, 0]
+        w = haar_array(stats, (1, 1), 0)[0, 0]
         assert w == pytest.approx((3 - 7) / 2.0, rel=1e-12)
 
 
@@ -100,7 +101,7 @@ class TestSplitIdentity:
             for d in [i for i, a in enumerate(s) if a > 0]:
                 ct = stats.ssts[_child(s, d)]
                 left, right = _halves(stats.m, d)
-                w = stats.haar_array(s, d)
+                w = haar_array(stats, s, d)
                 recon = ct[left] + ct[right] + w * w
                 np.testing.assert_allclose(parent_sst, recon, rtol=1e-9, atol=1e-9)
             assert level == stats.j_total - sum(s)

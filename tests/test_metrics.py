@@ -94,6 +94,15 @@ class TestMsSsim:
         assert mine == pytest.approx(theirs, abs=1e-4)
         assert mine < 1.0
 
+    def test_odd_extents_match_independent_reference(self):
+        # 45x37 keeps two scales, so one 2x2 pooling edge-pads both axes
+        assert ms_ssim_scales(37) == 2
+        ref = synthetic_photo(64, seed=24).values[0][:45, :37]
+        noisy = np.clip(ref + np.random.default_rng(24).normal(0, 6, ref.shape), 0, 255)
+        mine = ms_ssim(grid_of(ref), grid_of(noisy))
+        assert mine == pytest.approx(reference_ms_ssim(ref, noisy, peak=255.0), abs=1e-4)
+        assert mine < 1.0
+
     def test_video_is_frame_mean(self):
         rng = np.random.default_rng(4)
         frames = np.stack([synthetic_photo(32, seed=s).values[0] for s in (1, 2)])

@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carp import (Hyperparams, HyperGrid, NumericError, PixelGrid,
+from carp import (Hyperparams, NumericError, PixelGrid,
                   build_posterior, build_stats, empirical_bayes_fit)
 from carp import model
 from carp.lattice import StatsLattice
 from carp.model import PosteriorLattice
 from conftest import random_grid, synthetic_photo
-from oracles import (brute_force_log_marginal, reference_log_kappa,
-                     reference_posterior)
+from oracles import (brute_force_log_marginal, haar_array, reference_log_kappa,
+                     reference_posterior, root_shape)
 
 
 def grid_of(arr):
@@ -105,7 +105,7 @@ class TestLogPsiD:
             img = grid_of([row])
             hp = Hyperparams(sigma=2.0, c=0.05 * 2.0**-200, eta0=0.0)
             post = build_posterior(img, hp)
-            w = post.stats.haar_array((0, 1), 1)[0, 0]
+            w = haar_array(post.stats, (0, 1), 1)[0, 0]
             assert post.log_marginal == pytest.approx(log_normal(w, 4.0), rel=1e-9)
 
     def test_rho_one_with_tau_zero_matches_rho_zero(self):
@@ -215,11 +215,11 @@ class TestBuildPosterior:
         assert np.isfinite(post.log_marginal)
 
     def test_nan_input_raises_numeric_error(self):
-        vals = np.zeros((1, 2, 2))
-        vals[0, 0, 0] = np.nan
-        grid = PixelGrid(values=vals, dims_original=(2, 2))
+        # PixelGrid refuses NaN, so the plane goes to the lattice directly
+        plane = np.zeros((2, 2))
+        plane[0, 0] = np.nan
         with pytest.raises(NumericError, match="block"):
-            build_posterior(grid, Hyperparams(sigma=1.0))
+            PosteriorLattice(StatsLattice(plane), Hyperparams(sigma=1.0))
 
 
 def _same_bits(a, b) -> bool:
@@ -278,7 +278,7 @@ class TestSweepMatchesReference:
             assert post.decisions[key].dtype == np.int8
             assert np.array_equal(post.decisions[key], decisions[key]), key
         assert _same_bits(post.log_marginal, tables[3])
-        assert _same_bits(post.log_map, log_kappa[post.root_shape].reshape(-1)[0])
+        assert _same_bits(post.log_map, log_kappa[root_shape(stats)].reshape(-1)[0])
         log_marginal, log_map = model._sweep(stats, hp, None)
         assert _same_bits(log_marginal, tables[3]) and log_map is None
 
@@ -333,14 +333,14 @@ class TestSweepMatchesReference:
 
 
 class TestEmpiricalBayes:
-    def test_singleton_grid_returns_that_point(self):
+    def test_singleton_grid_returns_that_point(self, monkeypatch):
         grid = grid_of(np.arange(16.0).reshape(4, 4))
-        spec = HyperGrid(alphas=[0.3], betas=[1.5], cs=[0.1],
-                         tau0s=[2.0], eta0s=[0.25])
-        hp = empirical_bayes_fit(grid, sigma=2.0, grid_spec=spec)
+        # the tau0 column is relative to sigma: 4 / 2 is tau0 = 2
+        monkeypatch.setattr(model, "FIT_GRID", ((0.3,), (1.5,), (0.1,), (4.0,), (0.25,)))
+        hp = empirical_bayes_fit(grid, sigma=2.0)
         assert (hp.alpha, hp.beta, hp.c, hp.tau0, hp.eta0) == (0.3, 1.5, 0.1, 2.0, 0.25)
 
-    def test_constant_image_prefers_pruning_prior(self):
+    def test_constant_image_prefers_pruning_prior(self, monkeypatch):
         grid = grid_of(np.full((8, 8), 100.0))
         sigma = 1.0
         defaults = Hyperparams(sigma=sigma)
@@ -348,9 +348,8 @@ class TestEmpiricalBayes:
         lp_default = build_posterior(grid, defaults).log_marginal
         lp_no_prune = build_posterior(grid, no_prune).log_marginal
         assert lp_default > lp_no_prune
-        spec = HyperGrid(alphas=[0.5], betas=[1.0], cs=[0.05],
-                         tau0s=[1.0], eta0s=[0.4, 0.0])
-        hp = empirical_bayes_fit(grid, sigma=sigma, grid_spec=spec)
+        monkeypatch.setattr(model, "FIT_GRID", ((0.5,), (1.0,), (0.05,), (1.0,), (0.4, 0.0)))
+        hp = empirical_bayes_fit(grid, sigma=sigma)
         assert hp.eta0 == 0.4
 
     def test_default_grid_reproducible_argmax(self, photo64):
@@ -358,11 +357,6 @@ class TestEmpiricalBayes:
         hp2 = empirical_bayes_fit(photo64, sigma=4.0)
         assert hp1 == hp2
         assert np.isfinite(build_posterior(photo64, hp1).log_marginal)
-
-    def test_empty_grid_rejected(self):
-        grid = grid_of(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            empirical_bayes_fit(grid, sigma=1.0, grid_spec=HyperGrid(alphas=[]))
 
     @pytest.mark.parametrize("make,sigma,expected", [
         (lambda: synthetic_photo(32, seed=11), 8.0,
@@ -375,12 +369,12 @@ class TestEmpiricalBayes:
         # the points chosen when the fit ran the full sweep per grid point
         assert empirical_bayes_fit(make(), sigma) == Hyperparams(sigma=sigma, **expected)
 
-    def test_stats_reuse_matches(self, photo64):
+    def test_stats_reuse_matches(self, monkeypatch, photo64):
         stats = build_stats(photo64)
-        spec = HyperGrid(alphas=[0.5], betas=[1.0], cs=[0.05],
-                         tau0s=None, eta0s=[0.2, 0.6])
-        assert (empirical_bayes_fit(photo64, 2.0, spec, stats=stats)
-                == empirical_bayes_fit(photo64, 2.0, spec))
+        monkeypatch.setattr(model, "FIT_GRID",
+                            ((0.5,), (1.0,), (0.05,), (0.5, 1.0, 2.0), (0.2, 0.6)))
+        assert (empirical_bayes_fit(photo64, 2.0, stats=stats)
+                == empirical_bayes_fit(photo64, 2.0))
 
 
 class TestMemory:

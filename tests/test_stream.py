@@ -377,17 +377,30 @@ class TestContainer:
         with pytest.raises(StreamError, match="truncated"):
             CompressedStream.from_bytes(data)
 
-    def test_duplicate_table_symbols_keep_the_last_entry(self):
+    @pytest.mark.parametrize("forgery", ["duplicate", "swapped"])
+    def test_table_symbols_not_ascending_rejected(self, forgery):
+        # to_bytes lists a code table's symbols in ascending order, once each
         stream, _ = self.make_stream(shape=(16, 16), sigma=1.0)
         data = bytearray(stream.to_bytes())
         at = self._table_at(stream)
-        data[at + 9 : at + 17] = data[at : at + 8]  # entry 1 repeats entry 0's symbol
-        want = {}
-        for k in range(len(stream.channels[0].code_lengths)):
-            symbol, length = struct.unpack_from("<qB", data, at + 9 * k)
-            want[symbol] = length
-        back = CompressedStream.from_bytes(bytes(data))
-        assert back.channels[0].code_lengths == want
+        assert len(stream.channels[0].code_lengths) >= 2
+        if forgery == "duplicate":  # entry 1 repeats entry 0's symbol
+            data[at + 9 : at + 17] = data[at : at + 8]
+        else:  # the same code with entries 0 and 1 swapped
+            data[at : at + 18] = data[at + 9 : at + 18] + data[at : at + 9]
+        with pytest.raises(StreamError, match="strictly ascending"):
+            CompressedStream.from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("at,fmt,value", [
+        (5, "<B", 0),      # m
+        (6, "<H", 0),      # channels
+        (8, "<B", 0), (8, "<B", 12), (8, "<B", 32),  # bit depth
+    ])
+    def test_invalid_header_counts_rejected(self, at, fmt, value):
+        data = bytearray(self.make_stream()[0].to_bytes())
+        struct.pack_into(fmt, data, at, value)
+        with pytest.raises(StreamError, match="invalid header"):
+            CompressedStream.from_bytes(bytes(data))
 
     @pytest.mark.parametrize("field,value", [
         (field, value) for field in ("sigma",) + PRIOR_FIELDS
