@@ -54,7 +54,7 @@ from .grid import PixelGrid, _freeze, original_region
 from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
 from .lattice import DEFAULT_MAX_BYTES, StatsLattice, build_stats
-from .model import Hyperparams, build_posterior
+from .model import Hyperparams, _batches, build_posterior
 from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream,
                      detokenize, serialize_tree, tokenize_scale)
 # haar_inverse is not called here; it stays imported because the
@@ -67,7 +67,7 @@ from .tree import (MapTree, extract_map_tree, node_values, paint_leaves,
 
 # Decoding allocations of fixed size: small arrays, Python objects.
 _DECODE_SLACK = 64 << 10
-# The same for encoding, which also builds per-shape mixture tables and
+# The same for encoding, which also builds the sweep's mixture tables and
 # Huffman code tables.
 _ENCODE_SLACK = 1 << 20
 
@@ -88,17 +88,17 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     the end.  Next to them, encoding runs in phases, each holding what the
     earlier ones keep: building the statistics; the posterior sweep, which
     holds log psi and log kappa of two block levels plus the in-flight
-    arrays of one shape; extracting the tree; building the order from it;
-    coding the channels one at a time; and serializing the tree.  The
-    tree may reach every pixel, and a channel's Huffman bits number at
-    most ceil(log2 tokens) per token, the length of a fixed-length code
-    over as many symbols.  Per item, the counts below are the arrays each
-    phase allocates, rounded up.
+    arrays of one batch of shapes (``model._batches``); extracting the
+    tree; building the order from it; coding the channels one at a time;
+    and serializing the tree.  The tree may reach every pixel, and a
+    channel's Huffman bits number at most ceil(log2 tokens) per token, the
+    length of a fixed-length code over as many symbols.  Per item, the
+    counts below are the arrays each phase allocates, rounded up.
     """
     n = math.prod(dims)
     m = len(dims)
     exps = [int(d).bit_length() - 1 for d in dims]
-    shapes = list(itertools.product(*(range(e + 1) for e in exps)))
+    shapes = sorted(itertools.product(*(range(e + 1) for e in exps)), key=sum)
     level_blocks = [0] * (sum(exps) + 1)
     for shape in shapes:
         level_blocks[sum(shape)] += n >> sum(shape)
@@ -107,10 +107,12 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     build = 8 * n * (channels > 1) + 9 * n + 32 * n
     # two levels of log psi and log kappa (the atomic level is one
     # zero-strided array), then per divisible axis a mixture term and its
-    # share of the log-sum-exp, and about eight more arrays of one shape
-    sweep = max((16 * (level_blocks[sum(s) - 1] * (sum(s) > 1) + level_blocks[sum(s)])
-                 + 8 * (2 * sum(a > 0 for a in s) + 8) * (n >> sum(s))
-                 for s in shapes if any(s)), default=0)
+    # share of the log-sum-exp, and about eight more arrays over the
+    # blocks of one batch of shapes, which share their level and axes
+    sweep = max((16 * (level_blocks[sum(b[0]) - 1] * (sum(b[0]) > 1)
+                       + level_blocks[sum(b[0])])
+                 + 8 * (2 * sum(a > 0 for a in b[0]) + 8) * len(b) * (n >> sum(b[0]))
+                 for b in _batches(shapes, n)), default=0)
     nodes = 2 * n - 1
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
     # the tree, its rows once more per level, and under 8 B per node to

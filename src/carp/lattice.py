@@ -118,13 +118,6 @@ class StatsLattice:
             self.sums[shape] = sum_l + sum_r
             self.ssts[shape] = ct[left] + ct[right] + w * w
 
-    def child_sum_arrays(self, shape: tuple[int, ...], d: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right child sums of every block of this shape, split on d."""
-        cs = self.sums[_child(shape, d)]
-        left, right = _halves(self.m, d)
-        return cs[left], cs[right]
-
 
 def build_stats(grid: PixelGrid, max_bytes: int = DEFAULT_MAX_BYTES) -> StatsLattice:
     """Aggregate sums and SSTs for every lattice block of the padded grid.

@@ -22,11 +22,24 @@ per block, which completely describe the posterior over partition trees.
 The same bottom-up sweep then finds the MAP tree (see :mod:`carp.tree`):
 per block, log kappa, the best log posterior of any pruned subtree rooted
 there, and the int8 decision achieving it.  Only the decisions are kept.
-The posterior tables and log kappa of a shape exist while the sweep is at
-that shape, log_psi and log kappa until its parents, one level up, are
-done; so besides the decisions, the sweep holds two levels of the lattice
-at a time.  What remains is log_marginal, log psi of the root, and
-log_map, log kappa of the root.
+
+The sweep goes level by level, smallest blocks first, and every shape of
+one level has the same number of blocks.  It cuts each level into
+batches: runs of consecutive shapes that also share their divisible
+axes, of at most 2^13 blocks together unless one shape is larger and
+runs alone.  A batch's blocks lie in one flat buffer per quantity, one
+shape's run after the other, so the steps that treat each block alone
+(the stop term, the mixture, both log-sum-exps, the NaN check, the prune
+terms and the MAP decision) cost one set of numpy calls per batch, not
+per shape; on small images that call overhead, not the arithmetic, is
+most of the sweep.  Only the child sum differences and the adds of the
+children's log psi and log kappa, strided reads of each shape's own
+children, run per shape into its run.  The posterior tables and log
+kappa of a batch exist while the sweep is at that batch, log psi and log
+kappa until the parents, one level up, are done; so besides the
+decisions, the sweep holds two levels of the lattice at a time.  What
+remains is log_marginal, log psi of the root, and log_map, log kappa of
+the root.
 
 The mixture term is the sweep's one costly function: ``np.logaddexp`` is
 a scalar loop, an order of magnitude slower per element than numpy's
@@ -34,15 +47,15 @@ vectorized ``exp``.  Most of its calls are served from tables, with the
 same rounding.  On an integer-valued plane every block sum is an
 integer-valued float, so each difference D = sum(A_left) - sum(A_right)
 is an integer, and the mixture reads w = D / sqrt(|A|) only through
-w * w, so it is a function of |D|.  For each shape and axis whose largest
+w * w, so it is a function of |D|.  For each batch and axis whose largest
 |D| is below the number of blocks, the mixture is evaluated once per
-value 0..max |D| and gathered by |D|; any other shape and axis, and every
+value 0..max |D| and gathered by |D|; any other batch and axis, and every
 plane with a fractional or non-finite value (such as the mean of several
-channels), evaluates it per block.  On 1024x1024 and 128x128 photographs
-the tables serve about 98 % and 88 % of the (block, axis) pairs.  The
-log-sum-exps run in place, with the operations of a reduction over
-stacked terms in the same order, so every posterior array is bit for bit
-what the per-block evaluation gives.
+channels), evaluates it per block.  The log-sum-exps run in place, with
+the operations of a reduction over stacked terms in the same order.  A
+batch gives each block the same operations in the same order as a
+shape alone, so every posterior array is bit for bit what the per-block,
+per-shape evaluation gives, whatever the batches.
 """
 
 from __future__ import annotations
@@ -153,7 +166,7 @@ def _log_sum_exp(terms: list[np.ndarray]) -> np.ndarray:
 
 def _decide(log_prune: np.ndarray, log_not_prune: np.ndarray, axes: list[int],
             scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(log kappa, decision) of every block of one shape.
+    """(log kappa, decision) of every block of one batch of shapes.
 
     scores[k] is log_split + log kappa(left) + log kappa(right) for the
     split along axes[k].  The split axis is the best score's, where a
@@ -175,10 +188,55 @@ def _decide(log_prune: np.ndarray, log_not_prune: np.ndarray, axes: list[int],
     return np.maximum(log_prune, split, out=log_prune), axis
 
 
+# The sweep runs consecutive shapes of one level and one set of divisible
+# axes through one set of numpy passes while their blocks number at most
+# this many; a larger shape runs alone.  Past a few thousand blocks a
+# batch saves little more call overhead, and the cap keeps its buffers
+# from outgrowing those of the largest shapes.
+_BATCH_BLOCKS = 1 << 13
+
+
+def _batches(shapes: list[tuple[int, ...]], n: int) -> list[list[tuple[int, ...]]]:
+    """The non-atomic shapes of a lattice of n pixels, in the given order,
+    cut into the runs the sweep handles together.
+
+    A run shares the block size 2^sum(shape), so each of its shapes has
+    n >> sum(shape) blocks, and the divisible axes.  It holds at most
+    ``_BATCH_BLOCKS`` blocks unless it is a single shape.
+    """
+    batches: list[list[tuple[int, ...]]] = []
+    key, total = None, 0
+    for shape in shapes:
+        if not any(shape):
+            continue
+        blocks = n >> sum(shape)
+        shape_key = (sum(shape), tuple(a > 0 for a in shape))
+        if shape_key == key and total + blocks <= _BATCH_BLOCKS:
+            batches[-1].append(shape)
+            total += blocks
+        else:
+            batches.append([shape])
+            key, total = shape_key, blocks
+    return batches
+
+
+def _segments(buf: np.ndarray, grids: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Each shape's block array within a batch buffer: the buffer itself
+    for a batch of one shape, else equal consecutive runs of the flat
+    buffer, reshaped to the shapes' block grids."""
+    if len(grids) == 1:
+        return [buf]
+    return [run.reshape(g) for run, g in zip(buf.reshape(len(grids), -1), grids)]
+
+
 def _sweep(stats: StatsLattice, hp: Hyperparams,
            decisions: dict[tuple[int, ...], np.ndarray] | None
            ) -> tuple[float, float | None]:
     """One bottom-up pass over the lattice: (log psi, log kappa) of the root.
+
+    The shapes go in the batches of ``_batches``, one set of numpy passes
+    over each batch's buffers but for the per-shape reads of the children
+    (see the module docstring).
 
     With a decisions dict, each non-atomic shape's int8 decisions are
     stored in it; without one, only the marginal likelihood is computed
@@ -186,41 +244,54 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
     read by its parents alone, one level up, so each is dropped once the
     sweep moves two levels past it.
     """
-    log_psi: dict[tuple[int, ...], np.ndarray] = {}
-    log_kappa: dict[tuple[int, ...], np.ndarray] = {}
     sigma2 = hp.sigma * hp.sigma
     log_const = LOG_2PI + math.log(sigma2)
     log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
     log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
+    halves = [_halves(stats.m, d) for d in range(stats.m)]
+    n = math.prod(stats.dims)
+    atomic = stats.shapes[0]
+    log_psi: dict[tuple[int, ...], np.ndarray] = {
+        atomic: np.broadcast_to(0.0, stats.grid_shape(atomic))}
+    log_kappa = dict(log_psi)
+    size_exp = 0
 
-    for shape in stats.shapes:
-        size = 2 ** sum(shape)
-        div = [i for i, a in enumerate(shape) if a > 0]
-        if not div:
-            log_psi[shape] = log_kappa[shape] = np.broadcast_to(
-                0.0, stats.grid_shape(shape))
-            continue
-        for done in [s for s in log_psi if sum(s) < sum(shape) - 1]:
-            del log_psi[done]
-            log_kappa.pop(done, None)
+    for shapes in _batches(stats.shapes, n):
+        if sum(shapes[0]) != size_exp:
+            size_exp = sum(shapes[0])
+            for done in [s for s in log_psi if sum(s) < size_exp - 1]:
+                del log_psi[done]
+                log_kappa.pop(done, None)
+            size = 2 ** size_exp
+            log_psi0_const = -((size - 1) / 2.0) * log_const
+            level = stats.level_of_shape(shapes[0])
+            rho = hp.rho(level)
+            tau = hp.tau(level)
+            var_wide = (1.0 + tau * tau) * sigma2
+            log_rho = math.log(rho) if rho > 0 else -math.inf
+            log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
+            scale = math.sqrt(float(size))
 
-        level = stats.level_of_shape(shape)
-        # log eta0 + log psi0
-        stop = log_eta0 + (-((size - 1) / 2.0) * log_const
-                           - stats.ssts[shape] / (2.0 * sigma2))
-
-        rho = hp.rho(level)
-        tau = hp.tau(level)
-        var_wide = (1.0 + tau * tau) * sigma2
-        log_rho = math.log(rho) if rho > 0 else -math.inf
-        log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
-        scale = math.sqrt(float(size))
-
+        grids = [stats.grid_shape(s) for s in shapes]
+        buffer = grids[0] if len(shapes) == 1 else (len(shapes) * (n >> size_exp),)
+        div = [i for i, a in enumerate(shapes[0]) if a > 0]
         log_go = log_1m_eta0 - math.log(len(div))
-        d_terms = []
+
+        # log eta0 + log psi0
+        stop = np.empty(buffer)
+        for shape, run in zip(shapes, _segments(stop, grids)):
+            np.divide(stats.ssts[shape], 2.0 * sigma2, out=run)
+        np.subtract(log_psi0_const, stop, out=stop)
+        np.add(log_eta0, stop, out=stop)
+
+        diff = np.empty(buffer)
+        diff_runs = _segments(diff, grids)
+        d_terms, d_runs = [], []
         for d in div:
-            sum_l, sum_r = stats.child_sum_arrays(shape, d)
-            diff = sum_l - sum_r
+            left, right = halves[d]
+            for shape, run in zip(shapes, diff_runs):
+                cs = stats.sums[_child(shape, d)]
+                np.subtract(cs[left], cs[right], out=run)
             # w enters the mixture only as w * w, so |diff| serves too
             np.abs(diff, out=diff)
             top = diff.max() if stats.integral else math.inf
@@ -230,23 +301,26 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
                 lpd = table[diff.astype(np.intp)]
             else:
                 lpd = _mixture(diff / scale, log_rho, log_1m_rho, var_wide, sigma2)
-            del diff  # before the next axis allocates its own
-            cp = log_psi[_child(shape, d)]
-            left, right = _halves(stats.m, d)
-            lpd += cp[left]
-            lpd += cp[right]
+            runs = _segments(lpd, grids)
+            for shape, run in zip(shapes, runs):
+                cp = log_psi[_child(shape, d)]
+                run += cp[left]
+                run += cp[right]
             d_terms.append(lpd)
+            d_runs.append(runs)
+        del diff, diff_runs
 
         lpsi = _log_sum_exp([stop] + [log_go + lpd for lpd in d_terms])
         if np.isnan(lpsi).any():
-            idx = tuple(int(v) for v in
-                        np.argwhere(np.isnan(lpsi))[0])
-            off = tuple(i * (1 << a) for i, a in zip(idx, shape))
+            first = int(np.isnan(lpsi).reshape(-1).argmax())
+            k, local = divmod(first, n >> size_exp)
+            idx = np.unravel_index(local, grids[k])
+            off = tuple(int(i) * (1 << a) for i, a in zip(idx, shapes[k]))
             raise NumericError(
                 f"non-finite marginal likelihood at block offset {off}, "
-                f"extent {tuple(1 << a for a in shape)}"
+                f"extent {tuple(1 << a for a in shapes[k])}"
             )
-        log_psi[shape] = lpsi
+        log_psi.update(zip(shapes, _segments(lpsi, grids)))
         if decisions is None:
             continue
 
@@ -256,19 +330,22 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
         else:  # lpd + log(exp(lpd - lpd)), rounded alike, NaN at +-inf
             lpd = d_terms[0]
             lse_d = lpd + (lpd - lpd)
-        for d, lpd in zip(div, d_terms):
+        for d, lpd, runs in zip(div, d_terms, d_runs):
             np.subtract(lpd, lse_d, out=lpd)
-            kc = log_kappa[_child(shape, d)]
-            left, right = _halves(stats.m, d)
-            lpd += kc[left]
-            lpd += kc[right]
+            left, right = halves[d]
+            for shape, run in zip(shapes, runs):
+                kc = log_kappa[_child(shape, d)]
+                run += kc[left]
+                run += kc[right]
         stop -= lpsi
         log_prune = np.minimum(stop, 0.0, out=stop)
         lse_d += log_go
         lse_d -= lpsi
         log_not_prune = np.minimum(lse_d, 0.0, out=lse_d)
-        log_kappa[shape], decisions[shape] = _decide(log_prune, log_not_prune,
-                                                     div, d_terms)
+        kappa, axis = _decide(log_prune, log_not_prune, div, d_terms)
+        log_kappa.update(zip(shapes, _segments(kappa, grids)))
+        for shape, run in zip(shapes, _segments(axis, grids)):
+            decisions[shape] = run if run.base is None else run.copy()
     root = tuple(stats.axis_exps)
     log_map = float(log_kappa[root].reshape(-1)[0]) if decisions is not None else None
     return float(log_psi[root].reshape(-1)[0]), log_map

@@ -64,10 +64,17 @@ from carp.stream import CompressedStream, ZERO_RUN_MAX, axis_bit_width, detokeni
 from carp.transform import dequantize, haar_inverse
 from carp.tree import MapTree, permutation_from_tree
 
+def child_sum_arrays(stats, shape, d):
+    """Left/right child sums of every block of this shape, split on d."""
+    cs = stats.sums[_child(shape, d)]
+    left, right = _halves(stats.m, d)
+    return cs[left], cs[right]
+
+
 def haar_array(stats, shape, d):
     """w_d(A) for every block A of this shape at once, from the lattice's
     child sums, rounded as the package's lattice build rounds it."""
-    sum_l, sum_r = stats.child_sum_arrays(shape, d)
+    sum_l, sum_r = child_sum_arrays(stats, shape, d)
     return (sum_l - sum_r) / math.sqrt(float(2 ** sum(shape)))
 
 

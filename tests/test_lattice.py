@@ -9,7 +9,7 @@ from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
 from carp.lattice import _child, _halves
 
 from conftest import random_grid, synthetic_photo
-from oracles import haar_array
+from oracles import child_sum_arrays, haar_array
 
 
 def grid_of(arr):
@@ -112,5 +112,5 @@ class TestSplitIdentity:
         stats = build_stats(grid)
         for s in stats.shapes:
             for d in [i for i, a in enumerate(s) if a > 0]:
-                sl, sr = stats.child_sum_arrays(s, d)
+                sl, sr = child_sum_arrays(stats, s, d)
                 np.testing.assert_allclose(stats.sums[s], sl + sr, rtol=1e-12)

@@ -245,7 +245,15 @@ SWEEP_PLANES = {
     "float": lambda: np.random.default_rng(6).uniform(0, 255, size=(256, 256)),
     "3-channel": lambda: random_grid(np.random.default_rng(7), (8, 16),
                                      channels=3).mean_plane(),
+    # levels that mix one-axis edge shapes with runs of two-axis shapes,
+    # several of which share a batch
+    "32x256": lambda: _integers((32, 256), 256, seed=8),
+    # a fractional plane: the direct mixture path, in three-axis batches
+    "3-channel-volume": lambda: random_grid(np.random.default_rng(9), (4, 32, 32),
+                                            channels=3).mean_plane(),
 }
+
+BATCH_CAPS = {"1": 1, "2^13": 1 << 13, "2^62": 1 << 62}
 
 SWEEP_HYPERPARAMS = {
     "default": dict(sigma=2.0),
@@ -285,6 +293,14 @@ class TestSweepMatchesReference:
     @pytest.mark.parametrize("plane", SWEEP_PLANES)
     @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
     def test_bit_identical(self, plane, hp):
+        self.check(StatsLattice(SWEEP_PLANES[plane]()), Hyperparams(**SWEEP_HYPERPARAMS[hp]))
+
+    @pytest.mark.parametrize("cap", ["1", "2^62"])
+    @pytest.mark.parametrize("plane", SWEEP_PLANES)
+    @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
+    def test_bit_identical_at_any_batch_cap(self, monkeypatch, plane, hp, cap):
+        # a cap of 1 runs each shape alone, 2^62 each level and axis set
+        monkeypatch.setattr(model, "_BATCH_BLOCKS", BATCH_CAPS[cap])
         self.check(StatsLattice(SWEEP_PLANES[plane]()), Hyperparams(**SWEEP_HYPERPARAMS[hp]))
 
     def test_integral_flag(self):
@@ -330,6 +346,71 @@ class TestSweepMatchesReference:
         assert str(raised.value) == str(expected.value)
         assert str(raised.value) == ("non-finite marginal likelihood at block "
                                      "offset (3, 4), extent (1, 2)")
+
+    @pytest.mark.parametrize("cap", BATCH_CAPS)
+    def test_nan_in_a_batch_names_its_first_block(self, monkeypatch, cap):
+        # the four shapes of 32-pixel blocks of a 16x16 plane, 8 blocks
+        # each, share a batch unless the cap is 1; NaNs in the third and
+        # fourth of them and one level up leave the rest finite
+        stats = StatsLattice(_integers((16, 16), 256))
+        assert [s for s in stats.shapes if sum(s) == 5] == [(1, 4), (2, 3), (3, 2), (4, 1)]
+        stats.ssts[(3, 2)][1, 1] = stats.ssts[(3, 2)][1, 3] = np.nan
+        stats.ssts[(4, 1)][0, 0] = np.nan
+        stats.ssts[(2, 4)][0, 0] = np.nan
+        monkeypatch.setattr(model, "_BATCH_BLOCKS", BATCH_CAPS[cap])
+        hp = Hyperparams(sigma=1.0)
+        with pytest.raises(NumericError) as expected:
+            reference_posterior(stats, hp)
+        with pytest.raises(NumericError) as raised:
+            PosteriorLattice(stats, hp)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == ("non-finite marginal likelihood at block "
+                                     "offset (8, 4), extent (8, 4)")
+
+
+def _lattice_shapes(dims):
+    return StatsLattice(np.zeros(dims)).shapes
+
+
+class TestBatches:
+    """The sweep's batches: runs of consecutive shapes that share a block
+    size and divisible axes, as long as their blocks stay within the cap."""
+
+    @pytest.mark.parametrize("dims", [(64,), (16, 16), (32, 256), (4, 32, 32),
+                                      (2, 4, 8, 16)])
+    @pytest.mark.parametrize("cap", BATCH_CAPS)
+    def test_runs_are_maximal(self, monkeypatch, dims, cap):
+        monkeypatch.setattr(model, "_BATCH_BLOCKS", BATCH_CAPS[cap])
+        shapes = _lattice_shapes(dims)
+        n = math.prod(dims)
+        batches = model._batches(shapes, n)
+        assert [s for b in batches for s in b] == [s for s in shapes if any(s)]
+
+        def key(shape):
+            return sum(shape), [a > 0 for a in shape]
+
+        def blocks(batch):
+            return sum(n >> sum(s) for s in batch)
+
+        for batch in batches:
+            assert all(key(s) == key(batch[0]) for s in batch)
+            assert len(batch) == 1 or blocks(batch) <= BATCH_CAPS[cap]
+        for batch, after in zip(batches, batches[1:]):
+            assert (key(after[0]) != key(batch[0])
+                    or blocks(batch) + (n >> sum(after[0])) > BATCH_CAPS[cap])
+
+    def test_sweep_planes_batch_as_described(self):
+        # 32x256: at the default cap a level's one-axis edge shapes run
+        # alone and its two-axis shapes share a batch
+        batches = model._batches(_lattice_shapes((32, 256)), 32 * 256)
+        assert [[(0, 5)], [(1, 4), (2, 3), (3, 2), (4, 1)], [(5, 0)]] == [
+            b for b in batches if sum(b[0]) == 5]
+        # the 3-channel volume: fractional, and three-axis batches of
+        # several shapes
+        plane = SWEEP_PLANES["3-channel-volume"]()
+        assert not StatsLattice(plane).integral
+        batches = model._batches(_lattice_shapes(plane.shape), plane.size)
+        assert any(len(b) > 1 and all(b[0]) for b in batches)
 
 
 class TestEmpiricalBayes:
@@ -402,3 +483,26 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * stats.node_count * 16
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic_photo(512, seed=7),
+        lambda: random_grid(np.random.default_rng(19), (16, 64, 64), channels=3),
+    ], ids=["photo512", "3-channel-volume"])
+    def test_batching_does_not_raise_the_peak(self, monkeypatch, make):
+        grid = make()
+        stats = build_stats(grid)
+        hp = Hyperparams(sigma=2.0)
+
+        def traced_peak():
+            build_posterior(grid, hp, stats=stats)  # first-call allocations
+            gc.collect()
+            tracemalloc.start()
+            try:
+                build_posterior(grid, hp, stats=stats)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = traced_peak()
+        monkeypatch.setattr(model, "_BATCH_BLOCKS", 1)
+        assert batched <= 1.05 * traced_peak()
