@@ -40,7 +40,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_hyperparams(args, sigma: float, grid: PixelGrid,
-                         stats: StatsLattice) -> Hyperparams:
+                         stats: StatsLattice | None) -> Hyperparams:
     if args.empirical_bayes:
         hp = empirical_bayes_fit(grid, sigma, stats=stats)
     else:
@@ -112,10 +112,12 @@ def _load_padded(path: str) -> PixelGrid:
 
 def _cmd_compress(args) -> int:
     grid = _load_padded(args.input)
-    # check the whole encode before the hyperparameter fit sweeps the image,
-    # then share one set of block statistics between the fit and the encode
+    # check the whole encode before the hyperparameter fit sweeps the image;
+    # the fit and the ratio search share one set of block statistics, and a
+    # plain encode builds its own a level at a time
     _check_encode_budget(grid)
-    stats = build_stats(grid)
+    reused = args.empirical_bayes or args.target_ratio is not None
+    stats = build_stats(grid) if reused else None
     if args.target_ratio is not None:
         hp_base = _resolve_hyperparams(args, sigma=1.0, grid=grid, stats=stats)
         result = target_ratio_search(grid, hp_base, args.target_ratio, tol=args.tol,

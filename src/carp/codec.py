@@ -2,7 +2,11 @@
 
 Encoding runs in five stages.  Block statistics and the posterior are
 fitted on the per-pixel channel mean; the extracted tree is shared by all
-channels.  Each channel is permuted into tree order; then the pixels of
+channels.  Unless the caller hands in stored statistics, ``compress``
+builds them a level at a time as the posterior sweep reaches each level
+(``lattice.LevelStream``), so it holds two levels of the lattice, not
+all of it, and it drops the posterior's decisions once the tree is
+extracted.  Each channel is permuted into tree order; then the pixels of
 every leaf where partitioning stopped, one aligned run of that order, are
 replaced by the run's mean, which zeroes every detail coefficient inside
 the block; the means themselves need no extra syntax because the low
@@ -53,7 +57,7 @@ from .errors import DimensionError, ResourceError, StreamError
 from .grid import PixelGrid, _freeze, original_region
 from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
-from .lattice import DEFAULT_MAX_BYTES, StatsLattice, build_stats
+from .lattice import DEFAULT_MAX_BYTES, LevelStream, StatsLattice, build_stats
 from .model import Hyperparams, _batches, build_posterior
 from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream,
                      detokenize, serialize_tree, tokenize_scale)
@@ -83,17 +87,21 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     """Upper bound, in total and per tree phase, on what compress allocates
     for a padded grid, from its dims and channels alone, the grid not counted.
 
-    The block statistics (16 bytes per lattice block) and the int8
-    decisions (one byte per block) are held from their construction to
-    the end.  Next to them, encoding runs in phases, each holding what the
-    earlier ones keep: building the statistics; the posterior sweep, which
-    holds log psi and log kappa of two block levels plus the in-flight
-    arrays of one batch of shapes (``model._batches``); extracting the
-    tree; building the order from it; coding the channels one at a time;
-    and serializing the tree.  The tree may reach every pixel, and a
-    channel's Huffman bits number at most ceil(log2 tokens) per token, the
-    length of a fixed-length code over as many symbols.  Per item, the
-    counts below are the arrays each phase allocates, rounded up.
+    The block statistics are counted at 16 bytes per lattice block and the
+    int8 decisions at one byte per block, held from their construction to
+    the end.  That covers a lattice the caller built and holds, as the
+    ratio search and the hyperparameter fit do, and bounds from above the
+    encode that streams its statistics, which holds two levels of them and
+    drops the decisions after extraction.  Next to them, encoding runs in
+    phases, each holding what the earlier ones keep: building the
+    statistics; the posterior sweep, which holds log psi and log kappa of
+    two block levels plus the in-flight arrays of one batch of shapes
+    (``model._batches``); extracting the tree; building the order from
+    it; coding the channels one at a time; and serializing the tree.  The
+    tree may reach every pixel, and a channel's Huffman bits number at
+    most ceil(log2 tokens) per token, the length of a fixed-length code
+    over as many symbols.  Per item, the counts below are the arrays each
+    phase allocates, rounded up.
     """
     n = math.prod(dims)
     m = len(dims)
@@ -194,9 +202,11 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
 
     _check_encode_budget(grid)
     if stats is None:
-        stats = build_stats(grid)
+        # the sweep builds each level of the statistics as it reaches it
+        stats = LevelStream(grid.mean_plane())
     posterior = build_posterior(grid, hp, stats=stats)
     tree = extract_map_tree(posterior)
+    del posterior
     order = permutation_from_tree(tree)
     channels = [_encode_channel(grid.plane(c), tree, order, q)
                 for c in range(grid.channels)]
@@ -386,16 +396,21 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     midpoint (about 0.0316) both reach the target outside the band.  Then a
     floor ratio already over the band returns the floor stream with a
     warning and converged=False (constant images, say), and one in the
-    band returns it converged.  If the budget of ``SEARCH_ATTEMPTS``
-    compress calls runs out, the closest attempt so far is returned with
+    band returns it converged.  Every bisection step first returns an
+    in-band attempt if there is one; the band is absolute, so an in-band
+    attempt goes ahead of an out-of-band one that is closer in log ratio.
+    If the budget of ``SEARCH_ATTEMPTS`` compress calls runs out with none
+    in the band, the attempt closest in log ratio is returned with
     converged=False; on ties the floor, then the earliest attempt, wins.
 
-    Three cases differ from encoding the floor first.  An image whose floor
+    Four cases differ from encoding the floor first.  An image whose floor
     ratio is already in the band returns the first in-band attempt rather
     than the floor stream.  A non-monotone image whose floor ratio
     overshoots while sigma = 1 (or the first midpoint) undershoots is
     searched upward rather than returned at the floor.  A x4 step in the
     band below the target is returned at once rather than stepped past.
+    An in-band attempt is returned rather than bisected past when an
+    out-of-band one is closer in log ratio.
 
     ``stats`` may pass in the grid's block statistics, as for compress;
     otherwise they are built once and shared by every attempt.  The result
@@ -425,7 +440,10 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
         return replace(result, converged=converged, attempts=tuple(trace))
 
     def closest() -> RatioSearchResult:
-        return min(hits, key=lambda r: abs(math.log(r.ratio / target_ratio)))
+        # the band is absolute, not in log ratio, so an in-band attempt goes
+        # ahead of any other, however close that one is in log terms
+        return min(hits, key=lambda r: (not in_band(r),
+                                        abs(math.log(r.ratio / target_ratio))))
 
     lo, hi = SIGMA_FLOOR, None
     hits: list[RatioSearchResult] = []

@@ -4,9 +4,9 @@ Every partition tree of the padded pixel space draws its nodes from one
 shared pool: the set of axis-aligned blocks whose extent along axis i is a
 power of two 2^a_i and whose offset is a multiple of that extent.  The same
 block is reachable through many ancestor split orders, so aggregates are
-memoized per block, not per tree.  Blocks are grouped by extent shape
-(a_1, ..., a_m) and each shape is stored as one dense array indexed by the
-block's grid position, which keeps the whole sweep vectorized.  A block is
+computed once per block, not per tree.  Blocks are grouped by extent shape
+(a_1, ..., a_m) and each shape is one dense array indexed by the block's
+grid position, which keeps the whole sweep vectorized.  A block is
 addressed only by that pair: its shape a and its grid index offset >> a.
 
 Sums and corrected sums of squares are accumulated bottom-up from atomic
@@ -16,7 +16,18 @@ blocks via the split identity
 
 with w_d(A) = (sum(A_left) - sum(A_right)) / sqrt(|A|), which is numerically
 stable on large flat regions where the textbook sum-of-squares formula
-cancels catastrophically.
+cancels catastrophically.  Below, level e means the blocks of 2^e pixels,
+whatever their shape (``level_of_shape`` counts from the root instead).
+Level e reads only level e - 1, so the lattice is built one level at a
+time, smallest blocks first, by one level builder.
+
+That builder serves two holders.  A :class:`StatsLattice` stores every
+level, about 16 bytes per block, so that repeated sweeps of one image (the
+hyperparameter fit, the ratio search's attempts) share it.  A
+:class:`LevelStream` builds each level on demand, as the posterior sweep
+reaches it, which walks the levels in the same order, and drops what the
+sweep has passed: it holds two levels of sums and one of SSTs, so an
+encode that builds its own statistics never holds the whole lattice.
 """
 
 from __future__ import annotations
@@ -103,20 +114,56 @@ class StatsLattice:
         return tuple(n >> a for n, a in zip(self.dims, shape))
 
     def _build(self, plane: np.ndarray) -> None:
+        atomic = self.shapes[0]
+        self.sums[atomic] = plane.copy()
+        self.ssts[atomic] = np.zeros_like(plane)
+        for size_exp in range(1, self.j_total + 1):
+            self._build_level(size_exp)
+
+    def _build_level(self, size_exp: int) -> None:
+        """Add the sums and SSTs of the blocks of 2^size_exp pixels, by the
+        split identity, from those of the level below, which must be held."""
         for shape in self.shapes:
-            total = sum(shape)
-            if total == 0:
-                self.sums[shape] = plane.copy()
-                self.ssts[shape] = np.zeros_like(plane)
+            if sum(shape) != size_exp:
                 continue
             d = next(i for i, a in enumerate(shape) if a > 0)
             child = _child(shape, d)
             cs, ct = self.sums[child], self.ssts[child]
             left, right = _halves(self.m, d)
             sum_l, sum_r = cs[left], cs[right]
-            w = (sum_l - sum_r) / math.sqrt(float(2 ** total))
+            w = (sum_l - sum_r) / math.sqrt(float(2 ** size_exp))
             self.sums[shape] = sum_l + sum_r
             self.ssts[shape] = ct[left] + ct[right] + w * w
+
+    def _reach_level(self, size_exp: int) -> None:
+        """Hold the sums of the blocks of 2^(size_exp - 1) and 2^size_exp
+        pixels and the SSTs of the latter, as the posterior sweep reaches
+        that level, smallest first.  A stored lattice holds every level."""
+
+
+class LevelStream(StatsLattice):
+    """The statistics of one plane, built a level at a time as the posterior
+    sweep reaches it, and dropped once the sweep no longer reads them.
+
+    At blocks of 2^e pixels it holds the sums of levels e - 1 and e and the
+    SSTs of level e.  The atomic sums are the plane itself, not a copy, and
+    their SSTs one broadcast zero.  Each level comes from the stored
+    lattice's builder, so every sum and SST is bit for bit the stored one.
+    One sweep reads it, once; what the sweep has passed is gone, so it is
+    no lattice to share or to hand out.
+    """
+
+    def _build(self, plane: np.ndarray) -> None:
+        atomic = self.shapes[0]
+        self.sums[atomic] = plane
+        self.ssts[atomic] = np.broadcast_to(0.0, plane.shape)
+
+    def _reach_level(self, size_exp: int) -> None:
+        self._build_level(size_exp)
+        for shape in [s for s in self.sums if sum(s) < size_exp - 1]:
+            del self.sums[shape]
+        for shape in [s for s in self.ssts if sum(s) < size_exp]:
+            del self.ssts[shape]
 
 
 def build_stats(grid: PixelGrid, max_bytes: int = DEFAULT_MAX_BYTES) -> StatsLattice:

@@ -41,6 +41,16 @@ decisions, the sweep holds two levels of the lattice at a time.  What
 remains is log_marginal, log psi of the root, and log_map, log kappa of
 the root.
 
+The block statistics come in the same order.  At blocks of 2^e pixels
+the sweep reads the SSTs of level e and the sums of level e - 1, the
+children's, and it asks the lattice for them as it reaches the level.
+A stored :class:`~carp.lattice.StatsLattice` holds every level already.
+A :class:`~carp.lattice.LevelStream`, which ``codec.compress`` builds
+when it is not handed statistics, builds level e then and drops what the
+sweep has passed, so at level e such a sweep holds the sums of levels
+e - 1 and e, the SSTs of level e, log psi and log kappa of levels e - 1
+and e, and the decisions so far; the atomic sums are the plane itself.
+
 The mixture term is the sweep's one costly function: ``np.logaddexp`` is
 a scalar loop, an order of magnitude slower per element than numpy's
 vectorized ``exp``.  Most of its calls are served from tables, with the
@@ -242,7 +252,11 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
     stored in it; without one, only the marginal likelihood is computed
     and the root's log kappa is None.  A shape's log psi and log kappa are
     read by its parents alone, one level up, so each is dropped once the
-    sweep moves two levels past it.
+    sweep moves two levels past it.  On reaching blocks of 2^e pixels the
+    sweep calls ``stats._reach_level(e)``, after which stats holds the
+    SSTs of level e and the sums of levels e - 1 and e: a stored lattice
+    holds them all along, and a ``LevelStream`` builds level e then and
+    drops the levels below these.
     """
     sigma2 = hp.sigma * hp.sigma
     log_const = LOG_2PI + math.log(sigma2)
@@ -259,6 +273,7 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
     for shapes in _batches(stats.shapes, n):
         if sum(shapes[0]) != size_exp:
             size_exp = sum(shapes[0])
+            stats._reach_level(size_exp)
             for done in [s for s in log_psi if sum(s) < size_exp - 1]:
                 del log_psi[done]
                 log_kappa.pop(done, None)
@@ -359,7 +374,9 @@ class PosteriorLattice:
     Atomic blocks have no entry.  log_marginal is the log marginal
     likelihood of the whole image, and log_map the log posterior
     probability of the MAP tree (log kappa of the root).  The posterior
-    tables the decisions come from are not kept.
+    tables the decisions come from are not kept.  stats is the lattice the
+    sweep read; of a ``LevelStream`` only the last levels are left, so of
+    that one only the dims and shapes serve afterwards.
     """
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carp import Hyperparams, StatsLattice, cli, codec, compress, save
+from carp import (Hyperparams, StatsLattice, build_stats, cli, codec, compress,
+                  load, pad, save)
 from carp.cli import main
 
 from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
@@ -92,6 +93,26 @@ class TestCompressDecompress:
         assert main(["compress", str(small), str(tmp_path / "eb.carp"), *rate,
                      "--empirical-bayes"]) == 0
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("flags,hp", [
+        (["--sigma", "2"], Hyperparams(sigma=2.0)),
+        (["--sigma", "0.5", "--q", "1", "--eta0", "0.6"], Hyperparams(sigma=0.5, eta0=0.6)),
+    ], ids=["sigma", "sigma-q-eta0"])
+    def test_plain_sigma_streams_the_lattice(self, photo_path, tmp_path, monkeypatch,
+                                             flags, hp):
+        # no fit or search reuses the statistics, so compress builds them a
+        # level at a time; the file is the one the stored lattice gives
+        grid = pad(load(photo_path))
+        q = 1.0 if "--q" in flags else None
+        expected = compress(grid, hp, q=q, stats=build_stats(grid)).to_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_stats called")
+
+        monkeypatch.setattr(cli, "build_stats", refuse)
+        out = tmp_path / "plain.carp"
+        assert main(["compress", photo_path, str(out), *flags]) == 0
+        assert out.read_bytes() == expected
 
 
 class TestExitCodes:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
-                  ResourceError, StreamError, build_posterior, codec, compress,
-                  decompress, decompress_with_bits, default_q, deserialize_tree,
-                  extract_map_tree, pad, psnr, serialize_tree,
+                  ResourceError, StreamError, build_posterior, build_stats, codec,
+                  compress, decompress, decompress_with_bits, default_q,
+                  deserialize_tree, extract_map_tree, pad, psnr, serialize_tree,
                   target_ratio_search)
 from carp.stream import PRIOR_FIELDS, ChannelPayload, axis_bit_width
 
@@ -326,6 +326,51 @@ class TestResources:
         alone = compress(synthetic_photo(32, seed=5),
                          Hyperparams(sigma=result.sigma, tau0=1.0 / result.sigma))
         assert alone.to_bytes() == result.stream.to_bytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic_photo(512, seed=7),
+        lambda: random_grid(np.random.default_rng(19), (16, 64, 64), channels=3),
+    ], ids=["photo512", "3-channel-volume"])
+    def test_streamed_lattice_lowers_the_peak(self, make):
+        # without stats, compress holds two lattice levels at a time, not
+        # the whole lattice built up front
+        grid = make()
+        hp = Hyperparams(sigma=2.0)
+        compress(grid, hp)  # first-call allocations outside the encoder
+
+        def traced_peak(encode):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                encode()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed = traced_peak(lambda: compress(grid, hp))
+        stored = traced_peak(lambda: compress(grid, hp, stats=build_stats(grid)))
+        assert streamed <= 0.7 * stored
+
+
+# every lattice dimension, a fractional mean plane (three channels) and a
+# constant plane, for the streamed against the stored lattice
+STREAMED_GRIDS = {
+    "1d": lambda: random_grid(np.random.default_rng(40), (256,)),
+    "2d": lambda: synthetic_photo(64, seed=41),
+    "32x256": lambda: random_grid(np.random.default_rng(42), (32, 256)),
+    "3d": lambda: random_grid(np.random.default_rng(43), (8, 16, 16)),
+    "4d": lambda: random_grid(np.random.default_rng(44), (2, 4, 8, 8)),
+    "3-channel": lambda: random_grid(np.random.default_rng(45), (32, 32), channels=3),
+    "constant": lambda: grid_of(np.full((32, 32), 77.0)),
+}
+
+
+@pytest.mark.parametrize("hp", [Hyperparams(sigma=2.0), Hyperparams(sigma=0.01, eta0=0.0)],
+                         ids=["s2", "near-lossless"])
+@pytest.mark.parametrize("make", STREAMED_GRIDS.values(), ids=STREAMED_GRIDS.keys())
+def test_streamed_and_stored_lattices_give_one_stream(make, hp):
+    grid = make()
+    assert compress(grid, hp).to_bytes() == compress(grid, hp, stats=build_stats(grid)).to_bytes()
 
 
 def _half_flat(dims, fractional, channels=1, seed=0):
@@ -716,6 +761,14 @@ class TestRatioSearch:
         assert result.converged and result.sigma == 1e-3 and result.ratio == 1.81
         assert result.stream.sigma == 1e-3
         assert [s for s, _, _ in result.attempts] == [1.0, math.sqrt(1e-3), 1e-3]
+
+    def test_in_band_attempt_beats_a_closer_one_out_of_band(self, monkeypatch):
+        # sigma = 1 overshoots the band at 2.203, closer in log ratio (0.097)
+        # than the first midpoint's in-band 1.81 (0.100)
+        self._stub_compress(monkeypatch, {1.0: 2.203, math.sqrt(1e-3): 1.81})
+        result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0), 2.0)
+        assert result.converged and result.sigma == math.sqrt(1e-3) and result.ratio == 1.81
+        assert [s for s, _, _ in result.attempts] == [1.0, math.sqrt(1e-3)]
 
     def test_budget_can_run_out_on_an_in_band_attempt(self, monkeypatch):
         # the last attempt the budget allows lands in the band

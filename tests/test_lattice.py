@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
-from carp.lattice import _child, _halves
+from carp.lattice import LevelStream, StatsLattice, _child, _halves
 
 from conftest import random_grid, synthetic_photo
 from oracles import child_sum_arrays, haar_array
@@ -114,3 +114,23 @@ class TestSplitIdentity:
             for d in [i for i, a in enumerate(s) if a > 0]:
                 sl, sr = child_sum_arrays(stats, s, d)
                 np.testing.assert_allclose(stats.sums[s], sl + sr, rtol=1e-12)
+
+
+class TestLevelStream:
+    @pytest.mark.parametrize("plane", [
+        lambda: synthetic_photo(32, seed=3).values[0],
+        lambda: random_grid(np.random.default_rng(23), (4, 8, 16), channels=3).mean_plane(),
+    ], ids=["2d", "3-channel-volume"])
+    def test_holds_two_levels_bit_for_bit_the_stored_ones(self, plane):
+        plane = plane()
+        stored = StatsLattice(plane)
+        stream = LevelStream(plane)
+        assert stream.sums[stream.shapes[0]] is plane
+        assert stream.integral == stored.integral
+        for e in range(1, stream.j_total + 1):
+            stream._reach_level(e)
+            assert {sum(s) for s in stream.sums} == {e - 1, e}
+            assert {sum(s) for s in stream.ssts} == {e}
+            for s in stream.ssts:
+                assert stream.sums[s].tobytes() == stored.sums[s].tobytes()
+                assert stream.ssts[s].tobytes() == stored.ssts[s].tobytes()

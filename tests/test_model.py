@@ -8,7 +8,7 @@ import pytest
 from carp import (Hyperparams, NumericError, PixelGrid,
                   build_posterior, build_stats, empirical_bayes_fit)
 from carp import model
-from carp.lattice import StatsLattice
+from carp.lattice import LevelStream, StatsLattice
 from carp.model import PosteriorLattice
 from conftest import random_grid, synthetic_photo
 from oracles import (brute_force_log_marginal, haar_array, reference_log_kappa,
@@ -278,17 +278,22 @@ class TestSweepMatchesReference:
 
     @staticmethod
     def check(stats, hp):
-        post = PosteriorLattice(stats, hp)
         tables = reference_posterior(stats, hp)
         log_kappa, decisions = reference_log_kappa(stats, tables)
-        assert post.decisions.keys() == decisions.keys()
-        for key in decisions:
-            assert post.decisions[key].dtype == np.int8
-            assert np.array_equal(post.decisions[key], decisions[key]), key
-        assert _same_bits(post.log_marginal, tables[3])
-        assert _same_bits(post.log_map, log_kappa[root_shape(stats)].reshape(-1)[0])
-        log_marginal, log_map = model._sweep(stats, hp, None)
-        assert _same_bits(log_marginal, tables[3]) and log_map is None
+        # the stored lattice, then its plane's levels streamed as the sweep
+        # reaches them
+        plane = stats.sums[stats.shapes[0]]
+        for lattice in (stats, LevelStream(plane)):
+            post = PosteriorLattice(lattice, hp)
+            assert post.decisions.keys() == decisions.keys()
+            for key in decisions:
+                assert post.decisions[key].dtype == np.int8
+                assert np.array_equal(post.decisions[key], decisions[key]), key
+            assert _same_bits(post.log_marginal, tables[3])
+            assert _same_bits(post.log_map, log_kappa[root_shape(stats)].reshape(-1)[0])
+        for lattice in (stats, LevelStream(plane)):
+            log_marginal, log_map = model._sweep(lattice, hp, None)
+            assert _same_bits(log_marginal, tables[3]) and log_map is None
 
     @pytest.mark.parametrize("plane", SWEEP_PLANES)
     @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
