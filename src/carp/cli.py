@@ -115,7 +115,7 @@ def _cmd_compress(args) -> int:
     # check the whole encode before the hyperparameter fit sweeps the image;
     # the fit and the ratio search share one set of block statistics, and a
     # plain encode builds its own a level at a time
-    _check_encode_budget(grid)
+    _check_encode_budget(grid.dims_padded, grid.channels)
     reused = args.empirical_bayes or args.target_ratio is not None
     stats = build_stats(grid) if reused else None
     if args.target_ratio is not None:
@@ -179,14 +179,14 @@ def _cmd_metrics(args) -> int:
 
 
 def _sweep_point(payload) -> dict:
-    grid, kind, value, tol, q, hp_kwargs = payload
+    grid, kind, value, tol, q, hp_kwargs, stats = payload
     t0 = time.perf_counter()
     if kind == "sigma":
         hp = Hyperparams(sigma=value, **hp_kwargs)
         stream = compress(grid, hp, q=q)
     else:
         hp_base = Hyperparams(sigma=1.0, **hp_kwargs)
-        stream = target_ratio_search(grid, hp_base, value, tol=tol).stream
+        stream = target_ratio_search(grid, hp_base, value, tol=tol, stats=stats).stream
     encode_ms = 1000.0 * (time.perf_counter() - t0)
     t0 = time.perf_counter()
     recon = decompress(stream)
@@ -215,7 +215,11 @@ def _cmd_sweep(args) -> int:
         points = [("ratio", float(v)) for v in args.ratios.split(",") if v]
     if not points:
         raise ValueError("sweep grid is empty")
-    payloads = [(grid, kind, value, args.tol, args.q, hp_kwargs)
+    # check the encode before the ratio searches of one process get their one
+    # shared lattice; sigma points stream theirs
+    _check_encode_budget(grid.dims_padded, grid.channels)
+    stats = build_stats(grid) if args.ratios and args.workers == 1 else None
+    payloads = [(grid, kind, value, args.tol, args.q, hp_kwargs, stats)
                 for kind, value in points]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -35,7 +35,8 @@ decoder's per-bit and per-token arrays, the node values, the planes and
 their crop, and the painting indices) fits in ``lattice.DEFAULT_MAX_BYTES``.
 The encoder checks the same budget against an upper bound from the
 dimensions and channel count alone, before it allocates anything sized by
-the image.
+the image, and against the decode bound of the largest stream it could
+write, so that it writes no stream the decoder refuses.
 
 ``target_ratio_search`` builds the block statistics once (unless they
 are passed in) and hands them to every ``compress`` attempt, since they do
@@ -59,7 +60,7 @@ from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
 from .lattice import DEFAULT_MAX_BYTES, LevelStream, StatsLattice, build_stats
 from .model import Hyperparams, _batches, build_posterior
-from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream,
+from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream, axis_bit_width,
                      detokenize, serialize_tree, tokenize_scale)
 # haar_inverse is not called here; it stays imported because the
 # benchmark's traced run rebinds it, as it does tree.compute_kappa, until
@@ -142,14 +143,26 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                 total=_ENCODE_SLACK + held + max(build, sweep, post))
 
 
-def _check_encode_budget(grid: PixelGrid) -> None:
-    need = _encode_bytes(tuple(grid.dims_padded), grid.channels)["total"]
-    if need > DEFAULT_MAX_BYTES:
-        raise ResourceError(
-            f"encoding {'x'.join(map(str, grid.dims_padded))} x{grid.channels} would "
-            f"take ~{need / 2**20:.0f} MiB, over the "
-            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
-        )
+def _check_encode_budget(dims: tuple[int, ...], channels: int) -> None:
+    """Refuse a padded grid of these dims and channels when encoding it, or
+    decoding the largest stream its encode can write, would go over the
+    budget.  That stream has a full tree and every payload at the
+    encoder's bound of ceil(log2 tokens) bits per token."""
+    tokens = math.prod(dims) - 1
+    worst = CompressedStream(
+        dims_original=dims, dims_padded=dims, bit_depth=8, sigma=1.0, q=1.0,
+        prior=(0.0,) * len(PRIOR_FIELDS), tree_bits=b"",
+        tree_nbits=tokens * (1 + axis_bit_width(len(dims))),
+        channels=[ChannelPayload(0, {}, b"", tokens * max(1, (tokens - 1).bit_length()))]
+        * channels)
+    for verb, need in (("encoding", _encode_bytes(dims, channels)["total"]),
+                       ("decoding", _decode_bytes(worst)["total"])):
+        if need > DEFAULT_MAX_BYTES:
+            raise ResourceError(
+                f"{verb} {'x'.join(map(str, dims))} x{channels} would "
+                f"take ~{need / 2**20:.0f} MiB, over the "
+                f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
+            )
 
 
 def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
@@ -200,7 +213,7 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
     if not (math.isfinite(q) and q > 0):
         raise ValueError(f"quantizer step must be finite and positive, got {q}")
 
-    _check_encode_budget(grid)
+    _check_encode_budget(grid.dims_padded, grid.channels)
     if stats is None:
         # the sweep builds each level of the statistics as it reaches it
         stats = LevelStream(grid.mean_plane())
@@ -387,30 +400,20 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     """Search sigma (with tau0 = 1/sigma and q tied to sigma) until the
     achieved ratio lands in target * (1 +- tol).
 
-    The ratio grows monotonically with sigma, so a geometric bracket plus
-    bisection in log sigma converges quickly.  The search encodes sigma = 1
-    first and steps up by x4 until the ratio reaches the target; the
-    bracket's lower end starts at ``SIGMA_FLOOR`` (0.001) and midpoints
-    bisect log sigma between its ends.  The floor itself is encoded only
-    when the bracket walks down to it: when sigma = 1 and the first
-    midpoint (about 0.0316) both reach the target outside the band.  Then a
-    floor ratio already over the band returns the floor stream with a
-    warning and converged=False (constant images, say), and one in the
-    band returns it converged.  Every bisection step first returns an
-    in-band attempt if there is one; the band is absolute, so an in-band
-    attempt goes ahead of an out-of-band one that is closer in log ratio.
-    If the budget of ``SEARCH_ATTEMPTS`` compress calls runs out with none
-    in the band, the attempt closest in log ratio is returned with
-    converged=False; on ties the floor, then the earliest attempt, wins.
-
-    Four cases differ from encoding the floor first.  An image whose floor
-    ratio is already in the band returns the first in-band attempt rather
-    than the floor stream.  A non-monotone image whose floor ratio
-    overshoots while sigma = 1 (or the first midpoint) undershoots is
-    searched upward rather than returned at the floor.  A x4 step in the
-    band below the target is returned at once rather than stepped past.
-    An in-band attempt is returned rather than bisected past when an
-    out-of-band one is closer in log ratio.
+    The ratio grows with sigma, so the search keeps a bracket [lo, hi] in
+    sigma: lo starts at ``SIGMA_FLOOR`` (0.001), hi is unset, and sigma = 1
+    is encoded first.  Each attempt either returns or narrows the bracket.
+    An attempt in the band returns at once, converged.  An attempt at the
+    floor over the band returns the floor stream with a warning and
+    converged=False (a constant image, say); one under the band goes
+    first in the list of misses.  Any other attempt is a miss too, and
+    becomes hi if its ratio reaches the target, otherwise lo.  The next
+    sigma is 4 * lo while there is no hi; the floor when lo is still the
+    floor, sigma = 1 and the first midpoint (about 0.0316) both overshot,
+    and the floor is untried; otherwise the midpoint sqrt(lo * hi).  After
+    ``SEARCH_ATTEMPTS`` compress calls the miss closest in log ratio is
+    returned with converged=False; on ties the floor, then the earliest
+    miss, wins.
 
     ``stats`` may pass in the grid's block statistics, as for compress;
     otherwise they are built once and shared by every attempt.  The result
@@ -419,76 +422,49 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     if target_ratio <= 1.0:
         raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
 
-    _check_encode_budget(grid)
+    _check_encode_budget(grid.dims_padded, grid.channels)
     if stats is None:
         stats = build_stats(grid)
     trace: list[tuple[float, float, float]] = []
 
-    def attempt(sigma: float) -> RatioSearchResult:
+    def finish(result: RatioSearchResult, converged: bool) -> RatioSearchResult:
+        return replace(result, converged=converged, attempts=tuple(trace))
+
+    lo, hi = SIGMA_FLOOR, None
+    misses: list[RatioSearchResult] = []
+    sigma = 1.0
+    while len(trace) < SEARCH_ATTEMPTS:
         hp = replace(hp_base, sigma=sigma, tau0=1.0 / sigma)
         t0 = time.perf_counter()
         stream = compress(grid, hp, q=None, stats=stats)
         ratio = stream.compression_ratio
         trace.append((sigma, ratio, 1000.0 * (time.perf_counter() - t0)))
-        return RatioSearchResult(sigma=sigma, stream=stream, ratio=ratio,
-                                 converged=False)
-
-    def in_band(result: RatioSearchResult) -> bool:
-        return abs(result.ratio - target_ratio) <= tol * target_ratio
-
-    def finish(result: RatioSearchResult, converged: bool) -> RatioSearchResult:
-        return replace(result, converged=converged, attempts=tuple(trace))
-
-    def closest() -> RatioSearchResult:
-        # the band is absolute, not in log ratio, so an in-band attempt goes
-        # ahead of any other, however close that one is in log terms
-        return min(hits, key=lambda r: (not in_band(r),
-                                        abs(math.log(r.ratio / target_ratio))))
-
-    lo, hi = SIGMA_FLOOR, None
-    hits: list[RatioSearchResult] = []
-    floor_encoded = False
-    sigma = 1.0
-    while len(trace) < SEARCH_ATTEMPTS:
-        result = attempt(sigma)
-        if in_band(result):
+        result = RatioSearchResult(sigma=sigma, stream=stream, ratio=ratio,
+                                   converged=False)
+        if sigma == SIGMA_FLOOR and ratio > target_ratio * (1 + tol):
+            warnings.warn(
+                f"minimum-sigma ratio {ratio:.2f} already exceeds target "
+                f"{target_ratio}; returning minimal-sigma stream", stacklevel=2
+            )
+            return finish(result, False)
+        if abs(ratio - target_ratio) <= tol * target_ratio:
             return finish(result, True)
-        hits.append(result)
-        if result.ratio >= target_ratio:
-            hi = sigma
-            break
-        lo = sigma
-        sigma *= 4.0
-    while hi is not None and len(trace) < SEARCH_ATTEMPTS:
-        best = closest()
-        if in_band(best):
-            return finish(best, True)
-        # lo never moved, so every attempt overshot: sigma = 1 and the
-        # first midpoint both reached the target outside the band
-        if lo == SIGMA_FLOOR and len(hits) >= 2 and not floor_encoded:
-            floor = attempt(SIGMA_FLOOR)
-            floor_encoded = True
-            if floor.ratio > target_ratio * (1 + tol):
-                warnings.warn(
-                    f"minimum-sigma ratio {floor.ratio:.2f} already exceeds target "
-                    f"{target_ratio}; returning minimal-sigma stream", stacklevel=2
-                )
-                return finish(floor, False)
-            if in_band(floor):
-                return finish(floor, True)
-            hits.insert(0, floor)
-            continue
-        mid = math.sqrt(lo * hi)
-        result = attempt(mid)
-        hits.append(result)
-        if result.ratio >= target_ratio:
-            hi = mid
+        if sigma == SIGMA_FLOOR:  # under the band, and lo is the floor already
+            misses.insert(0, result)
         else:
-            lo = mid
+            misses.append(result)
+            if ratio >= target_ratio:
+                hi = sigma
+            else:
+                lo = sigma
+        if hi is None:
+            sigma = 4.0 * lo
+        elif lo == SIGMA_FLOOR and len(misses) == 2:
+            sigma = SIGMA_FLOOR
+        else:
+            sigma = math.sqrt(lo * hi)
 
-    best = closest()
-    if in_band(best):
-        return finish(best, True)
+    best = min(misses, key=lambda r: abs(math.log(r.ratio / target_ratio)))
     warnings.warn(
         f"ratio search stopped after {len(trace)} evaluations at ratio "
         f"{best.ratio:.2f} (target {target_ratio})", stacklevel=2

@@ -75,7 +75,7 @@ class StatsLattice:
     shape has one entry per block of that extent, indexed by offset >> a.
     """
 
-    def __init__(self, plane: np.ndarray, max_bytes: int = DEFAULT_MAX_BYTES):
+    def __init__(self, plane: np.ndarray):
         plane = np.asarray(plane, dtype=np.float64)
         self.dims: tuple[int, ...] = plane.shape
         self.axis_exps: list[int] = _check_pow2_dims(self.dims)
@@ -84,11 +84,11 @@ class StatsLattice:
 
         node_count = self.node_count
         estimate = node_count * _BYTES_PER_NODE
-        if estimate > max_bytes:
+        if estimate > DEFAULT_MAX_BYTES:
             raise ResourceError(
                 f"lattice would hold {node_count} blocks "
                 f"(~{estimate / 2**20:.0f} MiB of aggregates), over the "
-                f"{max_bytes / 2**20:.0f} MiB budget"
+                f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
             )
         # every block sum of an integer-valued plane is an integer too
         self.integral: bool = bool(np.isfinite(plane).all()
@@ -166,7 +166,7 @@ class LevelStream(StatsLattice):
             del self.ssts[shape]
 
 
-def build_stats(grid: PixelGrid, max_bytes: int = DEFAULT_MAX_BYTES) -> StatsLattice:
+def build_stats(grid: PixelGrid) -> StatsLattice:
     """Aggregate sums and SSTs for every lattice block of the padded grid.
 
     Multi-channel grids are reduced to their per-pixel channel mean, the
@@ -174,4 +174,4 @@ def build_stats(grid: PixelGrid, max_bytes: int = DEFAULT_MAX_BYTES) -> StatsLat
     """
     if not grid.is_padded:
         raise DimensionError(f"grid dims {grid.dims} are not padded to {grid.dims_padded}")
-    return StatsLattice(grid.mean_plane(), max_bytes=max_bytes)
+    return StatsLattice(grid.mean_plane())

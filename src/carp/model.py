@@ -151,22 +151,23 @@ def _mixture(w: np.ndarray, log_rho: float, log_1m_rho: float, var_wide: float,
 
 
 def _log_sum_exp(terms: list[np.ndarray]) -> np.ndarray:
-    """log(sum(exp(terms))) per element, for two or more arrays.
+    """log(sum(exp(terms))) per element, for one or more arrays.
 
     The result is bit for bit that of
     ``peak + log(sum(exp(stack(terms) - peak), axis=0))`` with ``peak`` the
     maximum over the stack: a reduction over the leading axis takes the
     maximum and the sum row after row, and so does this running maximum
-    and accumulation, without the stacked copies.
+    and accumulation, without the stacked copies.  Of one array x it is
+    x + (x - x): x itself where x is finite, NaN where it is not.
     """
-    peak = np.maximum(terms[0], terms[1])
-    for t in terms[2:]:
+    peak = np.maximum(terms[0], terms[-1])
+    for t in terms[1:-1]:
         np.maximum(peak, t, out=peak)
     total = np.subtract(terms[0], peak)
     np.exp(total, out=total)
-    scratch = np.empty_like(total)
+    scratch = None
     for t in terms[1:]:
-        np.subtract(t, peak, out=scratch)
+        scratch = np.subtract(t, peak, out=scratch)
         np.exp(scratch, out=scratch)
         total += scratch
     np.log(total, out=total)
@@ -340,11 +341,7 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
             continue
 
         # the posterior split distribution, stop and go probabilities
-        if len(d_terms) > 1:
-            lse_d = _log_sum_exp(d_terms)
-        else:  # lpd + log(exp(lpd - lpd)), rounded alike, NaN at +-inf
-            lpd = d_terms[0]
-            lse_d = lpd + (lpd - lpd)
+        lse_d = _log_sum_exp(d_terms)
         for d, lpd, runs in zip(div, d_terms, d_runs):
             np.subtract(lpd, lse_d, out=lpd)
             left, right = halves[d]

@@ -818,7 +818,7 @@ def reference_target_ratio_search(grid, hp_base, target_ratio, tol=0.1, max_iter
         raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
 
     evals = 0
-    _check_encode_budget(grid)
+    _check_encode_budget(grid.dims_padded, grid.channels)
     stats = build_stats(grid)
 
     def attempt(sigma):

@@ -311,6 +311,18 @@ class TestSweep:
         assert 5 * 0.85 <= float(rows[0]["ratio"]) <= 5 * 1.15
         assert 10 * 0.85 <= float(rows[1]["ratio"]) <= 10 * 1.15
 
+    def test_ratio_points_share_one_lattice(self, photo_path, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_stats",
+                            lambda grid: calls.append(1) or build_stats(grid))
+        monkeypatch.setattr(codec, "build_stats", None)
+        out_csv = str(tmp_path / "ratios.csv")
+        assert main(["sweep", photo_path, out_csv, "--ratios", "4,8,16"]) == 0
+        assert len(calls) == 1
+        # the rows of a sweep whose searches each built their own lattice
+        assert [(r["bytes"], r["ratio"]) for r in read_csv(out_csv)] == [
+            ("3735", "4.386613"), ("2165", "7.567667"), ("931", "17.598281")]
+
 
 class TestProgressive:
     def test_prefix_images_and_csv(self, photo_path, tmp_path):

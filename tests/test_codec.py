@@ -216,6 +216,43 @@ class TestResources:
         assert 3 * stream.tree_nbits + 1 >= 2 * n - 1
         assert codec._decode_bytes(stream)["total"] <= codec.DEFAULT_MAX_BYTES
 
+    def test_encoder_admits_no_grid_whose_worst_stream_the_decoder_refuses(self):
+        # power-of-two grids of 2^10 to 2^27 samples in 1D to 3D with 1 to 8
+        # channels; the decode bound depends on the dims only through their
+        # product and count, so one order of a 3D grid's axes stands for all
+        def worst_stream(dims, channels):
+            n = math.prod(dims)
+            payload = ChannelPayload(scaling_symbol=0, code_lengths={}, payload=b"",
+                                     payload_nbits=(n - 1) * max(1, (n - 2).bit_length()))
+            return CompressedStream(
+                dims_original=dims, dims_padded=dims, bit_depth=8, sigma=1.0, q=1.0,
+                prior=(0.0,) * len(PRIOR_FIELDS), tree_bits=b"",
+                tree_nbits=(n - 1) * (1 + axis_bit_width(len(dims))),
+                channels=[payload] * channels)
+
+        admitted = 0
+        for e in range(10, 28):
+            grids = [(e,)] + [(a, e - a) for a in range(1, e)] + [
+                (a, b, e - a - b) for a in range(1, e) for b in range(a, e - a)
+                if b <= e - a - b]
+            for exps in grids:
+                dims = tuple(1 << x for x in exps)
+                for channels in range(1, 9):
+                    try:
+                        codec._check_encode_budget(dims, channels)
+                    except ResourceError:
+                        break  # more channels only need more
+                    admitted += 1
+                    need = codec._decode_bytes(worst_stream(dims, channels))["total"]
+                    assert need <= codec.DEFAULT_MAX_BYTES, (dims, channels)
+        assert admitted > 1000
+        # the encode bound alone admits these, and decoding would refuse them
+        for channels in (6, 7, 8):
+            assert (codec._encode_bytes((1 << 24,), channels)["total"]
+                    <= codec.DEFAULT_MAX_BYTES)
+            with pytest.raises(ResourceError, match="decoding 16777216 x"):
+                codec._check_encode_budget((1 << 24,), channels)
+
     def test_decode_peak_is_little_more_than_the_planes(self):
         # the planes are the only pixel-sized allocation: no order, no
         # coefficient vector and no inverse-transform levels
@@ -675,6 +712,22 @@ class TestRatioSearch:
         assert new.attempts[0][1] > target * 1.1
         assert new.converged and new.sigma in {s for s, _, _ in new.attempts}
         assert 1e-3 not in [s for s, _, _ in new.attempts]
+
+    _STEP_DOWN = [1.0, 4.0, 2.0]
+    _ATTEMPTED_SIGMAS = {
+        "photo128-0": _STEP_DOWN + [2.82843, 2.37841],
+        "photo128-1": _STEP_DOWN + [2.82843, 2.37841, 2.18102],
+        "photo128-6": _STEP_DOWN + [2.82843, 2.37841, 2.18102],
+        **dict.fromkeys([f"photo128-{seed}" for seed in (2, 3, 4, 5, 7)], _STEP_DOWN),
+        "photo256-3": [1.0, 0.03162, 0.17783, 0.07499, 0.0487, 0.06043],
+        "photo256-60": _STEP_DOWN,
+        "constant64-3": [1.0, 0.03162, 0.001],
+    }
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in _search_inputs()])
+    def test_attempted_sigmas_are_pinned(self, searched, name):
+        _, new, _ = searched[name]
+        assert [round(s, 5) for s, _, _ in new.attempts] == self._ATTEMPTED_SIGMAS[name]
 
     def test_attempts_trace_every_compress_call(self, monkeypatch):
         encoded = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
+from carp import lattice
 from carp.lattice import LevelStream, StatsLattice, _child, _halves
 
 from conftest import random_grid, synthetic_photo
@@ -55,17 +56,19 @@ class TestBuildStats:
         total = sum(int(np.prod(stats.grid_shape(s))) for s in stats.shapes)
         assert total == stats.node_count
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", 1024)
         with pytest.raises(ResourceError, match="blocks"):
-            build_stats(grid_of(np.zeros((64, 64))), max_bytes=1024)
+            build_stats(grid_of(np.zeros((64, 64))))
 
-    def test_refused_budget_allocates_nothing_image_sized(self):
+    def test_refused_budget_allocates_nothing_image_sized(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", 1024)
         grid = synthetic_photo(512, seed=7)
         gc.collect()
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError, match="budget"):
-                build_stats(grid, max_bytes=1024)
+                build_stats(grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -373,6 +373,18 @@ class TestSweepMatchesReference:
                                      "offset (8, 4), extent (8, 4)")
 
 
+def test_log_sum_exp_of_one_array_is_x_plus_x_minus_x():
+    # the sweep's one-axis batches take the log-sum-exp of a single term;
+    # NaN payloads and the sign of zero are compared too
+    x = np.array([0.0, -0.0, 1.5, -3.25, 1e308, -1e308, 5e-324,
+                  np.inf, -np.inf, np.nan, -np.nan])
+    with np.errstate(invalid="ignore"):
+        got = model._log_sum_exp([x])
+        want = x + (x - x)
+    assert got is not x
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _lattice_shapes(dims):
     return StatsLattice(np.zeros(dims)).shapes
 
