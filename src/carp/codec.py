@@ -1,18 +1,19 @@
 """End-to-end pipeline: adaptive permutation, transform, entropy coding.
 
 Encoding runs in five stages.  Block statistics and the posterior are
-fitted on the per-pixel channel mean; the extracted tree is shared by all
-channels.  Unless the caller hands in stored statistics, ``compress``
-builds them a level at a time as the posterior sweep reaches each level
-(``lattice.LevelStream``), so it holds two levels of the lattice, not
-all of it, and it drops the posterior's decisions once the tree is
-extracted.  Each channel is permuted into tree order; then the pixels of
-every leaf where partitioning stopped, one aligned run of that order, are
-replaced by the run's mean, which zeroes every detail coefficient inside
-the block; the means themselves need no extra syntax because the low
-scales of the transform carry them.  The vector is then Haar-transformed,
-dead-zone quantized, and Huffman coded scale by scale, coarsest first, so
-prefixes of the payload decode to valid coarse reconstructions.
+fitted on the per-pixel channel sum at C times sigma for C channels; the
+extracted tree is shared by all channels.  Unless the caller hands in
+stored statistics, ``compress`` builds them a level at a time as the
+posterior sweep reaches each level (``lattice.LevelStream``), so it holds
+two levels of the lattice, not all of it, and it drops the posterior's
+decisions once the tree is extracted.  Each channel is permuted into tree
+order; then the pixels of every leaf where partitioning stopped, one
+aligned run of that order, are replaced by the run's mean, which zeroes
+every detail coefficient inside the block; the means themselves need no
+extra syntax because the low scales of the transform carry them.  The
+vector is then Haar-transformed, dead-zone quantized, and Huffman coded
+scale by scale, coarsest first, so prefixes of the payload decode to valid
+coarse reconstructions.
 
 The permutation is a plain int64 index array (``order[i]`` is the
 row-major index of the i-th pixel in tree order), and only the encoder
@@ -112,7 +113,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     for shape in shapes:
         level_blocks[sum(shape)] += n >> sum(shape)
     held = 17 * math.prod(2 ** (e + 1) - 1 for e in exps)
-    # the channel mean, the integrality test, one shape's sums and squares
+    # the channel sum, the integrality test, one shape's sums and squares
     build = 8 * n * (channels > 1) + 9 * n + 32 * n
     # two levels of log psi and log kappa (the atomic level is one
     # zero-strided array), then per divisible axis a mixture term and its
@@ -216,7 +217,7 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
     _check_encode_budget(grid.dims_padded, grid.channels)
     if stats is None:
         # the sweep builds each level of the statistics as it reaches it
-        stats = LevelStream(grid.mean_plane())
+        stats = LevelStream.from_grid(grid)
     posterior = build_posterior(grid, hp, stats=stats)
     tree = extract_map_tree(posterior)
     del posterior

@@ -124,12 +124,6 @@ class PixelGrid:
     def plane(self, channel: int) -> np.ndarray:
         return self.values[channel]
 
-    def mean_plane(self) -> np.ndarray:
-        """Per-pixel mean across channels (used for shared tree inference)."""
-        if self.channels == 1:
-            return self.values[0]
-        return self.values.mean(axis=0)
-
     def to_int_array(self) -> np.ndarray:
         """Round and clip to the integer sample grid, as written to files."""
         dtype = np.uint8 if self.bit_depth == 8 else np.uint16

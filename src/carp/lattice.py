@@ -73,10 +73,14 @@ class StatsLattice:
 
     Shapes are exponent tuples a = (a_1, ..., a_m); the dense array for a
     shape has one entry per block of that extent, indexed by offset >> a.
+    ``channels`` is the number of channels the plane is the per-pixel sum
+    of, so that the sweep scores it at that many times the noise scale; a
+    bare plane is one channel.
     """
 
-    def __init__(self, plane: np.ndarray):
+    def __init__(self, plane: np.ndarray, channels: int = 1):
         plane = np.asarray(plane, dtype=np.float64)
+        self.channels: int = channels
         self.dims: tuple[int, ...] = plane.shape
         self.axis_exps: list[int] = _check_pow2_dims(self.dims)
         self.j_total: int = sum(self.axis_exps)
@@ -102,6 +106,14 @@ class StatsLattice:
         self.sums: dict[tuple[int, ...], np.ndarray] = {}
         self.ssts: dict[tuple[int, ...], np.ndarray] = {}
         self._build(plane)
+
+    @classmethod
+    def from_grid(cls, grid: PixelGrid) -> "StatsLattice":
+        """The statistics of the plane a grid's shared tree is fitted on:
+        the per-pixel sum of its channels, which is integer-valued whenever
+        the samples are, so the sweep's mixture tables serve it."""
+        plane = grid.values[0] if grid.channels == 1 else grid.values.sum(axis=0)
+        return cls(plane, grid.channels)
 
     @property
     def node_count(self) -> int:
@@ -169,9 +181,10 @@ class LevelStream(StatsLattice):
 def build_stats(grid: PixelGrid) -> StatsLattice:
     """Aggregate sums and SSTs for every lattice block of the padded grid.
 
-    Multi-channel grids are reduced to their per-pixel channel mean, the
-    plane the shared partition tree is inferred from.
+    Multi-channel grids are reduced to their per-pixel channel sum, the
+    plane the shared partition tree is inferred from, at C times the noise
+    scale for C channels.
     """
     if not grid.is_padded:
         raise DimensionError(f"grid dims {grid.dims} are not padded to {grid.dims_padded}")
-    return StatsLattice(grid.mean_plane())
+    return StatsLattice.from_grid(grid)

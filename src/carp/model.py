@@ -23,6 +23,13 @@ The same bottom-up sweep then finds the MAP tree (see :mod:`carp.tree`):
 per block, log kappa, the best log posterior of any pruned subtree rooted
 there, and the int8 decision achieving it.  Only the decisions are kept.
 
+The shared tree of C channels is fitted on their per-pixel sum at noise
+scale C sigma, with tau0, rho and eta0 unchanged.  Every block sum and
+coefficient of the sum is C times the channel mean's and every SST C^2
+times, so each log psi is the mean's at sigma less (|A| - 1) log C, and
+the posteriors and the MAP tree are the mean's.  log_marginal adds
+(N - 1) log C back, for N pixels, so it is the mean's too.
+
 The sweep goes level by level, smallest blocks first, and every shape of
 one level has the same number of blocks.  It cuts each level into
 batches: runs of consecutive shapes that also share their divisible
@@ -60,8 +67,9 @@ is an integer, and the mixture reads w = D / sqrt(|A|) only through
 w * w, so it is a function of |D|.  For each batch and axis whose largest
 |D| is below the number of blocks, the mixture is evaluated once per
 value 0..max |D| and gathered by |D|; any other batch and axis, and every
-plane with a fractional or non-finite value (such as the mean of several
-channels), evaluates it per block.  The log-sum-exps run in place, with
+plane with a fractional or non-finite value, evaluates it per block.  The
+channel sum of integer samples is integer-valued, so colour images and
+video are served by the tables too.  The log-sum-exps run in place, with
 the operations of a reduction over stacked terms in the same order.  A
 batch gives each block the same operations in the same order as a
 shape alone, so every posterior array is bit for bit what the per-block,
@@ -243,7 +251,8 @@ def _segments(buf: np.ndarray, grids: list[tuple[int, ...]]) -> list[np.ndarray]
 def _sweep(stats: StatsLattice, hp: Hyperparams,
            decisions: dict[tuple[int, ...], np.ndarray] | None
            ) -> tuple[float, float | None]:
-    """One bottom-up pass over the lattice: (log psi, log kappa) of the root.
+    """One bottom-up pass over the lattice: (log marginal, log kappa of the
+    root), the former the channel mean's (see the module docstring).
 
     The shapes go in the batches of ``_batches``, one set of numpy passes
     over each batch's buffers but for the per-shape reads of the children
@@ -259,7 +268,9 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
     holds them all along, and a ``LevelStream`` builds level e then and
     drops the levels below these.
     """
-    sigma2 = hp.sigma * hp.sigma
+    # a sum of C channels carries C times the noise of one
+    sigma = hp.sigma * stats.channels
+    sigma2 = sigma * sigma
     log_const = LOG_2PI + math.log(sigma2)
     log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
     log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
@@ -360,7 +371,9 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
             decisions[shape] = run if run.base is None else run.copy()
     root = tuple(stats.axis_exps)
     log_map = float(log_kappa[root].reshape(-1)[0]) if decisions is not None else None
-    return float(log_psi[root].reshape(-1)[0]), log_map
+    # the channel mean's log marginal, not the sum's; one channel adds 0
+    log_marginal = float(log_psi[root].reshape(-1)[0])
+    return log_marginal + (n - 1) * math.log(stats.channels), log_map
 
 
 class PosteriorLattice:

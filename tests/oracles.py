@@ -289,9 +289,12 @@ def reference_posterior(stats, hp):
     """(log_prune, log_not_prune, log_split, log_marginal) by the direct
     sweep: the mixture evaluated at every block and axis, and each
     log-sum-exp taken over stacked terms.  The package's sweep must match
-    it bit for bit, and raise the same NumericError on the same input."""
+    it bit for bit, and raise the same NumericError on the same input.  A
+    lattice of the sum of C channels is swept at C sigma, and its log
+    marginal gets (N - 1) log C back, for N pixels."""
     log_psi, log_prune, log_not_prune, log_split = {}, {}, {}, {}
-    sigma2 = hp.sigma * hp.sigma
+    sigma = hp.sigma * stats.channels
+    sigma2 = sigma * sigma
     log_const = _LOG_2PI + math.log(sigma2)
     log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
     log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
@@ -351,7 +354,10 @@ def reference_posterior(stats, hp):
             log_1m_eta0 + log_lambda + lse_d - lpsi, 0.0
         )
     root = tuple(stats.axis_exps)
-    return log_prune, log_not_prune, log_split, float(log_psi[root].reshape(-1)[0])
+    log_marginal = float(log_psi[root].reshape(-1)[0])
+    if stats.channels > 1:
+        log_marginal += (math.prod(stats.dims) - 1) * math.log(stats.channels)
+    return log_prune, log_not_prune, log_split, log_marginal
 
 
 # ---------------------------------------------------------------------------

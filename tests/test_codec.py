@@ -389,8 +389,9 @@ class TestResources:
         assert streamed <= 0.7 * stored
 
 
-# every lattice dimension, a fractional mean plane (three channels) and a
-# constant plane, for the streamed against the stored lattice
+# every lattice dimension, a channel-sum plane (three channels), a
+# fractional plane and a constant plane, for the streamed against the
+# stored lattice
 STREAMED_GRIDS = {
     "1d": lambda: random_grid(np.random.default_rng(40), (256,)),
     "2d": lambda: synthetic_photo(64, seed=41),
@@ -398,6 +399,7 @@ STREAMED_GRIDS = {
     "3d": lambda: random_grid(np.random.default_rng(43), (8, 16, 16)),
     "4d": lambda: random_grid(np.random.default_rng(44), (2, 4, 8, 8)),
     "3-channel": lambda: random_grid(np.random.default_rng(45), (32, 32), channels=3),
+    "fractional": lambda: _half_flat((32, 32), True),
     "constant": lambda: grid_of(np.full((32, 32), 77.0)),
 }
 

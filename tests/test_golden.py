@@ -38,6 +38,13 @@ def _photo64() -> PixelGrid:
     return synthetic_photo(64, seed=3)
 
 
+def _rgb64() -> PixelGrid:
+    """64x64, 3 channels: three photo seeds as the channels, so the shared
+    tree is fitted on channels that disagree."""
+    vals = np.stack([synthetic_photo(64, seed=s).values[0] for s in (12, 13, 14)])
+    return PixelGrid(values=vals, dims_original=(64, 64))
+
+
 # name -> (grid factory, hyperparams, prefix_scales, stream sha, values sha)
 CASES = {
     "photo64_full": (
@@ -64,6 +71,10 @@ CASES = {
         _volume_rgb, Hyperparams(sigma=0.5), None,
         "f24904d21abda72341cac6dea906fd78a36c3d0b369f9662cd57ec7814e469aa",
         "b98126be308707bd8f256227233ffa8795cc40e72551cfcf061ea6fc3dbba7d0"),
+    "rgb64_s1": (
+        _rgb64, Hyperparams(sigma=1.0), None,
+        "e2924521d5ba80c6d3ad1e0bfd3bc2416c7867a05102c42d1167a949d18bd186",
+        "78fcfb869a737e0ebc3f7466dba39d5174969c2c4e6efed05cc5d00e88f90836"),
     "photo64_prefix6": (
         _photo64, Hyperparams(sigma=1.0), 6,
         "9c25f2697cfe1ee660f7c5446f529282b2df6025d937fcf2f9d86e5571b47a0f",

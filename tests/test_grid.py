@@ -157,8 +157,3 @@ class TestPixelGrid:
     def test_raw_bytes(self):
         grid = PixelGrid.from_array(np.zeros((4, 8)), bit_depth=16)
         assert grid.raw_bytes == 4 * 8 * 2
-
-    def test_mean_plane(self):
-        vals = np.stack([np.full((2, 2), 10.0), np.full((2, 2), 30.0)])
-        grid = PixelGrid(values=vals, dims_original=(2, 2))
-        np.testing.assert_array_equal(grid.mean_plane(), np.full((2, 2), 20.0))

@@ -50,6 +50,18 @@ class TestBuildStats:
             build_stats(grid)
         build_stats(pad(grid))  # fine once padded
 
+    def test_channels_are_summed(self):
+        vals = np.stack([np.full((2, 2), 10.0), np.full((2, 2), 30.0)])
+        stats = build_stats(PixelGrid(values=vals, dims_original=(2, 2)))
+        assert stats.channels == 2
+        np.testing.assert_array_equal(stats.sums[(0, 0)], np.full((2, 2), 40.0))
+        assert build_stats(grid_of(np.zeros((2, 2)))).channels == 1
+
+    def test_integer_channels_give_an_integral_sum(self):
+        grid = random_grid(np.random.default_rng(5), (8, 8), channels=3)
+        assert build_stats(grid).integral
+        assert not StatsLattice(grid.values.mean(axis=0)).integral
+
     def test_node_count(self):
         stats = build_stats(grid_of(np.zeros((4, 8))))
         assert stats.node_count == (2 * 4 - 1) * (2 * 8 - 1)
@@ -122,7 +134,8 @@ class TestSplitIdentity:
 class TestLevelStream:
     @pytest.mark.parametrize("plane", [
         lambda: synthetic_photo(32, seed=3).values[0],
-        lambda: random_grid(np.random.default_rng(23), (4, 8, 16), channels=3).mean_plane(),
+        lambda: random_grid(np.random.default_rng(23), (4, 8, 16),
+                            channels=3).values.mean(axis=0),
     ], ids=["2d", "3-channel-volume"])
     def test_holds_two_levels_bit_for_bit_the_stored_ones(self, plane):
         plane = plane()

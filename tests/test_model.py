@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carp import (Hyperparams, NumericError, PixelGrid,
-                  build_posterior, build_stats, empirical_bayes_fit)
+from carp import (Hyperparams, NumericError, PixelGrid, build_posterior, build_stats,
+                  compress, empirical_bayes_fit, extract_map_tree)
 from carp import model
 from carp.lattice import LevelStream, StatsLattice
 from carp.model import PosteriorLattice
 from conftest import random_grid, synthetic_photo
-from oracles import (brute_force_log_marginal, haar_array, reference_log_kappa,
-                     reference_posterior, root_shape)
+from oracles import (brute_force_log_marginal, brute_force_map, haar_array,
+                     reference_log_kappa, reference_posterior, root_shape,
+                     tree_to_structure)
 
 
 def grid_of(arr):
@@ -244,13 +245,13 @@ SWEEP_PLANES = {
     "past-2^53": lambda: 2.0**55 + 8 * _integers((8, 8), 64, seed=4),
     "float": lambda: np.random.default_rng(6).uniform(0, 255, size=(256, 256)),
     "3-channel": lambda: random_grid(np.random.default_rng(7), (8, 16),
-                                     channels=3).mean_plane(),
+                                     channels=3).values.mean(axis=0),
     # levels that mix one-axis edge shapes with runs of two-axis shapes,
     # several of which share a batch
     "32x256": lambda: _integers((32, 256), 256, seed=8),
     # a fractional plane: the direct mixture path, in three-axis batches
     "3-channel-volume": lambda: random_grid(np.random.default_rng(9), (4, 32, 32),
-                                            channels=3).mean_plane(),
+                                            channels=3).values.mean(axis=0),
 }
 
 BATCH_CAPS = {"1": 1, "2^13": 1 << 13, "2^62": 1 << 62}
@@ -283,7 +284,7 @@ class TestSweepMatchesReference:
         # the stored lattice, then its plane's levels streamed as the sweep
         # reaches them
         plane = stats.sums[stats.shapes[0]]
-        for lattice in (stats, LevelStream(plane)):
+        for lattice in (stats, LevelStream(plane, stats.channels)):
             post = PosteriorLattice(lattice, hp)
             assert post.decisions.keys() == decisions.keys()
             for key in decisions:
@@ -291,7 +292,7 @@ class TestSweepMatchesReference:
                 assert np.array_equal(post.decisions[key], decisions[key]), key
             assert _same_bits(post.log_marginal, tables[3])
             assert _same_bits(post.log_map, log_kappa[root_shape(stats)].reshape(-1)[0])
-        for lattice in (stats, LevelStream(plane)):
+        for lattice in (stats, LevelStream(plane, stats.channels)):
             log_marginal, log_map = model._sweep(lattice, hp, None)
             assert _same_bits(log_marginal, tables[3]) and log_map is None
 
@@ -307,6 +308,14 @@ class TestSweepMatchesReference:
         # a cap of 1 runs each shape alone, 2^62 each level and axis set
         monkeypatch.setattr(model, "_BATCH_BLOCKS", BATCH_CAPS[cap])
         self.check(StatsLattice(SWEEP_PLANES[plane]()), Hyperparams(**SWEEP_HYPERPARAMS[hp]))
+
+    @pytest.mark.parametrize("channels", [2, 3])
+    @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
+    def test_bit_identical_on_a_channel_sum(self, hp, channels):
+        grid = random_grid(np.random.default_rng(10), (4, 16, 16), channels=channels)
+        stats = build_stats(grid)
+        assert stats.channels == channels and stats.integral
+        self.check(stats, Hyperparams(**SWEEP_HYPERPARAMS[hp]))
 
     def test_integral_flag(self):
         assert StatsLattice(SWEEP_PLANES["16bit"]()).integral
@@ -428,6 +437,62 @@ class TestBatches:
         assert not StatsLattice(plane).integral
         batches = model._batches(_lattice_shapes(plane.shape), plane.size)
         assert any(len(b) > 1 and all(b[0]) for b in batches)
+
+
+CHANNEL_DIMS = [(16,), (4, 4), (2, 2, 4)]
+
+
+class TestChannelSum:
+    """A grid of C channels is fitted on the channel sum at C sigma, which
+    is the model of the channel mean at sigma: the same MAP tree and the
+    same log marginal likelihood, now by way of the mixture tables."""
+
+    @staticmethod
+    def grids(dims, channels):
+        rng = np.random.default_rng(100 * channels + len(dims))
+        return [random_grid(rng, dims, channels=channels) for _ in range(2)]
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("channels", [2, 3])
+    @pytest.mark.parametrize("dims", CHANNEL_DIMS, ids=str)
+    def test_map_tree_is_the_channel_means(self, dims, channels, sigma):
+        hp = Hyperparams(sigma=sigma)
+        for grid in self.grids(dims, channels):
+            tree = tree_to_structure(extract_map_tree(build_posterior(grid, hp)))
+            best, _, _ = brute_force_map(grid.values.mean(axis=0), hp)
+            if len(best) == 1:
+                assert tree == best[0]
+            else:
+                assert tree in best
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("channels", [2, 3])
+    @pytest.mark.parametrize("dims", CHANNEL_DIMS, ids=str)
+    def test_log_marginal_is_the_channel_means(self, dims, channels, sigma):
+        hp = Hyperparams(sigma=sigma)
+        for grid in self.grids(dims, channels):
+            brute = brute_force_log_marginal(grid.values.mean(axis=0), hp)
+            assert build_posterior(grid, hp).log_marginal == pytest.approx(brute, rel=1e-9)
+
+    def test_fit_picks_the_channel_means_point(self):
+        grid = random_grid(np.random.default_rng(11), (16, 16), channels=3)
+        mean = PixelGrid.from_array(grid.values.mean(axis=0))
+        assert empirical_bayes_fit(grid, sigma=2.0) == empirical_bayes_fit(mean, sigma=2.0)
+
+    def test_colour_encode_takes_the_mixture_tables(self, monkeypatch):
+        # the direct path evaluates the mixture at every block and axis,
+        # more elements than the lattice has blocks
+        grid = random_grid(np.random.default_rng(19), (16, 64, 64), channels=3)
+        seen = []
+
+        def counting(w, *args):
+            seen.append(np.size(w))
+            return mixture(w, *args)
+
+        mixture = model._mixture
+        monkeypatch.setattr(model, "_mixture", counting)
+        compress(grid, Hyperparams(sigma=2.0))
+        assert 0 < sum(seen) < build_stats(grid).node_count
 
 
 class TestEmpiricalBayes:
