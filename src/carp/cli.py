@@ -118,11 +118,13 @@ def _cmd_compress(args) -> int:
     _check_encode_budget(grid.dims_padded, grid.channels)
     reused = args.empirical_bayes or args.target_ratio is not None
     stats = build_stats(grid) if reused else None
+    searched = ""
     if args.target_ratio is not None:
         hp_base = _resolve_hyperparams(args, sigma=1.0, grid=grid, stats=stats)
         result = target_ratio_search(grid, hp_base, args.target_ratio, tol=args.tol,
                                      stats=stats)
         stream = result.stream
+        searched = f", {len(result.attempts)} encodes"
         if not result.converged:
             print(f"warning: ratio search stopped at {result.ratio:.2f}",
                   file=sys.stderr)
@@ -131,7 +133,7 @@ def _cmd_compress(args) -> int:
         stream = compress(grid, hp, q=args.q, stats=stats)
     stream.write_file(args.output)
     print(f"{args.output}: {stream.size_bytes} bytes, "
-          f"ratio {stream.compression_ratio:.2f}, sigma {stream.sigma:g}")
+          f"ratio {stream.compression_ratio:.2f}, sigma {stream.sigma:g}{searched}")
     return 0
 
 

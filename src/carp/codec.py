@@ -41,8 +41,12 @@ write, so that it writes no stream the decoder refuses.
 
 ``target_ratio_search`` builds the block statistics once (unless they
 are passed in) and hands them to every ``compress`` attempt, since they do
-not depend on sigma.  It encodes the near-lossless floor sigma only when
-its bracket walks down to it.
+not depend on sigma.  It takes each next sigma from a line in (log sigma,
+log ratio): a slope-1 step from sigma = 1, then secant steps, as regula
+falsi with the Illinois rule once both ends of its bracket are encoded.
+Near the target the ratio grows with a log-log slope close to 1, so most
+searches take two encodes.  It encodes the near-lossless floor sigma only
+when a step reaches it.
 """
 
 from __future__ import annotations
@@ -408,20 +412,31 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     floor over the band returns the floor stream with a warning and
     converged=False (a constant image, say); one under the band goes
     first in the list of misses.  Any other attempt is a miss too, and
-    becomes hi if its ratio reaches the target, otherwise lo.  The next
-    sigma is 4 * lo while there is no hi; the floor when lo is still the
-    floor, sigma = 1 and the first midpoint (about 0.0316) both overshot,
-    and the floor is untried; otherwise the midpoint sqrt(lo * hi).  After
-    ``SEARCH_ATTEMPTS`` compress calls the miss closest in log ratio is
-    returned with converged=False; on ties the floor, then the earliest
-    miss, wins.
+    becomes hi if its ratio reaches the target, otherwise lo.
 
+    The next sigma is the root of a line in (log sigma, log ratio): after
+    sigma = 1 alone, the line of slope 1 through it (sigma * target /
+    ratio); once both ends of the bracket have been encoded, the line
+    through them (regula falsi), where an end kept twice in a row has its
+    log-ratio residual halved (the Illinois rule); otherwise the line
+    through the last two attempts.  A flat or falling line puts the root
+    past the bracket, on the side of the target.  A root at or under the
+    floor encodes the floor, if it is untried; with no hi, the step goes
+    at most to 4 * lo; any other root outside (lo, hi), or not finite,
+    gives way to the midpoint sqrt(lo * hi).  So no sigma is encoded
+    twice.  After ``SEARCH_ATTEMPTS`` compress calls the miss closest in
+    log ratio is returned with converged=False; on ties the floor, then
+    the earliest miss, wins.
+
+    ``target_ratio`` must be finite and over 1, and ``tol`` in (0, 1).
     ``stats`` may pass in the grid's block statistics, as for compress;
     otherwise they are built once and shared by every attempt.  The result
     lists every attempt as ``(sigma, ratio, encode_ms)`` in ``attempts``.
     """
-    if target_ratio <= 1.0:
-        raise ValueError(f"target ratio must exceed 1, got {target_ratio}")
+    if not (math.isfinite(target_ratio) and target_ratio > 1.0):
+        raise ValueError(f"target ratio must be finite and exceed 1, got {target_ratio}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
 
     _check_encode_budget(grid.dims_padded, grid.channels)
     if stats is None:
@@ -432,6 +447,9 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
         return replace(result, converged=converged, attempts=tuple(trace))
 
     lo, hi = SIGMA_FLOOR, None
+    # log(ratio / target) at lo and hi, None while that end is unencoded
+    res_lo = res_hi = None
+    moved = None  # the end the last attempt moved
     misses: list[RatioSearchResult] = []
     sigma = 1.0
     while len(trace) < SEARCH_ATTEMPTS:
@@ -450,20 +468,39 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
             return finish(result, False)
         if abs(ratio - target_ratio) <= tol * target_ratio:
             return finish(result, True)
+        res = math.log(ratio / target_ratio)
         if sigma == SIGMA_FLOOR:  # under the band, and lo is the floor already
             misses.insert(0, result)
         else:
             misses.append(result)
-            if ratio >= target_ratio:
-                hi = sigma
-            else:
-                lo = sigma
-        if hi is None:
-            sigma = 4.0 * lo
-        elif lo == SIGMA_FLOOR and len(misses) == 2:
-            sigma = SIGMA_FLOOR
+        # Illinois: an end kept twice in a row has its residual halved
+        if ratio >= target_ratio:
+            if moved == "hi" and res_lo is not None:
+                res_lo /= 2
+            hi, res_hi, moved = sigma, res, "hi"
         else:
-            sigma = math.sqrt(lo * hi)
+            if moved == "lo" and res_hi is not None:
+                res_hi /= 2
+            lo, res_lo, moved = sigma, res, "lo"
+
+        # the root of the line through both ends, else through the last two
+        # attempts, else through sigma = 1 at slope 1; a flat line puts it
+        # past the bracket on the target's side
+        x, slope = math.log(sigma), 1.0
+        if res_lo is not None and res_hi is not None:
+            x, res, slope = math.log(hi), res_hi, (res_hi - res_lo) / math.log(hi / lo)
+        elif len(trace) > 1:
+            s1, r1, _ = trace[-2]
+            slope = math.log(ratio / r1) / math.log(sigma / s1)
+        root = x - res / slope if slope > 0 else math.copysign(math.inf, -res)
+        top = 4.0 * lo if hi is None else hi
+        step = math.exp(min(root, math.log(top)))
+        if step <= SIGMA_FLOOR and res_lo is None:  # lo is the untried floor
+            sigma = SIGMA_FLOOR
+        elif lo < step < top:
+            sigma = step
+        else:
+            sigma = top if hi is None else math.sqrt(lo * hi)
 
     best = min(misses, key=lambda r: abs(math.log(r.ratio / target_ratio)))
     warnings.warn(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from carp import (Hyperparams, StatsLattice, build_stats, cli, codec, compress,
-                  load, pad, save)
+                  load, pad, save, target_ratio_search)
 from carp.cli import main
 
 from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
@@ -47,6 +47,23 @@ class TestCompressDecompress:
         ratio = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("compression ratio:")][0]
         assert 8 * 0.8 <= float(ratio.split(":")[1]) <= 8 * 1.2
+
+    def test_target_ratio_summary_counts_the_encodes(self, photo_path, tmp_path, capsys):
+        out = str(tmp_path / "rate.carp")
+        assert main(["compress", photo_path, out, "--target-ratio", "8"]) == 0
+        summary = capsys.readouterr().out.strip()
+        result = target_ratio_search(pad(load(photo_path)), Hyperparams(sigma=1.0), 8.0)
+        assert summary.endswith(f", sigma {result.sigma:g}, {len(result.attempts)} encodes")
+        assert main(["compress", photo_path, out, "--sigma", "2"]) == 0
+        assert capsys.readouterr().out.strip().endswith(", sigma 2")
+
+    @pytest.mark.parametrize("tol", ["-0.1", "0", "nan", "1.5"])
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_bad_tolerance_exits_1(self, photo_path, tmp_path, capsys, command, tol):
+        out = str(tmp_path / "out")
+        rate = ["--target-ratio", "8"] if command == "compress" else ["--ratios", "8"]
+        assert main([command, photo_path, out, *rate, "--tol", tol]) == 1
+        assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, photo_path, tmp_path):
         out1 = tmp_path / "a.carp"
@@ -312,6 +329,10 @@ class TestSweep:
         assert 10 * 0.85 <= float(rows[1]["ratio"]) <= 10 * 1.15
 
     def test_ratio_points_share_one_lattice(self, photo_path, tmp_path, monkeypatch):
+        # with two workers, each point's search builds its own lattice
+        own_csv = str(tmp_path / "own.csv")
+        assert main(["sweep", photo_path, own_csv, "--ratios", "4,8,16",
+                     "--workers", "2"]) == 0
         calls = []
         monkeypatch.setattr(cli, "build_stats",
                             lambda grid: calls.append(1) or build_stats(grid))
@@ -319,9 +340,9 @@ class TestSweep:
         out_csv = str(tmp_path / "ratios.csv")
         assert main(["sweep", photo_path, out_csv, "--ratios", "4,8,16"]) == 0
         assert len(calls) == 1
-        # the rows of a sweep whose searches each built their own lattice
-        assert [(r["bytes"], r["ratio"]) for r in read_csv(out_csv)] == [
-            ("3735", "4.386613"), ("2165", "7.567667"), ("931", "17.598281")]
+        strip = lambda rows: [
+            {k: v for k, v in r.items() if not k.endswith("_ms")} for r in rows]
+        assert strip(read_csv(out_csv)) == strip(read_csv(own_csv))
 
 
 class TestProgressive:

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import time
 import tracemalloc
@@ -20,6 +21,7 @@ from carp.stream import PRIOR_FIELDS, ChannelPayload, axis_bit_width
 from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
                       stray_coefficient_stream, synthetic_photo, tableless_stream)
 from test_golden import CASES as GOLDEN_CASES
+import oracles
 from oracles import (reference_decompress, reference_substitute_pruned_means,
                      reference_target_ratio_search)
 
@@ -655,6 +657,18 @@ class TestRateBehavior:
         with pytest.raises(ValueError):
             target_ratio_search(grid, Hyperparams(sigma=1.0), 1.0)
 
+    @pytest.mark.parametrize("target,tol", [
+        (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+        (4.0, -0.1), (4.0, 0.0), (4.0, math.nan), (4.0, 1.0), (4.0, 1.5), (4.0, math.inf),
+    ])
+    def test_search_arguments_are_checked_first(self, monkeypatch, target, tol):
+        # before the budget check, the statistics or any encode
+        for name in ("_check_encode_budget", "build_stats", "compress"):
+            monkeypatch.setattr(codec, name, None)
+        with pytest.raises(ValueError, match="target ratio|tolerance"):
+            target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0),
+                                target, tol=tol)
+
     def test_constant_image_overshoots_with_warning(self):
         grid = grid_of(np.full((64, 64), 9.0))
         with pytest.warns(UserWarning, match="exceeds target"):
@@ -662,9 +676,16 @@ class TestRateBehavior:
         assert not result.converged
         assert result.ratio > 3.0
         assert result.sigma == pytest.approx(1e-3)
-        # sigma = 1 and the first midpoint overshoot, then the floor
+        # sigma = 1 overshoots, the slope-1 step overshoots at the same
+        # ratio, and the flat line through them passes the floor
+        (_, ratio, _), _, _ = result.attempts
         assert [s for s, _, _ in result.attempts] == pytest.approx(
-            [1.0, math.sqrt(1e-3), 1e-3])
+            [1.0, 3.0 / ratio, 1e-3])
+
+
+def _pan(photo, frames, size):
+    """A volume of size x size crops of photo, drifting as in a slow pan."""
+    return np.stack([photo[t:t + size, 2 * t:2 * t + size] for t in range(frames)])
 
 
 def _search_inputs():
@@ -674,34 +695,51 @@ def _search_inputs():
     photo256 = synthetic_photo(256, seed=7)
     cases += [("photo256-3", photo256, 3.0), ("photo256-60", photo256, 60.0),
               ("constant64-3", grid_of(np.full((64, 64), 9.0)), 3.0)]
+    x = np.linspace(0.0, 1.0, 4096)
+    noise = np.random.default_rng(23).normal(0.0, 4.0, x.size)
+    signal = np.clip(np.rint(120 + 80 * np.sin(7 * x) + 30 * (x > 0.6) + noise), 0, 255)
+    video = np.stack([_pan(synthetic_photo(64, seed=s).values[0], 8, 32) for s in (12, 13, 14)])
+    cases += [("signal4096-10", grid_of(signal), 10.0),
+              ("volume16x32x32-20", grid_of(_pan(synthetic_photo(64, seed=9).values[0], 16, 32)),
+               20.0),
+              ("video3x8x32x32-20", PixelGrid(values=video, dims_original=(8, 32, 32)), 20.0)]
     return cases
 
 
 @pytest.fixture(scope="module")
 def searched():
-    """Per input: the package's search and the floor-first reference."""
+    """Per input: the package's search, the floor-first reference and the
+    number of encodes the reference made."""
     out = {}
     for name, grid, target in _search_inputs():
-        with warnings.catch_warnings():
+        ref_encodes = []
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
             warnings.simplefilter("ignore", UserWarning)
             new = target_ratio_search(grid, Hyperparams(sigma=1.0), target)
+            patch.setattr(oracles, "compress",
+                          lambda *a, **k: ref_encodes.append(1) or compress(*a, **k))
             ref = reference_target_ratio_search(grid, Hyperparams(sigma=1.0), target)
-        out[name] = (target, new, ref)
+        out[name] = (target, new, ref, len(ref_encodes), grid)
     return out
 
 
 class TestRatioSearch:
     @pytest.mark.parametrize("name", [name for name, _, _ in _search_inputs()])
     def test_matches_the_floor_first_search(self, searched, name):
-        _, new, ref = searched[name]
-        assert new.sigma == ref.sigma
+        target, new, ref, ref_encodes, grid = searched[name]
         assert new.converged == ref.converged
-        assert new.ratio == ref.ratio
-        assert new.stream.to_bytes() == ref.stream.to_bytes()
+        if new.converged:
+            for ratio in (new.ratio, ref.ratio):
+                assert abs(ratio - target) <= 0.1 * target
+        alone = compress(grid, Hyperparams(sigma=new.sigma, tau0=1.0 / new.sigma))
+        assert new.stream.to_bytes() == alone.to_bytes()
+        assert (new.sigma, new.ratio) in {(s, r) for s, r, _ in new.attempts}
+        if ref_encodes > 1:
+            assert len(new.attempts) <= ref_encodes
 
     def test_floor_is_encoded_only_when_walked_down_to(self, searched):
         undershoots = 0
-        for target, new, _ in searched.values():
+        for target, new, _, _, _ in searched.values():
             sigmas = [s for s, _, _ in new.attempts]
             assert sigmas[0] == 1.0
             if new.attempts[0][1] < target:
@@ -710,25 +748,32 @@ class TestRatioSearch:
         assert undershoots >= 8
 
     def test_first_midpoint_decides_when_sigma_one_overshoots(self, searched):
-        target, new, _ = searched["photo256-3"]
+        # sigma = 1 overshoots; the steps down converge above the floor
+        target, new, _, _, _ = searched["photo256-3"]
         assert new.attempts[0][1] > target * 1.1
         assert new.converged and new.sigma in {s for s, _, _ in new.attempts}
         assert 1e-3 not in [s for s, _, _ in new.attempts]
 
-    _STEP_DOWN = [1.0, 4.0, 2.0]
     _ATTEMPTED_SIGMAS = {
-        "photo128-0": _STEP_DOWN + [2.82843, 2.37841],
-        "photo128-1": _STEP_DOWN + [2.82843, 2.37841, 2.18102],
-        "photo128-6": _STEP_DOWN + [2.82843, 2.37841, 2.18102],
-        **dict.fromkeys([f"photo128-{seed}" for seed in (2, 3, 4, 5, 7)], _STEP_DOWN),
-        "photo256-3": [1.0, 0.03162, 0.17783, 0.07499, 0.0487, 0.06043],
-        "photo256-60": _STEP_DOWN,
-        "constant64-3": [1.0, 0.03162, 0.001],
+        "photo128-0": [1.0, 2.18262],
+        "photo128-1": [1.0, 2.21436],
+        "photo128-2": [1.0, 2.19727],
+        "photo128-3": [1.0, 2.19971],
+        "photo128-4": [1.0, 2.00806],
+        "photo128-5": [1.0, 1.88354],
+        "photo128-6": [1.0, 2.10693],
+        "photo128-7": [1.0, 2.02271],
+        "photo256-3": [1.0, 0.11797, 0.05069, 0.0673],
+        "photo256-60": [1.0, 2.35931],
+        "constant64-3": [1.0, 0.16113, 0.001],
+        "signal4096-10": [1.0, 1.56982, 2.16296],
+        "volume16x32x32-20": [1.0, 2.69775, 2.43302],
+        "video3x8x32x32-20": [1.0, 3.20964, 2.56684, 2.08715, 2.308],
     }
 
     @pytest.mark.parametrize("name", [name for name, _, _ in _search_inputs()])
     def test_attempted_sigmas_are_pinned(self, searched, name):
-        _, new, _ = searched[name]
+        _, new, _, _, _ = searched[name]
         assert [round(s, 5) for s, _, _ in new.attempts] == self._ATTEMPTED_SIGMAS[name]
 
     def test_attempts_trace_every_compress_call(self, monkeypatch):
@@ -747,11 +792,11 @@ class TestRatioSearch:
         assert all(ms > 0 for _, _, ms in result.attempts)
         assert (result.sigma, result.ratio) in encoded
 
-    @pytest.mark.parametrize("grid,target", [
-        (synthetic_photo(128, seed=3), 20.0),
-        (grid_of(np.full((64, 64), 9.0)), 3.0),  # the floor would be third
+    @pytest.mark.parametrize("grid,target,budget", [
+        (synthetic_photo(128, seed=3), 20.0, 1),  # sigma = 1 gives ratio 9.1
+        (grid_of(np.full((64, 64), 9.0)), 3.0, 2),  # the floor would be third
     ])
-    def test_max_iter_bounds_compress_calls(self, monkeypatch, grid, target):
+    def test_max_iter_bounds_compress_calls(self, monkeypatch, grid, target, budget):
         calls = []
         original = codec.compress
 
@@ -760,17 +805,21 @@ class TestRatioSearch:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(codec, "compress", counting)
-        monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", 2)
-        with pytest.warns(UserWarning, match="stopped after 2 evaluations"):
+        monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", budget)
+        with pytest.warns(UserWarning, match=f"stopped after {budget} evaluations"):
             result = target_ratio_search(grid, Hyperparams(sigma=1.0), target)
-        assert len(calls) == len(result.attempts) == 2
+        assert len(calls) == len(result.attempts) == budget
         assert not result.converged
 
     def test_budget_can_run_out_on_the_floor(self, monkeypatch):
-        # sigma = 1 and the midpoint overshoot the 1 % band and the floor
-        # undershoots it, using up three attempts, as the floor-first
-        # search does with the same three
-        grid = synthetic_photo(256, seed=7)
+        # a flat image but for four pixels: sigma = 1 and the slope-1 step
+        # overshoot the 1 % band at one ratio, the flat line through them
+        # passes the floor, and the floor undershoots, using up three
+        # attempts; the floor-first search spends the same three on the
+        # floor, sigma = 1 and a midpoint, and picks the same stream
+        values = np.full((64, 64), 9.0)
+        values[20, 30:34] = 10.0
+        grid = grid_of(values)
         calls = []
         original = codec.compress
 
@@ -781,11 +830,12 @@ class TestRatioSearch:
         monkeypatch.setattr(codec, "compress", counting)
         monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", 3)
         with pytest.warns(UserWarning, match="stopped after 3 evaluations"):
-            new = target_ratio_search(grid, Hyperparams(sigma=1.0), 1.42, tol=0.01)
+            new = target_ratio_search(grid, Hyperparams(sigma=1.0), 17.0, tol=0.01)
         assert len(calls) == 3
-        assert [s for s, _, _ in new.attempts] == [1.0, math.sqrt(1e-3), 1e-3]
+        (_, ratio, _), (_, flat, _), (floor, under, _) = new.attempts
+        assert flat == ratio > 17.0 * 1.01 and floor == 1e-3 and under < 17.0 * 0.99
         with pytest.warns(UserWarning, match="stopped after 3 evaluations"):
-            ref = reference_target_ratio_search(grid, Hyperparams(sigma=1.0), 1.42,
+            ref = reference_target_ratio_search(grid, Hyperparams(sigma=1.0), 17.0,
                                                 tol=0.01, max_iter=3)
         assert (new.sigma, new.ratio, new.converged) == (ref.sigma, ref.ratio, ref.converged)
         assert new.stream.to_bytes() == ref.stream.to_bytes()
@@ -802,35 +852,35 @@ class TestRatioSearch:
         assert result.stream.to_bytes() == alone.to_bytes()
 
     @staticmethod
-    def _stub_compress(monkeypatch, ratios):
-        """Replace compress by a stub whose stream for sigma has ratios[sigma]."""
+    def _stub_compress(monkeypatch, ratio_of):
+        """Replace compress by a stub whose stream for sigma has ratio_of(sigma)."""
         def stub(grid, hp, q=None, stats=None):
-            return types.SimpleNamespace(compression_ratio=ratios[hp.sigma], sigma=hp.sigma)
+            return types.SimpleNamespace(compression_ratio=ratio_of(hp.sigma), sigma=hp.sigma)
         monkeypatch.setattr(codec, "compress", stub)
 
     def test_floor_in_band_returns_the_floor_converged(self, monkeypatch):
-        # sigma = 1 and the first midpoint overshoot the band, the floor is
-        # in it, though sigma = 1 is closer in log ratio (0.097 against 0.100)
-        self._stub_compress(monkeypatch, {1.0: 2.203, math.sqrt(1e-3): 2.21, 1e-3: 1.81})
+        # every sigma over the floor overshoots the band, the floor is in
+        # it, though the overshoots are closer in log ratio (0.097 against 0.100)
+        self._stub_compress(monkeypatch, lambda s: 1.81 if s <= 1e-3 else 2.203)
         result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0), 2.0)
         assert result.converged and result.sigma == 1e-3 and result.ratio == 1.81
         assert result.stream.sigma == 1e-3
-        assert [s for s, _, _ in result.attempts] == [1.0, math.sqrt(1e-3), 1e-3]
+        assert [s for s, _, _ in result.attempts][-1] == 1e-3
 
     def test_in_band_attempt_beats_a_closer_one_out_of_band(self, monkeypatch):
         # sigma = 1 overshoots the band at 2.203, closer in log ratio (0.097)
-        # than the first midpoint's in-band 1.81 (0.100)
-        self._stub_compress(monkeypatch, {1.0: 2.203, math.sqrt(1e-3): 1.81})
+        # than the in-band 1.81 (0.100) of every sigma under 1
+        self._stub_compress(monkeypatch, lambda s: 2.203 if s >= 1.0 else 1.81)
         result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0), 2.0)
-        assert result.converged and result.sigma == math.sqrt(1e-3) and result.ratio == 1.81
-        assert [s for s, _, _ in result.attempts] == [1.0, math.sqrt(1e-3)]
+        assert result.converged and result.sigma < 1.0 and result.ratio == 1.81
+        assert [s for s, _, _ in result.attempts] == [1.0, result.sigma]
 
     def test_budget_can_run_out_on_an_in_band_attempt(self, monkeypatch):
         # the last attempt the budget allows lands in the band
-        self._stub_compress(monkeypatch, {1.0: 10.0, math.sqrt(1e-3): 4.1})
+        self._stub_compress(monkeypatch, lambda s: 10.0 if s >= 1.0 else 4.1)
         monkeypatch.setattr(codec, "SEARCH_ATTEMPTS", 2)
         result = target_ratio_search(synthetic_photo(32, seed=5), Hyperparams(sigma=1.0), 4.0)
-        assert result.converged and result.sigma == math.sqrt(1e-3) and result.ratio == 4.1
+        assert result.converged and result.sigma < 1.0 and result.ratio == 4.1
         assert len(result.attempts) == 2
 
     def test_passed_stats_are_used(self, monkeypatch):
@@ -840,3 +890,57 @@ class TestRatioSearch:
         monkeypatch.setattr(codec, "build_stats", None)
         shared = target_ratio_search(grid, Hyperparams(sigma=1.0), 8.0, stats=stats)
         assert shared.stream.to_bytes() == alone.stream.to_bytes()
+
+
+def _stub_curves():
+    """(kind, ratio of sigma, root sigma or None) of monotone ratio curves:
+    power laws a * sigma^b whose root sits at a seeded sigma in 1e-4..1e4
+    for each target, staircases, and a flat curve."""
+    rng = np.random.default_rng(2024)
+    curves = []
+    for b in np.linspace(0.2, 3.0, 8):
+        for root in 10 ** rng.uniform(-4, 4, 6):
+            curves.append(("power", lambda s, t, b=b, root=root: t * (s / root) ** b, root))
+    for _ in range(12):
+        edges = np.sort(10 ** rng.uniform(-3.5, 3, rng.integers(1, 8)))
+        levels = np.sort(10 ** rng.uniform(0.05, 2.6, len(edges) + 1))
+        curves.append(("stair", lambda s, t, e=edges, v=levels:
+                       float(v[np.searchsorted(e, s, side="right")]), None))
+    curves.append(("flat", lambda s, t: 7.0, None))
+    return curves
+
+
+class TestSearchRule:
+    """The next-sigma rule on stubbed monotone ratio curves."""
+
+    def test_steps_stay_in_the_bracket_and_power_laws_converge(self, monkeypatch):
+        grid = synthetic_photo(32, seed=5)
+        targets = np.geomspace(1.5, 200.0, 9)
+        searches = 0
+        for (kind, curve, root), target, tol in itertools.product(
+                _stub_curves(), targets, (0.01, 0.1)):
+            monkeypatch.setattr(codec, "compress", lambda g, hp, q=None, stats=None: (
+                types.SimpleNamespace(compression_ratio=curve(hp.sigma, target),
+                                      sigma=hp.sigma)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                result = target_ratio_search(grid, Hyperparams(sigma=1.0), target, tol=tol,
+                                             stats=object())
+            searches += 1
+            sigmas = [s for s, _, _ in result.attempts]
+            assert len(set(sigmas)) == len(sigmas)
+            assert (result.sigma, result.ratio) in {(s, r) for s, r, _ in result.attempts}
+            lo, hi = 1e-3, math.inf
+            for k, (sigma, ratio, _) in enumerate(result.attempts):
+                if k > 0 and sigma != 1e-3:
+                    assert lo < sigma < hi and (hi < math.inf or sigma <= 4 * lo)
+                if ratio >= target:
+                    hi = min(hi, sigma)
+                else:
+                    lo = max(lo, sigma)
+            if kind == "power" and curve(1e-3, target) <= target * (1 + tol):
+                # the line through two points of a power law meets its
+                # root, so three attempts do, plus one per 4x step past 4
+                assert result.converged
+                assert len(sigmas) <= 3 + max(0, math.ceil(math.log(root / 4, 4)))
+        assert searches == 1098
