@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import __version__
-from .codec import (_check_encode_budget, compress, decompress,
-                    decompress_with_bits, target_ratio_search)
+from .codec import (_check_encode_budget, _check_search_arguments, compress,
+                    decompress, decompress_with_bits, target_ratio_search)
 from .errors import CarpError
 from .grid import PixelGrid, load, original_region, pad, save
 from .lattice import StatsLattice, build_stats
@@ -111,6 +111,8 @@ def _load_padded(path: str) -> PixelGrid:
 
 
 def _cmd_compress(args) -> int:
+    if args.target_ratio is not None:
+        _check_search_arguments(args.target_ratio, args.tol)
     grid = _load_padded(args.input)
     # check the whole encode before the hyperparameter fit sweeps the image;
     # the fit and the ratio search share one set of block statistics, and a
@@ -208,15 +210,17 @@ def _sweep_point(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    grid = _load_padded(args.input)
-    hp_kwargs = {k: getattr(args, k) for k in ("alpha", "beta", "c", "tau0", "eta0")
-                 if getattr(args, k) is not None}
     if args.sigmas:
         points = [("sigma", float(v)) for v in args.sigmas.split(",") if v]
     else:
         points = [("ratio", float(v)) for v in args.ratios.split(",") if v]
     if not points:
         raise ValueError("sweep grid is empty")
+    for value in [value for kind, value in points if kind == "ratio"]:
+        _check_search_arguments(value, args.tol)
+    grid = _load_padded(args.input)
+    hp_kwargs = {k: getattr(args, k) for k in ("alpha", "beta", "c", "tau0", "eta0")
+                 if getattr(args, k) is not None}
     # check the encode before the ratio searches of one process get their one
     # shared lattice; sigma points stream theirs
     _check_encode_budget(grid.dims_padded, grid.channels)

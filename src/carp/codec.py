@@ -142,7 +142,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                      48 * n + 8 * tokens,  # quantizer and tokenizer arrays
                      # tokens, histogram, Huffman per-token and per-bit arrays
                      96 * tokens + bits))
-    serial = 40 * nodes  # size, sort keys or pack_codes: <= 80 B per node with bits
+    serial = 40 * nodes  # node sizes, split rows, axis words and bits
     post = max(extract, tree + max(order, channel, serial))
     return dict(extract=extract, serial=serial,
                 total=_ENCODE_SLACK + held + max(build, sweep, post))
@@ -287,9 +287,9 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
     tree = nodes * (16 * m + 9)  # shape, index, pos, axis
-    # bits, walk records, depths and axes; per node its rows per level and
-    # concatenated, or its axis position and sort index, or grower arrays
-    parse = 4 * stream.tree_nbits + nodes * (32 * m + 24)
+    # one byte per tree bit; per node its rows, held per level and then
+    # concatenated, and room for one level's split rows and grower arrays
+    parse = stream.tree_nbits + nodes * (32 * m + 24)
     coefficients = 8 * channels * splits
     values = 8 * channels * nodes
     planes = 8 * n * channels
@@ -399,6 +399,14 @@ class RatioSearchResult:
     attempts: tuple[tuple[float, float, float], ...] = ()
 
 
+def _check_search_arguments(target_ratio: float, tol: float) -> None:
+    """The argument checks of ``target_ratio_search``: raise ValueError."""
+    if not (math.isfinite(target_ratio) and target_ratio > 1.0):
+        raise ValueError(f"target ratio must be finite and exceed 1, got {target_ratio}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+
+
 def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
                         target_ratio: float, tol: float = 0.1,
                         stats: StatsLattice | None = None) -> RatioSearchResult:
@@ -412,7 +420,9 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     floor over the band returns the floor stream with a warning and
     converged=False (a constant image, say); one under the band goes
     first in the list of misses.  Any other attempt is a miss too, and
-    becomes hi if its ratio reaches the target, otherwise lo.
+    becomes hi if its ratio reaches the target, otherwise lo.  An attempt
+    under the band whose tree is one leaf (at most one tree bit) ends the
+    search: every larger sigma gives the same tree, so the same ratio.
 
     The next sigma is the root of a line in (log sigma, log ratio): after
     sigma = 1 alone, the line of slope 1 through it (sigma * target /
@@ -424,20 +434,17 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     floor encodes the floor, if it is untried; with no hi, the step goes
     at most to 4 * lo; any other root outside (lo, hi), or not finite,
     gives way to the midpoint sqrt(lo * hi).  So no sigma is encoded
-    twice.  After ``SEARCH_ATTEMPTS`` compress calls the miss closest in
-    log ratio is returned with converged=False; on ties the floor, then
-    the earliest miss, wins.
+    twice.  After ``SEARCH_ATTEMPTS`` compress calls, or a one-leaf tree
+    under the band, the miss closest in log ratio is returned with a
+    warning and converged=False; on ties the floor, then the earliest
+    miss, wins.
 
     ``target_ratio`` must be finite and over 1, and ``tol`` in (0, 1).
     ``stats`` may pass in the grid's block statistics, as for compress;
     otherwise they are built once and shared by every attempt.  The result
     lists every attempt as ``(sigma, ratio, encode_ms)`` in ``attempts``.
     """
-    if not (math.isfinite(target_ratio) and target_ratio > 1.0):
-        raise ValueError(f"target ratio must be finite and exceed 1, got {target_ratio}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-
+    _check_search_arguments(target_ratio, tol)
     _check_encode_budget(grid.dims_padded, grid.channels)
     if stats is None:
         stats = build_stats(grid)
@@ -451,6 +458,7 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     res_lo = res_hi = None
     moved = None  # the end the last attempt moved
     misses: list[RatioSearchResult] = []
+    why = ""
     sigma = 1.0
     while len(trace) < SEARCH_ATTEMPTS:
         hp = replace(hp_base, sigma=sigma, tau0=1.0 / sigma)
@@ -473,6 +481,10 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
             misses.insert(0, result)
         else:
             misses.append(result)
+        if ratio < target_ratio and stream.tree_nbits <= 1:
+            # one leaf: every larger sigma gives this tree and this ratio again
+            why = f"; sigma {sigma:g} gives a one-leaf tree"
+            break
         # Illinois: an end kept twice in a row has its residual halved
         if ratio >= target_ratio:
             if moved == "hi" and res_lo is not None:
@@ -505,6 +517,6 @@ def target_ratio_search(grid: PixelGrid, hp_base: Hyperparams,
     best = min(misses, key=lambda r: abs(math.log(r.ratio / target_ratio)))
     warnings.warn(
         f"ratio search stopped after {len(trace)} evaluations at ratio "
-        f"{best.ratio:.2f} (target {target_ratio})", stacklevel=2
+        f"{best.ratio:.2f} (target {target_ratio}){why}", stacklevel=2
     )
     return finish(best, False)

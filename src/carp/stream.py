@@ -6,6 +6,9 @@ Layout (all integers little-endian, bitstreams packed MSB-first):
     sigma f64 | q f64 | alpha f64 | beta f64 | c f64 | tau0 f64 | eta0 f64
     dims_original m x u32 | dims_padded m x u32
     tree_nbits u32 | tree bits (padded to bytes)
+        per tree level, coarsest first, down to the level above the pixels:
+            stop bit per node, in position order
+            axis word (axis_bit_width(m) bits) per split, in position order
     per channel:
         scaling_symbol i64
         table_count u32 | (symbol i64, code length u8) x table_count
@@ -20,9 +23,10 @@ entropy coder, where a one-off large value would only bloat the table.
 Parsing checks every code table: its symbols must ascend strictly, as
 they are written, each length must lie in 1..L_MAX and the Kraft sum may
 not exceed 1, so a table always describes a prefix code.  The stream
-ends with the last payload, and bytes after it are rejected.  Tree bits
-and payloads are decoded in bulk, with numpy passes over all bits and
-Python work only per non-atomic tree node and per token.
+ends with the last payload, and bytes after it are rejected.  Each tree
+level's bits are two slices of the bitstream, so the tree is parsed with
+numpy work per level; payloads are decoded in bulk.  Version 1 streams,
+whose tree bits were in preorder, are refused.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import pack_codes, unpack_bits
+from .bitio import unpack_bits
 from .errors import StreamError
 from .huffman import check_code_lengths, decode_symbols
 from .tree import MapTree, grow_level, sum_columns
 
 MAGIC = b"CARP"
-VERSION = 1
+VERSION = 2
 ZERO_RUN_MAX = 65535
 # the prior hyperparameters, in header order; the decoder reads none of them
 PRIOR_FIELDS = ("alpha", "beta", "c", "tau0", "eta0")
@@ -56,32 +60,39 @@ def axis_bit_width(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
-    """Preorder walk: one stop bit per non-atomic node, axis bits on splits.
-    A split is its axis as a word of 1 + axis_bit_width(m) bits.  The rows
-    may come in any order: this sorts them by position, larger block first."""
+    """Level by level, the stop bits of a level's nodes in position order,
+    then the axis words of its splits, each axis_bit_width(m) bits.  Atomic
+    nodes carry no bits.  The rows must be in level order, as
+    ``extract_map_tree`` and ``deserialize_tree`` return them, so each
+    level's bits are two slices of the rows' bits."""
+    width = axis_bit_width(len(tree.dims_padded))
     size = sum_columns(tree.shape)
-    rows = np.flatnonzero(size)  # atomic nodes carry no bits
-    axis = tree.axis[rows[np.lexsort((-size[rows], tree.pos[rows]))]]
-    del size, rows
-    split = axis >= 0
-    return pack_codes(np.where(split, axis, 1),
-                      1 + axis_bit_width(len(tree.dims_padded)) * split)
+    rows = np.count_nonzero(size)  # the atomic nodes, all on the last level, come last
+    size, axis = size[:rows], tree.axis[:rows]
+    split = np.flatnonzero(axis >= 0)
+    words = (axis[split, None] >> np.arange(width - 1, -1, -1, dtype=np.int8)) & 1
+    ends = [*(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), rows]
+    bits = np.empty(rows + words.size, dtype=np.uint8)
+    at = lo = first = 0
+    for hi, last in zip(ends, np.searchsorted(split, ends).tolist()):
+        bits[at : at + hi - lo] = axis[lo:hi] < 0
+        at += hi - lo
+        bits[at : at + width * (last - first)] = words[first:last].ravel()
+        at += width * (last - first)
+        lo, first = hi, last
+    return np.packbits(bits).tobytes(), len(bits)
 
 
 def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> MapTree:
-    """Parse preorder tree bits into a MapTree, its rows in level order.
+    """Parse level-order tree bits into a MapTree, its rows in level order.
 
-    A walk over the bits keeps one stack of node depths: a node at depth d
-    has 2^(j_total - d) pixels, so the atomic nodes are exactly those at
-    depth j_total, which carry no bits.  Every other node takes at least
-    one bit, so the work and memory are bounded by nbits, whatever the
-    header dims claim.
-
-    The walk's nodes of one depth are one tree level in position order, so
-    a stable sort by depth gives each level's axes as one slice, and
-    ``tree.grow_level`` derives each level from the one above, as in
-    extraction.  A walk cut short reaches a prefix of each level, whose
-    axes are checked before the walk's own error is raised.
+    The levels above depth j_total, whose nodes are not single pixels,
+    take one stop bit per node and then one axis word per split, and
+    ``tree.grow_level`` derives the next level from each, as in extraction.
+    Every node takes a bit before its level grows, so work and memory are
+    bounded by nbits, whatever the header dims claim.  Cut-off bits end the
+    parse after the axis words read are checked, as a bit-by-bit parse
+    meets them.
     """
     m = len(dims_padded)
     exps = [int(d).bit_length() - 1 for d in dims_padded]
@@ -89,74 +100,35 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     if j_total > 62 or m > 127:
         raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
                           f"or 127 axes")
-    nbits_axis = axis_bit_width(m)
+    width = axis_bit_width(m)
+    weights = 1 << np.arange(width - 1, -1, -1)
     bits = unpack_bits(data, nbits)
-    visits, error = _walk_tree_bits(bits, nbits_axis, j_total)
-    split = (visits & 1) == 0
-    # a split's axis bits follow every stop bit up to its own and earlier axis bits
-    at = split.nonzero()[0]
-    at += 1 + nbits_axis * np.arange(len(at))
-    value = np.zeros(len(at), dtype=np.int8)
-    for _ in range(nbits_axis):
-        value = 2 * value + bits[at]
-        at += 1
-    axis = np.full(len(visits), -1, dtype=np.int8)
-    axis[split] = value
-    depth = visits >> 1
-    del visits, split, at, value
-    axis = axis[depth.argsort(kind="stable")]
     level = (np.array([exps], dtype=np.int64), np.zeros((1, m), dtype=np.int64),
              np.zeros(1, dtype=np.int64))
     levels = []
-    for count in np.bincount(depth).tolist():
-        # a walk cut short reaches only the first nodes of a level
-        levels.append(tuple(col[:count] for col in level) + (axis[:count],))
-        axis = axis[count:]
+    cursor = 0
+    for _ in range(j_total):
+        count = len(level[2])
+        if not count:
+            break
+        split = (bits[cursor : cursor + count] == 0).nonzero()[0]
+        cursor += count
+        words = bits[cursor : cursor + width * len(split)]
+        cursor += width * len(split)
+        read = len(words) // width if width else len(split)
+        axis = np.full(count, -1, dtype=np.int8)
+        axis[split[:read]] = words[: width * read].reshape(read, width) @ weights
+        levels.append(level + (axis,))
         level = grow_level(*levels[-1])
-    if error:
-        raise StreamError(error)
+        if cursor > nbits:
+            raise StreamError("tree bits end mid-tree")
+    if cursor < nbits:
+        raise StreamError(f"{nbits - cursor} unread bits after tree")
     # the level grown from the last one with bits holds only atomic nodes
     levels.append(level + (np.full(len(level[2]), -1, dtype=np.int8),))
     shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded), shape=shape,
                    index=index, pos=pos, axis=axis)
-
-
-def _walk_tree_bits(bits: np.ndarray, nbits_axis: int,
-                    j_total: int) -> tuple[np.ndarray, str | None]:
-    """Every node with bits (all but the atomic ones) in preorder, as
-    2 * depth + its stop bit, and the error that ended the walk early or
-    late, if any.  A split whose axis bits are cut off is left out."""
-    nbits = len(bits)
-    visits = np.empty(nbits, dtype=np.uint8)
-    bits_view, visits_view = memoryview(bits), memoryview(visits)
-    # depths of the right children still to visit; popping -1 ends the walk
-    stack = [-1]
-    push, pop = stack.append, stack.pop
-    cursor = 0
-    count = 0
-    last = j_total - 1
-    step = 1 + nbits_axis
-    depth = 0 if j_total else -1  # the root of a one-pixel grid is atomic
-    while depth >= 0 and cursor < nbits:
-        stop = bits_view[cursor]
-        visits_view[count] = depth + depth + stop
-        count += 1
-        if stop:
-            cursor += 1
-        else:
-            cursor += step
-            if depth < last:  # go on to the left child
-                depth += 1
-                push(depth)
-                continue
-        depth = pop()
-    count -= cursor > nbits  # drop a cut-off split
-    if cursor > nbits or depth >= 0:
-        return visits[:count], "tree bits end mid-tree"
-    if cursor < nbits:
-        return visits[:count], f"{nbits - cursor} unread bits after tree"
-    return visits[:count], None
 
 
 # ---------------------------------------------------------------------------

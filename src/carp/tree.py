@@ -22,8 +22,8 @@ Extraction then follows the decisions top-down, one tree level at a time
 and over the reached blocks only, so everything after the sweep costs
 time proportional to the tree, not the lattice.  The tree-bit parser
 grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
-a set of per-node arrays in level order, as the levels are grown; only the
-tree bits are in preorder.  Level order is a heap: the children of the
+a set of per-node arrays in level order, as the levels are grown, and the
+tree bits follow the same order.  Level order is a heap: the children of the
 k-th split row, counting splits in row order, are rows 2k + 1 and 2k + 2.
 The permutation the tree induces is a plain index array.  The decoder
 walks the same heap: :func:`node_values` rebuilds every node's value from
@@ -36,6 +36,7 @@ they would be subdivided.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,16 @@ def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
         yield tuple(shape[rows[lo]].tolist()), rows[lo:hi]
 
 
+@functools.lru_cache
+def _split_steps(m: int) -> np.ndarray:
+    """Row d is the one-hot extent step of a split along axis d < m; any other
+    int8 axis steps by 64, past every extent exponent, to a negative child."""
+    steps = np.full((128, m), 64, dtype=np.int64)
+    steps[:m] = np.eye(m, dtype=np.int64)
+    steps.setflags(write=False)
+    return steps
+
+
 def grow_level(shape: np.ndarray, index: np.ndarray, pos: np.ndarray,
                axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next tree level: from one level's rows in position order and
@@ -130,21 +141,19 @@ def grow_level(shape: np.ndarray, index: np.ndarray, pos: np.ndarray,
     its right one.  A split along d halves the extent on d, and its right
     child lies one child extent further along d.  Raises StreamError when
     an axis names no axis or an extent of 1."""
-    m = shape.shape[1]
     split = (axis >= 0).nonzero()[0]
-    d = axis[split]
-    step = (d[:, None] == np.arange(m)).astype(np.int64)  # one-hot split axes
+    step = _split_steps(shape.shape[1]).take(axis[split], axis=0)
     child = shape.take(split, axis=0) - step
-    if (d >= m).any() or (child < 0).any():
-        row = int(((d >= m) | (child < 0).any(axis=1)).argmax())
+    if child.min(initial=0) < 0:
+        row = int((child < 0).any(axis=1).argmax())
         raise StreamError(
-            f"tree names split axis {d[row]} on extent "
+            f"tree names split axis {axis[split[row]]} on extent "
             f"{tuple(1 << a for a in shape[split[row]].tolist())}"
         )
     index = (index.take(split, axis=0) << step).repeat(2, axis=0)
     index[1::2] += step  # the right children
     pos = pos.take(split).repeat(2)
-    pos[1::2] += 1 << int(child[:1].sum())  # the nodes of a level are one size
+    pos[1::2] += 1 << sum(child[:1].ravel().tolist())  # a level's nodes are one size
     return child.repeat(2, axis=0), index, pos
 
 

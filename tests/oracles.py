@@ -13,10 +13,11 @@ directly, not against the package's recursion paths:
   kappa step over them as a separate pass, and ``map_tree_log_posterior``
   scores a tree with them.  The package's marginal likelihood, root log
   kappa and int8 decisions must match them bit for bit.
-* ``reference_extract_map_tree``, ``reference_permutation`` and
-  ``reference_serialize_tree`` are a recursive tree path over the same
-  structure tuples, reading the reference tables one block at a time; the
-  differential tests require it and the package's array-native tree to
+* ``reference_extract_map_tree`` and ``reference_permutation`` are a
+  recursive tree path over the same structure tuples, reading the
+  reference tables one block at a time, and ``reference_serialize_tree``
+  writes their tree bits breadth first, one bit at a time; the
+  differential tests require them and the package's array-native tree to
   agree exactly.
 * ``ReferenceBitWriter``, ``reference_encode_symbols``,
   ``ReferenceBitReader``, ``ReferenceCanonicalDecoder``,
@@ -60,7 +61,7 @@ from carp.codec import RatioSearchResult, _check_encode_budget, compress
 from carp.errors import NumericError, StreamError
 from carp.grid import PixelGrid, original_region
 from carp.lattice import _child, _halves, build_stats
-from carp.stream import CompressedStream, ZERO_RUN_MAX, axis_bit_width, detokenize
+from carp.stream import CompressedStream, ZERO_RUN_MAX, detokenize
 from carp.transform import dequantize, haar_inverse
 from carp.tree import MapTree, permutation_from_tree
 
@@ -479,24 +480,21 @@ def reference_permutation(structure, dims):
 
 
 def reference_serialize_tree(structure, dims):
-    """Preorder stop bits and axis bits, one writer call per field."""
+    """Level-order tree bits, breadth first, one writer call per bit: per
+    level, a stop bit for each non-atomic node in position order, then
+    the axis bits of each split."""
     writer = ReferenceBitWriter()
     nbits_axis = (len(dims) - 1).bit_length()
-
-    def walk(node):
-        kind = node[0]
-        if kind == "atom":
-            return
-        if kind == "prune":
-            writer.write_bit(1)
-            return
-        writer.write_bit(0)
-        if nbits_axis:
-            writer.write(node[3], nbits_axis)
-        walk(node[4])
-        walk(node[5])
-
-    walk(structure)
+    level = [structure]
+    while level:
+        nodes = [node for node in level if node[0] != "atom"]
+        for node in nodes:
+            writer.write_bit(node[0] == "prune")
+        splits = [node for node in nodes if node[0] == "split"]
+        for node in splits:
+            for k in reversed(range(nbits_axis)):
+                writer.write_bit(node[3] >> k)
+        level = [child for node in splits for child in node[4:]]
     return writer.getvalue(), writer.bit_length
 
 
@@ -661,8 +659,9 @@ def reference_detokenize(lengths, payload, nbits, n_scales):
 
 
 def reference_deserialize_tree(data, nbits, dims_padded):
-    """Preorder tree bits -> MapTree, one node and one bit at a time, with
-    a stack of (shape, index, pos, log2 size) tuples."""
+    """Level-order tree bits -> MapTree, breadth first and one bit at a
+    time, over one level of (shape, index, pos) tuples at a time: all the
+    level's stop bits, then each split's axis bits, checked as read."""
     if nbits > 8 * len(data):
         raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
     m = len(dims_padded)
@@ -670,38 +669,47 @@ def reference_deserialize_tree(data, nbits, dims_padded):
     if sum(exps) > 62 or m > 127:
         raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
                           f"or 127 axes")
-    nbits_axis = axis_bit_width(m)
+    nbits_axis = (m - 1).bit_length()
     reader = ReferenceBitReader(data, nbits)
-    shapes, indices, positions, axes = [], [], [], []
-    stack = [(exps, (0,) * m, 0, sum(exps))]
-    while stack:
-        shape, index, pos, size_exp = stack.pop()
-        shapes += shape
-        indices += index
-        positions.append(pos)
-        if not size_exp:
-            axes.append(-1)
-            continue
+
+    def bit():
         if reader.pos >= nbits:
             raise StreamError("tree bits end mid-tree")
-        if reader.read(1):
-            axes.append(-1)
-            continue
-        if reader.pos + nbits_axis > nbits:
-            raise StreamError("tree bits end mid-tree")
-        axis = reader.read(nbits_axis)
-        if axis >= m or not shape[axis]:
-            raise StreamError(
-                f"tree names split axis {axis} on extent "
-                f"{tuple(1 << a for a in shape)}"
-            )
-        axes.append(axis)
-        child = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1 :]
-        left = index[:axis] + (2 * index[axis],) + index[axis + 1 :]
-        right = index[:axis] + (2 * index[axis] + 1,) + index[axis + 1 :]
+        return reader.read(1)
+
+    shapes, indices, positions, axes = [], [], [], []
+    level = [(exps, (0,) * m, 0)]
+    size_exp = sum(exps)
+    while level:
+        level_axes = [-1] * len(level)
+        if size_exp:  # atomic nodes carry no bits
+            stops = [bit() for _ in level]
+            for k, (shape, _, _) in enumerate(level):
+                if stops[k]:
+                    continue
+                axis = 0
+                for _ in range(nbits_axis):
+                    axis = 2 * axis + bit()
+                if axis >= m or not shape[axis]:
+                    raise StreamError(
+                        f"tree names split axis {axis} on extent "
+                        f"{tuple(1 << a for a in shape)}"
+                    )
+                level_axes[k] = axis
+        children = []
+        for (shape, index, pos), axis in zip(level, level_axes):
+            shapes += shape
+            indices += index
+            positions.append(pos)
+            axes.append(axis)
+            if axis < 0:
+                continue
+            child = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1 :]
+            left = index[:axis] + (2 * index[axis],) + index[axis + 1 :]
+            right = index[:axis] + (2 * index[axis] + 1,) + index[axis + 1 :]
+            children += [(child, left, pos), (child, right, pos + (1 << (size_exp - 1)))]
+        level = children
         size_exp -= 1
-        stack.append((child, right, pos + (1 << size_exp), size_exp))
-        stack.append((child, left, pos, size_exp))
     if reader.pos != nbits:
         raise StreamError(f"{nbits - reader.pos} unread bits after tree")
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded),

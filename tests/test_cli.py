@@ -65,6 +65,20 @@ class TestCompressDecompress:
         assert main([command, photo_path, out, *rate, "--tol", tol]) == 1
         assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compress", "--target-ratio", "8", "--tol", "1.5", "--empirical-bayes"],
+        ["sweep", "--ratios", "8", "--tol", "0"],
+    ], ids=["compress", "sweep"])
+    def test_bad_search_arguments_exit_before_the_statistics(self, photo_path, tmp_path,
+                                                             monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_stats called")
+
+        monkeypatch.setattr(cli, "build_stats", refuse)
+        command, *flags = argv
+        assert main([command, photo_path, str(tmp_path / "out"), *flags]) == 1
+        assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, photo_path, tmp_path):
         out1 = tmp_path / "a.carp"
         out2 = tmp_path / "b.carp"

@@ -851,11 +851,35 @@ class TestRatioSearch:
         alone = compress(grid, Hyperparams(sigma=1.0, tau0=1.0))
         assert result.stream.to_bytes() == alone.to_bytes()
 
+    def test_one_leaf_tree_under_the_band_ends_the_search(self, monkeypatch):
+        # the signal tops out at ratio 19.32: sigma = 1, 4 and 16 give 105,
+        # 23 and 5 tree bits, and sigma = 64 prunes the root, as every
+        # larger sigma does, so a search for ratio 40 stops there
+        grid = next(g for name, g, _ in _search_inputs() if name == "signal4096-10")
+        tree_bits = []
+        original = codec.compress
+
+        def recording(*args, **kwargs):
+            stream = original(*args, **kwargs)
+            tree_bits.append(stream.tree_nbits)
+            return stream
+
+        monkeypatch.setattr(codec, "compress", recording)
+        with pytest.warns(UserWarning, match="stopped after 4 evaluations.*one-leaf tree"):
+            result = target_ratio_search(grid, Hyperparams(sigma=1.0), 40.0)
+        assert [round(s, 5) for s, _, _ in result.attempts] == [1.0, 4.0, 16.0, 64.0]
+        assert tree_bits == [105, 23, 5, 1]
+        assert not result.converged
+        assert (result.sigma, result.ratio) == result.attempts[-1][:2]
+        assert round(result.ratio, 2) == 19.32
+
     @staticmethod
     def _stub_compress(monkeypatch, ratio_of):
-        """Replace compress by a stub whose stream for sigma has ratio_of(sigma)."""
+        """Replace compress by a stub whose stream for sigma has ratio_of(sigma)
+        and a tree of more than one leaf."""
         def stub(grid, hp, q=None, stats=None):
-            return types.SimpleNamespace(compression_ratio=ratio_of(hp.sigma), sigma=hp.sigma)
+            return types.SimpleNamespace(compression_ratio=ratio_of(hp.sigma), sigma=hp.sigma,
+                                         tree_nbits=2)
         monkeypatch.setattr(codec, "compress", stub)
 
     def test_floor_in_band_returns_the_floor_converged(self, monkeypatch):
@@ -921,7 +945,7 @@ class TestSearchRule:
                 _stub_curves(), targets, (0.01, 0.1)):
             monkeypatch.setattr(codec, "compress", lambda g, hp, q=None, stats=None: (
                 types.SimpleNamespace(compression_ratio=curve(hp.sigma, target),
-                                      sigma=hp.sigma)))
+                                      sigma=hp.sigma, tree_nbits=2)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 result = target_ratio_search(grid, Hyperparams(sigma=1.0), target, tol=tol,

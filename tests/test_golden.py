@@ -2,8 +2,11 @@
 
 Each case pins the SHA-256 of the serialized stream and of the decoded
 float64 sample array.  Refactors of the tree, permutation, transform or
-container code must leave every hash unchanged: the v1 format and the
-decoder's output are a contract, not an implementation detail.
+container code must leave every hash unchanged: the v2 format and the
+decoder's output are a contract, not an implementation detail.  v2 lays
+the tree bits out in level order where v1 had preorder; it moved the
+stream hashes, while each stream kept its v1 length and every
+reconstruction hash stayed the same.
 """
 
 import hashlib
@@ -49,35 +52,35 @@ def _rgb64() -> PixelGrid:
 CASES = {
     "photo64_full": (
         _photo64, Hyperparams(sigma=0.01, eta0=0.0), None,
-        "545da38b10bef1e56d910fd2325c357cf67d6fccc5c279a0d3c80c7d9c6a4b40",
+        "07457b90e5d3589c89d94cb8df2c82bb021f6b9c8863daeded2cda6ac8356f1c",
         "08ece985d84941c53cb99cdee847481a255f13e7bd4999d2217759ba0676e498"),
     "photo64_s1": (
         _photo64, Hyperparams(sigma=1.0), None,
-        "9c25f2697cfe1ee660f7c5446f529282b2df6025d937fcf2f9d86e5571b47a0f",
+        "464c5b64fc2e2b424ee9511129cffb93c6551811e8343eed98252e63f282065b",
         "72eca05a3ab5de6e214a0133633bb8100db8d5c8c9f673551feda36561978adb"),
     "photo64_s8": (
         _photo64, Hyperparams(sigma=8.0), None,
-        "9633608fd3b55181c6187986c3caebaa1364add87e1de585479027acd5a47a56",
+        "cdd4fd9c29c6c9b1189b226f576173e084830959aba0a89118b1c59f69df5cbf",
         "ef333706c2f9c1718f9c4d642ce2c7d39925092623c9b92b3086ba0593a71d78"),
     "signal_1d": (
         _signal_1d, Hyperparams(sigma=2.0), None,
-        "87dd74e0236eee888e6e683ecaaaaa7a53bfe356687c69698c8137ba44534f4c",
+        "a9ef59dc6b8f431e537120b648a44a14c19c56abb7b61cf964bf3f7086fb34b6",
         "4c34a88bf510e231cdb34ba51d0ba9ad562abc3daf4c0f7779c1669aa26f74d3"),
     "odd_2d": (
         _odd_2d, Hyperparams(sigma=2.0), None,
-        "560813fd16cf0ed4508ba452e00748f34831470b8fbcc8ae64a1f37f15a74aed",
+        "fde6111b16061835cc1405b61ed8a6b502e6f4b802855a013a723e1ac329290f",
         "71f3bf30ce01f328f21e0d31716c7afabfb91523e7aa79c4887c59243d2e29c3"),
     "volume_rgb": (
         _volume_rgb, Hyperparams(sigma=0.5), None,
-        "f24904d21abda72341cac6dea906fd78a36c3d0b369f9662cd57ec7814e469aa",
+        "5a2f1bc67c414ba7ce04bc000ced805aea70a5aadfa44b73a769514656372312",
         "b98126be308707bd8f256227233ffa8795cc40e72551cfcf061ea6fc3dbba7d0"),
     "rgb64_s1": (
         _rgb64, Hyperparams(sigma=1.0), None,
-        "e2924521d5ba80c6d3ad1e0bfd3bc2416c7867a05102c42d1167a949d18bd186",
+        "c6ffcd74bfc610f7eb01f142db79ea2980152cac1f277cb84c15335ec4319dad",
         "78fcfb869a737e0ebc3f7466dba39d5174969c2c4e6efed05cc5d00e88f90836"),
     "photo64_prefix6": (
         _photo64, Hyperparams(sigma=1.0), 6,
-        "9c25f2697cfe1ee660f7c5446f529282b2df6025d937fcf2f9d86e5571b47a0f",
+        "464c5b64fc2e2b424ee9511129cffb93c6551811e8343eed98252e63f282065b",
         "1402e56750ffd74be49cfa5a6fc63003d5acf44df8ccad0652d3f2ba9e928ff7"),
 }
 

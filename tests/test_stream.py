@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from carp import (CompressedStream, Hyperparams, MapTree, PixelGrid, StreamError,
+from carp import (CompressedStream, Hyperparams, PixelGrid, StreamError,
                   build_posterior, compress, decompress, extract_map_tree)
 from carp.huffman import (L_MAX, build_code_lengths, canonical_codes,
                           encode_symbols, histogram)
@@ -16,7 +16,8 @@ from carp.stream import (PRIOR_FIELDS, ZERO_RUN_MAX, axis_bit_width,
 
 from conftest import random_grid, same_tree
 from oracles import (reference_deserialize_tree, reference_detokenize,
-                     reference_tokenize_scale)
+                     reference_serialize_tree, reference_tokenize_scale,
+                     tree_to_structure)
 
 
 def map_tree_for(rng, shape, sigma=4.0, eta0=0.4):
@@ -80,14 +81,17 @@ class TestTreeBits:
             deserialize_tree(bits, nbits - 1, tree.dims_padded)
 
     def test_cut_off_axis_bits_end_mid_tree(self):
-        # the root splits on axis 0; its left child, one depth above the
-        # pixels, splits on the 2-bit axis 11 (no axis of m = 3), but the
-        # second of those bits lies past nbits, so the tree ends first
+        # the root splits on axis 0 (bits 0 00); at depth 1 the left child
+        # splits and the right one stops (0 1), and the left child's 2-bit
+        # axis word 10 names axis 2, of extent 1, but its second bit lies
+        # past nbits, so the tree ends first
         data, dims = bytes([0b00001100]), (2, 2, 1)
         with pytest.raises(StreamError, match="mid-tree"):
-            reference_deserialize_tree(data, 5, dims)
+            reference_deserialize_tree(data, 6, dims)
         with pytest.raises(StreamError, match="mid-tree"):
-            deserialize_tree(data, 5, dims)
+            deserialize_tree(data, 6, dims)
+        with pytest.raises(StreamError, match="split axis"):
+            deserialize_tree(data, 7, dims)
 
     def test_trailing_bits_raise(self):
         tree = map_tree_for(np.random.default_rng(5), (8, 8), sigma=2.0)
@@ -102,7 +106,7 @@ class TestTreeBits:
     @pytest.mark.parametrize("bits,dims", [
         (0b01000000, (4, 1)),     # axis 1 has extent 1
         (0b01100000, (4, 4, 4)),  # 2-bit axis 3 names no axis of m = 3
-        (0b00001000, (4, 4, 1)),  # root splits on 0, its left child on 2
+        (0b00001100, (4, 4, 1)),  # root splits on 0, then its left child on 2
     ])
     def test_undivisible_axis_raises(self, bits, dims):
         with pytest.raises(StreamError, match="split axis"):
@@ -127,8 +131,10 @@ class TestTreeBits:
 
 
 class TestLevelOrder:
-    """MapTree rows are in level order (by depth, then by position);
-    only the tree bits are in preorder."""
+    """MapTree rows and tree bits are both in level order (by depth, then
+    by position).  serialize_tree reads the levels off the rows, so the
+    rows of both producers, extraction and parsing, must be in that
+    order."""
 
     @staticmethod
     def rows(tree):
@@ -157,13 +163,14 @@ class TestLevelOrder:
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
-    def test_bits_do_not_depend_on_row_order(self, shape, sigma, eta0):
+    def test_both_producers_serialize_as_the_reference(self, shape, sigma, eta0):
         rng = np.random.default_rng(len(shape) + int(sigma))
         for _ in range(3):
             tree = map_tree_for(rng, shape, sigma=sigma, eta0=eta0)
-            shuffle = rng.permutation(len(tree.pos))
-            shuffled = MapTree(tree.dims_padded, *(col[shuffle] for col in self.rows(tree)))
-            assert serialize_tree(shuffled) == serialize_tree(tree)
+            bits = serialize_tree(tree)
+            assert bits == reference_serialize_tree(tree_to_structure(tree),
+                                                    tree.dims_padded)
+            assert serialize_tree(deserialize_tree(*bits, tree.dims_padded)) == bits
 
 
 class TestTokens:
@@ -361,9 +368,10 @@ class TestContainer:
 
     def test_bad_version(self):
         data = bytearray(self.make_stream()[0].to_bytes())
-        data[4] = 99
-        with pytest.raises(StreamError, match="version"):
-            CompressedStream.from_bytes(bytes(data))
+        for version in (1, 99):  # version 1 laid the tree bits out in preorder
+            data[4] = version
+            with pytest.raises(StreamError, match="version"):
+                CompressedStream.from_bytes(bytes(data))
 
     def test_truncation(self):
         data = self.make_stream()[0].to_bytes()
