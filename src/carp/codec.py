@@ -18,8 +18,7 @@ coarse reconstructions.
 The permutation is a plain int64 index array (``order[i]`` is the
 row-major index of the i-th pixel in tree order), and only the encoder
 builds it.  Every nonzero coefficient sits at an internal node of the
-tree: the node at depth d whose run starts at p owns heap index
-2^d + (p >> (J - d)) (``transform.haar_forward``).  So the decoder reads
+tree, at the node's heap index ``MapTree.heap``.  So the decoder reads
 each channel's payload with one bulk call (``detokenize``), which yields
 the heap indices of every decoded coefficient at once, and matches them
 to the tree's splits; a nonzero coefficient anywhere else is a corrupt
@@ -72,7 +71,7 @@ from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream, axis_bit_wi
 # carp records its own stage times (ROADMAP item 1)
 from .transform import dequantize, haar_forward, haar_inverse, quantize
 from .tree import (MapTree, extract_map_tree, node_values, paint_leaves,
-                   permutation_from_tree, split_heap_indices, sum_columns)
+                   permutation_from_tree)
 
 
 # Decoding allocations of fixed size: small arrays, Python objects.
@@ -128,7 +127,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                  + 8 * (2 * sum(a > 0 for a in b[0]) + 8) * len(b) * (n >> sum(b[0]))
                  for b in _batches(shapes, n)), default=0)
     nodes = 2 * n - 1
-    tree = nodes * (16 * m + 9)  # shape, index, pos, axis
+    tree = nodes * (16 * m + 9)  # shape, index, heap, axis
     # the tree, its rows once more per level, and under 8 B per node to
     # look up a level's decisions or grow it
     extract = 2 * tree + 8 * nodes
@@ -142,7 +141,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                      48 * n + 8 * tokens,  # quantizer and tokenizer arrays
                      # tokens, histogram, Huffman per-token and per-bit arrays
                      96 * tokens + bits))
-    serial = 40 * nodes  # node sizes, split rows, axis words and bits
+    serial = 40 * nodes  # the order check, split rows, axis words and bits
     post = max(extract, tree + max(order, channel, serial))
     return dict(extract=extract, serial=serial,
                 total=_ENCODE_SLACK + held + max(build, sweep, post))
@@ -172,16 +171,18 @@ def _check_encode_budget(dims: tuple[int, ...], channels: int) -> None:
 
 def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
                     q: float) -> ChannelPayload:
-    # a leaf of 2^k pixels is the run from pos, a multiple of 2^k, so the
-    # pruned leaves of each size are whole rows of the vector as rows of 2^k;
-    # no view of the vector outlives the loop, so that del frees it
+    # node h at depth d is row h - 2^d of the vector as 2^d rows, so the
+    # pruned leaves of each depth are whole rows; no view of the vector
+    # outlives the loop, so that del frees it
     vector = plane.ravel()[order]
-    pruned = np.flatnonzero(tree.pruned)
-    sizes = sum_columns(tree.shape[pruned])
-    for k in sorted(set(sizes.tolist())):
-        rows = tree.pos[pruned[sizes == k]] >> k
-        means = vector.reshape(-1, 1 << k)[rows].mean(axis=1, keepdims=True)
-        vector.reshape(-1, 1 << k)[rows] = means
+    starts = tree.level_starts()
+    leaf = np.flatnonzero(tree.axis[: starts[-2]] < 0)  # the pruned leaves
+    bounds = np.searchsorted(leaf, starts[:-1]).tolist()
+    for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo < hi:
+            rows = tree.heap[leaf[lo:hi]] - (1 << d)
+            means = vector.reshape(1 << d, -1)[rows].mean(axis=1, keepdims=True)
+            vector.reshape(1 << d, -1)[rows] = means
     coefficients = haar_forward(vector)
     del vector
     scaling_symbol = int(quantize(coefficients[0], q))
@@ -286,27 +287,24 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     leaves = splits + 1
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
-    tree = nodes * (16 * m + 9)  # shape, index, pos, axis
+    tree = nodes * (16 * m + 9)  # shape, index, heap, axis
     # one byte per tree bit; per node its rows, held per level and then
     # concatenated, and room for one level's split rows and grower arrays
     parse = stream.tree_nbits + nodes * (32 * m + 24)
     coefficients = 8 * channels * splits
     values = 8 * channels * nodes
     planes = 8 * n * channels
-    # the split rows, shapes, positions and sizes behind the heap indices;
-    # then next to these, one channel's codeword length per payload bit, a
-    # chunk of windows, the bulk decoder's per-token arrays and their match
-    heap = max(8 * (m + 3) * splits,
-               8 * splits + bits + 64 * min(bits, CHUNK_BITS) + 112 * tokens)
+    # the splits' heap indices and the mask that picks them; then next to
+    # the indices, one channel's codeword length per payload bit, a chunk
+    # of windows, the bulk decoder's per-token arrays and their match
+    heap = 8 * splits + max(nodes, bits + 64 * min(bits, CHUNK_BITS) + 112 * tokens)
     # the splits of one level, or the pruned leaves, are disjoint blocks of
     # two pixels or more: at most n // 2 of them
     wide = n // 2
-    # pruned-leaf rows and sizes and the split rows, next to the node sizes
-    # and split depths, or one level's values and children, or the pruned
-    # leaves' values and masks
-    walk = 16 * leaves + 8 * splits + max(9 * nodes + 16 * splits,
-                                          24 * channels * min(splits, wide),
-                                          (8 * channels + 17) * min(leaves, wide))
+    # the leaf and split rows, next to the mask that picks them, or one
+    # level's values and children, or the pruned leaves' values
+    walk = 8 * leaves + 8 * splits + max(nodes, 24 * channels * min(splits, wide),
+                                         8 * channels * min(leaves, wide))
     # per leaf its rows, shape columns, shape id and sort, grid index and
     # painted values
     paint = leaves * (16 * m + 8 * channels + 24)
@@ -352,7 +350,7 @@ def decompress_with_bits(stream: CompressedStream | bytes,
         )
 
     tree = stream.decode_tree()
-    split_heap = split_heap_indices(tree)
+    split_heap = tree.heap[tree.axis >= 0]
     coefficients = np.empty((n_channels, len(split_heap)))
     consumed = 0
     # a hostile q or symbol may overflow; the values are checked below
@@ -367,12 +365,13 @@ def decompress_with_bits(stream: CompressedStream | bytes,
     if not np.isfinite(values).all():
         raise StreamError(f"quantizer step q={stream.q} and the coded coefficients "
                           f"give non-finite pixel values")
+    # painting copies values, so clipping the nodes clips the pixels
+    np.clip(values, 0.0, float(2**stream.bit_depth - 1), out=values)
     planes = np.empty((n_channels,) + dims_padded)
     paint_leaves(tree, values, planes)
     del values
     payload_bits_total = sum(ch.payload_nbits for ch in stream.channels)
     bits_used = 8 * stream.size_bytes - payload_bits_total + consumed
-    np.clip(planes, 0.0, float(2**stream.bit_depth - 1), out=planes)
     padded = PixelGrid(values=_freeze(planes),
                        dims_original=tuple(int(d) for d in stream.dims_original),
                        bit_depth=stream.bit_depth)

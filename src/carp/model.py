@@ -89,7 +89,8 @@ from .errors import NumericError
 from .grid import PixelGrid
 from .lattice import StatsLattice, _child, _halves, build_stats
 
-SIGMA_FLOOR = 1e-6
+# Hyperparams clamps a smaller sigma to this one
+SIGMA_CLAMP = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -119,11 +120,11 @@ class Hyperparams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sigma < SIGMA_FLOOR:
+        if self.sigma < SIGMA_CLAMP:
             warnings.warn(
-                f"sigma {self.sigma} below {SIGMA_FLOOR}, clamping", stacklevel=2
+                f"sigma {self.sigma} below {SIGMA_CLAMP}, clamping", stacklevel=2
             )
-            object.__setattr__(self, "sigma", SIGMA_FLOOR)
+            object.__setattr__(self, "sigma", SIGMA_CLAMP)
         if self.tau0 is None:
             object.__setattr__(self, "tau0", 1.0 / self.sigma)
         if self.tau0 <= 0:
@@ -391,7 +392,6 @@ class PosteriorLattice:
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):
         self.stats = stats
-        self.hp = hp
         self.decisions: dict[tuple[int, ...], np.ndarray] = {}
         self.log_marginal, self.log_map = _sweep(stats, hp, self.decisions)
 

@@ -40,7 +40,7 @@ import numpy as np
 from .bitio import unpack_bits
 from .errors import StreamError
 from .huffman import check_code_lengths, decode_symbols
-from .tree import MapTree, grow_level, sum_columns
+from .tree import MapTree, grow_level
 
 MAGIC = b"CARP"
 VERSION = 2
@@ -64,22 +64,24 @@ def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
     then the axis words of its splits, each axis_bit_width(m) bits.  Atomic
     nodes carry no bits.  The rows must be in level order, as
     ``extract_map_tree`` and ``deserialize_tree`` return them, so each
-    level's bits are two slices of the rows' bits."""
+    level's bits are two slices of the rows' bits; raises ValueError when
+    their heap indices do not strictly ascend."""
+    if (tree.heap[1:] <= tree.heap[:-1]).any():
+        raise ValueError("tree rows are not in level order")
     width = axis_bit_width(len(tree.dims_padded))
-    size = sum_columns(tree.shape)
-    rows = np.count_nonzero(size)  # the atomic nodes, all on the last level, come last
-    size, axis = size[:rows], tree.axis[:rows]
+    starts = tree.level_starts()
+    axis = tree.axis[: starts[-2]]  # the atomic nodes, at depth J, come last
     split = np.flatnonzero(axis >= 0)
     words = (axis[split, None] >> np.arange(width - 1, -1, -1, dtype=np.int8)) & 1
-    ends = [*(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), rows]
-    bits = np.empty(rows + words.size, dtype=np.uint8)
-    at = lo = first = 0
-    for hi, last in zip(ends, np.searchsorted(split, ends).tolist()):
+    bits = np.empty(len(axis) + words.size, dtype=np.uint8)
+    at = first = 0
+    for lo, hi, last in zip(starts[:-2], starts[1:-1],
+                            np.searchsorted(split, starts[1:-1]).tolist()):
         bits[at : at + hi - lo] = axis[lo:hi] < 0
         at += hi - lo
         bits[at : at + width * (last - first)] = words[first:last].ravel()
         at += width * (last - first)
-        lo, first = hi, last
+        first = last
     return np.packbits(bits).tobytes(), len(bits)
 
 
@@ -104,7 +106,7 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     weights = 1 << np.arange(width - 1, -1, -1)
     bits = unpack_bits(data, nbits)
     level = (np.array([exps], dtype=np.int64), np.zeros((1, m), dtype=np.int64),
-             np.zeros(1, dtype=np.int64))
+             np.ones(1, dtype=np.int64))
     levels = []
     cursor = 0
     for _ in range(j_total):
@@ -126,9 +128,9 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
         raise StreamError(f"{nbits - cursor} unread bits after tree")
     # the level grown from the last one with bits holds only atomic nodes
     levels.append(level + (np.full(len(level[2]), -1, dtype=np.int8),))
-    shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
+    shape, index, heap, axis = (np.concatenate(col) for col in zip(*levels))
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded), shape=shape,
-                   index=index, pos=pos, axis=axis)
+                   index=index, heap=heap, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,8 @@ def detokenize(lengths: dict[int, int], payload: bytes, nbits: int,
     """Decode the first n_scales scales of one channel payload.
 
     The coefficients of scale j sit at heap indices [2^j, 2^(j+1)), as
-    ``transform.haar_forward`` lays them out; index 0, the scaling
+    ``transform.haar_forward`` lays them out, and a tree node's
+    coefficient at its ``MapTree.heap`` index; index 0, the scaling
     coefficient, is not in the payload.  Returns the heap indices and
     quantized values of the literal tokens (the nonzero coefficients, in
     any stream the encoder writes), every other coefficient being 0, and

@@ -23,8 +23,12 @@ and over the reached blocks only, so everything after the sweep costs
 time proportional to the tree, not the lattice.  The tree-bit parser
 grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
 a set of per-node arrays in level order, as the levels are grown, and the
-tree bits follow the same order.  Level order is a heap: the children of the
-k-th split row, counting splits in row order, are rows 2k + 1 and 2k + 2.
+tree bits follow the same order.  Each row carries its node's heap index:
+the root is 1 and node h has children 2h and 2h + 1, so level order is
+ascending heap order, depth d is the heap range [2^d, 2^(d+1)), and node h
+at depth d is the run h - 2^d of 2^(J - d) pixels in tree order, with
+Haar coefficient c[h] (``transform.haar_forward``).  The children of the
+k-th split row are rows 2k + 1 and 2k + 2.
 The permutation the tree induces is a plain index array.  The decoder
 walks the same heap: :func:`node_values` rebuilds every node's value from
 its parent's and the parent's Haar coefficient, and :func:`paint_leaves`
@@ -50,28 +54,31 @@ from .transform import SQRT2
 class MapTree:
     """Binary partition tree over the padded pixel space.
 
-    Row k of every array describes the k-th node in level order (by depth,
-    then by position, as the levels are grown).  A node's block has extent
-    2^shape[k] and offset index[k] * 2^shape[k]; its pixels occupy the run
-    starting at pos[k] in tree order, a multiple of its 2^sum(shape[k])
-    pixels.  axis[k] is the split axis, or -1 for a leaf; a leaf whose
-    shape is not all zero is pruned.
+    Row k of every array describes the k-th node in level order, which is
+    ascending heap order.  A node's block has extent 2^shape[k] and offset
+    index[k] * 2^shape[k]; heap[k] is its heap index.  axis[k] is the split
+    axis, or -1 for a leaf.  The nodes of depth J, the sum of the padded
+    dims' exponents, are single pixels; a leaf above them is pruned.
     """
 
     dims_padded: tuple[int, ...]
     shape: np.ndarray  # (nodes, m) extent exponents
     index: np.ndarray  # (nodes, m) grid index within the node's shape
-    pos: np.ndarray    # (nodes,) tree-order position of the first pixel
+    heap: np.ndarray   # (nodes,) heap index: root 1, children 2h and 2h + 1
     axis: np.ndarray   # (nodes,) int8 split axis, -1 for leaves
 
-    @property
-    def pruned(self) -> np.ndarray:
-        return (self.axis < 0) & (sum_columns(self.shape) > 0)
+    def level_starts(self) -> list[int]:
+        """The row where each depth 0..J starts, then the row count, so
+        depth d is rows [starts[d], starts[d + 1]) and the atomic nodes are
+        the rows from starts[-2] on."""
+        j_total = sum(int(n).bit_length() - 1 for n in self.dims_padded)
+        starts = np.searchsorted(self.heap, 1 << np.arange(j_total + 1, dtype=np.int64))
+        return [*starts.tolist(), len(self.heap)]
 
     def node_counts(self) -> dict[str, int]:
         internal = int(np.count_nonzero(self.axis >= 0))
-        pruned = int(np.count_nonzero(self.pruned))
-        atomic = len(self.axis) - internal - pruned
+        atomic = len(self.axis) - self.level_starts()[-2]
+        pruned = len(self.axis) - internal - atomic
         return {
             "internal": internal,
             "pruned_leaves": pruned,
@@ -80,9 +87,9 @@ class MapTree:
         }
 
     def pruned_pixel_fraction(self) -> float:
+        # the leaves tile the pixels, and each atomic leaf is one of them
         n = int(np.prod(self.dims_padded))
-        covered = int(np.sum(1 << sum_columns(self.shape[self.pruned])))
-        return covered / n
+        return (n - self.node_counts()["atomic_leaves"]) / n
 
 
 def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray]:
@@ -92,16 +99,6 @@ def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray
     benchmark's traced run can rebind it and record a ``tree.compute_kappa``
     span until carp records its own stage times (ROADMAP item 1)."""
     return lattice.decisions
-
-
-def sum_columns(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of a (rows, m) integer array, by adding its m columns:
-    numpy reduces along a short axis several times slower, and integer sums
-    are exact either way."""
-    total = a[:, 0].copy()
-    for column in a.T[1:]:
-        total += column
-    return total
 
 
 def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
@@ -134,11 +131,11 @@ def _split_steps(m: int) -> np.ndarray:
     return steps
 
 
-def grow_level(shape: np.ndarray, index: np.ndarray, pos: np.ndarray,
+def grow_level(shape: np.ndarray, index: np.ndarray, heap: np.ndarray,
                axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next tree level: from one level's rows in position order and
-    their int8 split axes (-1 for leaves), each split's left child, then
-    its right one.  A split along d halves the extent on d, and its right
+    """The next tree level: from one level's rows in heap order and their
+    int8 split axes (-1 for leaves), each split's left child, then its
+    right one.  A split along d halves the extent on d, and its right
     child lies one child extent further along d.  Raises StreamError when
     an axis names no axis or an extent of 1."""
     split = (axis >= 0).nonzero()[0]
@@ -152,9 +149,9 @@ def grow_level(shape: np.ndarray, index: np.ndarray, pos: np.ndarray,
         )
     index = (index.take(split, axis=0) << step).repeat(2, axis=0)
     index[1::2] += step  # the right children
-    pos = pos.take(split).repeat(2)
-    pos[1::2] += 1 << sum(child[:1].ravel().tolist())  # a level's nodes are one size
-    return child.repeat(2, axis=0), index, pos
+    heap = (heap.take(split) << 1).repeat(2)
+    heap[1::2] += 1
+    return child.repeat(2, axis=0), index, heap
 
 
 def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
@@ -163,16 +160,17 @@ def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
     stats = lattice.stats
     shape = np.array([stats.axis_exps], dtype=np.int64)
     index = np.zeros((1, stats.m), dtype=np.int64)
-    pos = np.zeros(1, dtype=np.int64)
+    heap = np.ones(1, dtype=np.int64)
     levels = []
-    while len(pos):
-        axis = np.full(len(pos), -1, dtype=np.int8)
-        for s, rows in _shape_groups(shape, np.flatnonzero(sum_columns(shape)), stats.dims):
-            axis[rows] = decisions[s][tuple(index.take(rows, axis=0).T)]
-        levels.append((shape, index, pos, axis))
-        shape, index, pos = grow_level(shape, index, pos, axis)
-    shape, index, pos, axis = (np.concatenate(col) for col in zip(*levels))
-    return MapTree(dims_padded=stats.dims, shape=shape, index=index, pos=pos, axis=axis)
+    while len(heap):
+        axis = np.full(len(heap), -1, dtype=np.int8)
+        if len(levels) < sum(stats.axis_exps):  # nodes at depth J are single pixels
+            for s, rows in _shape_groups(shape, np.arange(len(heap)), stats.dims):
+                axis[rows] = decisions[s][tuple(index.take(rows, axis=0).T)]
+        levels.append((shape, index, heap, axis))
+        shape, index, heap = grow_level(shape, index, heap, axis)
+    shape, index, heap, axis = (np.concatenate(col) for col in zip(*levels))
+    return MapTree(dims_padded=stats.dims, shape=shape, index=index, heap=heap, axis=axis)
 
 
 def permutation_from_tree(tree: MapTree) -> np.ndarray:
@@ -193,19 +191,10 @@ def permutation_from_tree(tree: MapTree) -> np.ndarray:
         extent = tuple(1 << a for a in s)
         local = np.indices(extent).reshape(len(dims), -1).T @ strides
         base = (tree.index.take(rows, axis=0) << np.array(s)) @ strides
-        order.reshape(-1, len(local))[tree.pos[rows] >> sum(s)] = base[:, None] + local
+        runs = order.reshape(-1, len(local))  # one row per node of the leaves' depth
+        runs[tree.heap.take(rows) - len(runs)] = base[:, None] + local
     order.setflags(write=False)
     return order
-
-
-def split_heap_indices(tree: MapTree) -> np.ndarray:
-    """The heap index of each split, in row order: 2^d + (pos >> (J - d))
-    for a node of 2^(J - d) pixels at depth d (``transform.haar_forward``).
-    Level order makes them ascend, so ``np.searchsorted`` matches heap
-    indices to splits."""
-    split = np.flatnonzero(tree.axis >= 0)
-    size = sum_columns(tree.shape.take(split, axis=0))
-    return ((1 << int(tree.shape[0].sum())) + tree.pos.take(split)) >> size
 
 
 def node_values(tree: MapTree, root: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -220,21 +209,25 @@ def node_values(tree: MapTree, root: np.ndarray, coefficients: np.ndarray) -> np
     The children of the k-th split are rows 2k + 1 and 2k + 2, so one level
     of splits writes one strided slice.
     """
-    size = sum_columns(tree.shape)
-    leaf = np.flatnonzero((tree.axis < 0) & (size > 0))  # the pruned leaves
-    leaf_size = size[leaf]
+    starts = tree.level_starts()
     split = np.flatnonzero(tree.axis >= 0)
-    ends = np.cumsum(np.bincount(size[0] - size.take(split))).tolist()  # per depth
-    del size
     values = np.empty((len(root), len(tree.axis)))
     values[:, 0] = root
-    for lo, hi in zip([0] + ends[:-1], ends):
+    ends = np.searchsorted(split, starts[1:]).tolist()  # splits above each depth's end
+    for lo, hi in zip([0, *ends], ends):
+        if lo == hi:  # a level without splits is the last with nodes
+            break
         a, w = values[:, split[lo:hi]], coefficients[:, lo:hi]
         values[:, 2 * lo + 1 : 2 * hi + 1 : 2] = (a + w) / SQRT2
         values[:, 2 * lo + 2 : 2 * hi + 2 : 2] = (a - w) / SQRT2
-    while len(leaf):
+    # a leaf at depth d divides J - d times: the pruned leaves, those above
+    # depth J, then those above J - 1, and so on, each a prefix of the last
+    leaf = np.flatnonzero(tree.axis[: starts[-2]] < 0)
+    for end in starts[-2:0:-1]:
+        leaf = leaf[: np.searchsorted(leaf, end)]
+        if not len(leaf):
+            break
         values[:, leaf] /= SQRT2
-        leaf, leaf_size = leaf[leaf_size > 1], leaf_size[leaf_size > 1] - 1
     return values
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from carp import Hyperparams, MapTree, PixelGrid, compress, serialize_tree
 from carp.stream import detokenize
-from carp.tree import split_heap_indices
 
 from oracles import preorder_rows
 
@@ -86,7 +85,7 @@ def same_tree(a, b) -> bool:
     a, b = preorder_rows(a), preorder_rows(b)
     return tuple(a.dims_padded) == tuple(b.dims_padded) and all(
         np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("shape", "index", "pos", "axis"))
+        for name in ("shape", "index", "heap", "axis"))
 
 
 def forged_huge_dims_stream() -> bytes:
@@ -112,14 +111,16 @@ def stray_coefficient_stream() -> bytes:
                                 stream.n_scales)
     tree = stream.decode_tree()
     split = np.flatnonzero(tree.axis >= 0)
-    row = int(split[np.isin(split_heap_indices(tree), at[symbols != 0])][-1])
+    row = int(split[np.isin(tree.heap[split], at[symbols != 0])][-1])
     size = tree.shape.sum(axis=1)
-    inside = (tree.pos >= tree.pos[row]) & (tree.pos < tree.pos[row] + (1 << size[row]))
-    keep = ~(inside & (size < size[row]))  # drop the split's descendants
+    under = size < size[row]
+    keep = ~under
+    # drop the split's descendants: a node k levels under it has heap >> k == heap[row]
+    keep[under] = (tree.heap[under] >> (size[row] - size[under])) != tree.heap[row]
     axis = tree.axis.copy()
     axis[row] = -1
     leaf = MapTree(dims_padded=tree.dims_padded, shape=tree.shape[keep],
-                   index=tree.index[keep], pos=tree.pos[keep], axis=axis[keep])
+                   index=tree.index[keep], heap=tree.heap[keep], axis=axis[keep])
     bits, nbits = serialize_tree(leaf)
     return replace(stream, tree_bits=bits, tree_nbits=nbits).to_bytes()
 

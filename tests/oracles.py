@@ -248,11 +248,13 @@ def brute_force_map(image, hp):
 
 def preorder_rows(tree):
     """The MapTree with its rows in preorder (a node, then its left
-    subtree, then its right one): by position, and at equal position the
-    larger block first."""
-    rows = np.lexsort((-tree.shape.sum(axis=1), tree.pos))
+    subtree, then its right one): by the position of a node's first pixel
+    in tree order, and at equal position the larger block first.  Node h
+    of 2^s pixels starts at (h << s) - 2^J."""
+    size = tree.shape.sum(axis=1)
+    rows = np.lexsort((-size, tree.heap << size))
     return MapTree(dims_padded=tree.dims_padded, shape=tree.shape[rows],
-                   index=tree.index[rows], pos=tree.pos[rows], axis=tree.axis[rows])
+                   index=tree.index[rows], heap=tree.heap[rows], axis=tree.axis[rows])
 
 
 def tree_to_structure(tree):
@@ -660,7 +662,7 @@ def reference_detokenize(lengths, payload, nbits, n_scales):
 
 def reference_deserialize_tree(data, nbits, dims_padded):
     """Level-order tree bits -> MapTree, breadth first and one bit at a
-    time, over one level of (shape, index, pos) tuples at a time: all the
+    time, over one level of (shape, index, heap) tuples at a time: all the
     level's stop bits, then each split's axis bits, checked as read."""
     if nbits > 8 * len(data):
         raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
@@ -677,8 +679,8 @@ def reference_deserialize_tree(data, nbits, dims_padded):
             raise StreamError("tree bits end mid-tree")
         return reader.read(1)
 
-    shapes, indices, positions, axes = [], [], [], []
-    level = [(exps, (0,) * m, 0)]
+    shapes, indices, heaps, axes = [], [], [], []
+    level = [(exps, (0,) * m, 1)]
     size_exp = sum(exps)
     while level:
         level_axes = [-1] * len(level)
@@ -697,17 +699,17 @@ def reference_deserialize_tree(data, nbits, dims_padded):
                     )
                 level_axes[k] = axis
         children = []
-        for (shape, index, pos), axis in zip(level, level_axes):
+        for (shape, index, heap), axis in zip(level, level_axes):
             shapes += shape
             indices += index
-            positions.append(pos)
+            heaps.append(heap)
             axes.append(axis)
             if axis < 0:
                 continue
             child = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1 :]
             left = index[:axis] + (2 * index[axis],) + index[axis + 1 :]
             right = index[:axis] + (2 * index[axis] + 1,) + index[axis + 1 :]
-            children += [(child, left, pos), (child, right, pos + (1 << (size_exp - 1)))]
+            children += [(child, left, 2 * heap), (child, right, 2 * heap + 1)]
         level = children
         size_exp -= 1
     if reader.pos != nbits:
@@ -715,7 +717,7 @@ def reference_deserialize_tree(data, nbits, dims_padded):
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded),
                    shape=np.array(shapes, dtype=np.int64).reshape(-1, m),
                    index=np.array(indices, dtype=np.int64).reshape(-1, m),
-                   pos=np.array(positions, dtype=np.int64),
+                   heap=np.array(heaps, dtype=np.int64),
                    axis=np.array(axes, dtype=np.int8))
 
 
@@ -813,7 +815,7 @@ def reference_decompress(stream, prefix_scales=None):
 def reference_substitute_pruned_means(plane, tree):
     """A copy of the plane with each pruned leaf's block set to its mean."""
     out = plane.copy()
-    for k in np.flatnonzero(tree.pruned).tolist():
+    for k in np.flatnonzero((tree.axis < 0) & tree.shape.any(axis=1)).tolist():
         extent = 1 << tree.shape[k]
         sl = tuple(slice(o, o + e) for o, e in zip(tree.index[k] * extent, extent))
         out[sl] = out[sl].mean()

@@ -302,7 +302,7 @@ class TestResources:
         hp = Hyperparams(sigma=0.01, eta0=0.0)
         post = build_posterior(grid, hp)
         tree = extract_map_tree(post)
-        assert len(tree.pos) == 2 * grid.values[0].size - 1
+        assert len(tree.heap) == 2 * grid.values[0].size - 1
         stream = compress(grid, hp)
         parse = functools.partial(deserialize_tree, stream.tree_bits, stream.tree_nbits,
                                   grid.dims)
@@ -482,8 +482,8 @@ NODE_CASES = [(name, case[:3]) for name, case in sorted(GOLDEN_CASES.items())] +
 @pytest.mark.parametrize("case", [case for _, case in NODE_CASES],
                          ids=[name for name, _ in NODE_CASES])
 def test_nonzero_coefficients_sit_at_internal_nodes(monkeypatch, request, case):
-    """The heap index of every nonzero decoded coefficient is
-    2^d + (pos >> (J - d)) for some internal node at depth d of the tree."""
+    """The heap index of every nonzero decoded coefficient is the heap
+    index of some internal node of the tree."""
     make, hp, prefix_scales = case
     grid = pad(make()) if make else request.getfixturevalue("photo256")
     data = compress(grid, hp).to_bytes()
@@ -499,9 +499,7 @@ def test_nonzero_coefficients_sit_at_internal_nodes(monkeypatch, request, case):
     decompress(data, prefix_scales=prefix_scales)
     stream = CompressedStream.from_bytes(data)
     tree = stream.decode_tree()
-    size_exp = tree.shape.sum(axis=1)[tree.axis >= 0]
-    depth = stream.n_scales - size_exp
-    nodes = (1 << depth) + (tree.pos[tree.axis >= 0] >> size_exp)
+    nodes = tree.heap[tree.axis >= 0]
     assert len(fed) == len(stream.channels)
     nonzero = [at[symbols != 0] for at, symbols in fed]
     assert sum(map(len, nonzero))

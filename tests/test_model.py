@@ -544,7 +544,7 @@ class TestMemory:
     def test_only_int8_decisions_are_held(self):
         grid = random_grid(np.random.default_rng(17), (16, 8, 4))
         post = build_posterior(grid, Hyperparams(sigma=2.0))
-        assert vars(post).keys() == {"stats", "hp", "decisions", "log_marginal", "log_map"}
+        assert vars(post).keys() == {"stats", "decisions", "log_marginal", "log_map"}
         assert isinstance(post.log_marginal, float) and isinstance(post.log_map, float)
         stats = post.stats
         assert post.decisions.keys() == {s for s in stats.shapes if any(s)}

@@ -14,8 +14,8 @@ from carp.stream import (PRIOR_FIELDS, ZERO_RUN_MAX, axis_bit_width,
                          deserialize_tree, detokenize, serialize_tree,
                          tokenize_scale)
 
-from conftest import random_grid, same_tree
-from oracles import (reference_deserialize_tree, reference_detokenize,
+from conftest import random_grid, same_tree, synthetic_photo
+from oracles import (preorder_rows, reference_deserialize_tree, reference_detokenize,
                      reference_serialize_tree, reference_tokenize_scale,
                      tree_to_structure)
 
@@ -43,14 +43,14 @@ class TestTreeBits:
     def test_unpruned_1d_root_is_one_bit(self):
         rng = np.random.default_rng(0)
         tree = map_tree_for(rng, (2,), sigma=0.01, eta0=0.0)
-        assert not tree.pruned[0]
+        assert tree.axis[0] == 0
         bits, nbits = serialize_tree(tree)
         assert nbits == 1  # one stop bit, zero axis bits when m == 1
         assert bits == b"\x00"
 
     def test_pruned_root_is_one_bit(self):
         tree = map_tree_for(np.random.default_rng(1), (2,), sigma=50.0, eta0=0.999)
-        assert tree.pruned[0]
+        assert tree.axis.tolist() == [-1]
         bits, nbits = serialize_tree(tree)
         assert nbits == 1
         assert bits == b"\x80"
@@ -132,13 +132,13 @@ class TestTreeBits:
 
 class TestLevelOrder:
     """MapTree rows and tree bits are both in level order (by depth, then
-    by position).  serialize_tree reads the levels off the rows, so the
-    rows of both producers, extraction and parsing, must be in that
-    order."""
+    by position), which is ascending heap order.  serialize_tree reads the
+    levels off the rows, so the rows of both producers, extraction and
+    parsing, must be in that order."""
 
     @staticmethod
     def rows(tree):
-        return [tree.shape, tree.index, tree.pos, tree.axis]
+        return [tree.shape, tree.index, tree.heap, tree.axis]
 
     @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
     def test_extracted_and_parsed_rows_are_in_level_order(self, shape, sigma, eta0):
@@ -146,10 +146,18 @@ class TestLevelOrder:
         for _ in range(3):
             tree = map_tree_for(rng, shape, sigma=sigma, eta0=eta0)
             parsed = deserialize_tree(*serialize_tree(tree), tree.dims_padded)
+            j_total = sum(int(n).bit_length() - 1 for n in tree.dims_padded)
             for t in (tree, parsed):
-                depth = -t.shape.sum(axis=1)
-                assert (np.diff(depth) >= 0).all()
-                assert (np.diff(t.pos)[depth[1:] == depth[:-1]] > 0).all()
+                assert (np.diff(t.heap) > 0).all()
+                # depth d, from the block size, is the heap range [2^d, 2^(d+1))
+                depth = j_total - t.shape.sum(axis=1)
+                assert ((t.heap >> depth) == 1).all()
+                assert np.diff(t.level_starts()).tolist() == np.bincount(
+                    depth, minlength=j_total + 1).tolist()
+                pruned = (t.axis < 0) & (depth < j_total)
+                assert t.node_counts()["pruned_leaves"] == np.count_nonzero(pruned)
+                assert t.pruned_pixel_fraction() == np.sum(
+                    1 << (j_total - depth[pruned])) / np.prod(t.dims_padded)
 
     @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
     def test_parsing_returns_the_serialized_rows_unsorted(self, shape, sigma, eta0):
@@ -171,6 +179,14 @@ class TestLevelOrder:
             assert bits == reference_serialize_tree(tree_to_structure(tree),
                                                     tree.dims_padded)
             assert serialize_tree(deserialize_tree(*bits, tree.dims_padded)) == bits
+
+    def test_rows_out_of_level_order_raise(self):
+        grid = synthetic_photo(32, seed=3)
+        tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=1.0)))
+        assert serialize_tree(tree) == reference_serialize_tree(tree_to_structure(tree),
+                                                                tree.dims_padded)
+        with pytest.raises(ValueError, match="level order"):
+            serialize_tree(preorder_rows(tree))
 
 
 class TestTokens:

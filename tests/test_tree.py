@@ -8,7 +8,7 @@ from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
                   deserialize_tree, extract_map_tree, permutation_from_tree,
                   serialize_tree)
 from carp.model import _decide
-from carp.tree import _shape_groups, sum_columns
+from carp.tree import _shape_groups
 from conftest import random_grid, same_tree, synthetic_photo
 from oracles import (brute_force_map, map_tree_log_posterior,
                      reference_extract_map_tree, reference_log_kappa,
@@ -35,7 +35,7 @@ class TestKappa:
     def test_atomic_kappa_is_one(self):
         # log kappa is 0 on atomic blocks, which carry no decision
         post = posterior_of([[1.0, 2.0], [3.0, 4.0]], sigma=1.0)
-        tables = reference_posterior(post.stats, post.hp)
+        tables = reference_posterior(post.stats, Hyperparams(sigma=1.0))
         kappa, _ = reference_log_kappa(post.stats, tables)
         np.testing.assert_array_equal(kappa[(0, 0)], 0.0)
         assert (0, 0) not in compute_kappa(post)
@@ -65,7 +65,7 @@ class TestExtractMapTree:
         leaves = tree.axis < 0
         assert not tree.shape[leaves].any()
         assert np.count_nonzero(leaves) == 16
-        assert not tree.pruned.any()
+        assert tree.node_counts()["pruned_leaves"] == 0
 
     def test_1d_image_splits_along_sole_axis(self):
         rng = np.random.default_rng(6)
@@ -76,7 +76,7 @@ class TestExtractMapTree:
     def test_constant_2x2_prunes_root(self):
         post = posterior_of(np.full((2, 2), 7.0), sigma=1.0)
         tree = extract_map_tree(post)
-        assert tree.pruned[0]
+        assert tree.axis.tolist() == [-1]  # the 2x2 root is a pruned leaf
         best, _, _ = brute_force_map(np.full((2, 2), 7.0), Hyperparams(sigma=1.0))
         assert ("prune", (0, 0), (2, 2)) in best
 
@@ -101,9 +101,10 @@ class TestExtractMapTree:
     def test_extracted_tree_posterior_equals_kappa(self):
         rng = np.random.default_rng(8)
         grid = random_grid(rng, (8, 8))
-        post = build_posterior(grid, Hyperparams(sigma=4.0))
+        hp = Hyperparams(sigma=4.0)
+        post = build_posterior(grid, hp)
         tree = extract_map_tree(post)
-        tables = reference_posterior(post.stats, post.hp)
+        tables = reference_posterior(post.stats, hp)
         assert map_tree_log_posterior(tree, tables) == pytest.approx(
             post.log_map, rel=1e-9, abs=1e-9)
 
@@ -147,7 +148,7 @@ class TestPermutation:
 
     def test_pruned_root_uses_row_major_order(self):
         tree = extract_map_tree(posterior_of(np.full((2, 2), 3.0), sigma=1.0))
-        assert tree.pruned[0]
+        assert tree.axis.tolist() == [-1]
         order = permutation_from_tree(tree)
         np.testing.assert_array_equal(order, [0, 1, 2, 3])
 
@@ -179,10 +180,13 @@ class TestPermutation:
         grid = random_grid(rng, (8, 8))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=2.0)))
         pos = inverse_of(permutation_from_tree(tree))  # pixel -> tree order
-        for shape, index, start in zip(tree.shape.tolist(), tree.index.tolist(),
-                                       tree.pos.tolist()):
+        for shape, index, heap in zip(tree.shape.tolist(), tree.index.tolist(),
+                                      tree.heap.tolist()):
             extent = [1 << a for a in shape]
             size = int(np.prod(extent))
+            depth = 6 - sum(shape)
+            assert 1 << depth <= heap < 2 << depth
+            start = (heap - (1 << depth)) << sum(shape)  # run heap - 2^d of its level
             ranges = [np.arange(i * e, (i + 1) * e) for i, e in zip(index, extent)]
             mesh = np.meshgrid(*ranges, indexing="ij")
             flat = np.ravel_multi_index([m.ravel() for m in mesh], (8, 8))
@@ -206,13 +210,13 @@ class TestShapeGroups:
         want = [(s, [r for r in rows.tolist() if tuple(shape[r].tolist()) == s])
                 for s in sorted(set(map(tuple, shape[rows].tolist())))]
         assert got == want
-        np.testing.assert_array_equal(sum_columns(shape), shape.sum(axis=1))
 
 
-def assert_matches_reference(post):
+def assert_matches_reference(vals, hp):
     """Array-native tree path == recursive reference path, exactly."""
+    post = build_posterior(grid_of(vals), hp)
     tree = extract_map_tree(post)
-    structure, dims = reference_extract_map_tree(post.stats, post.hp)
+    structure, dims = reference_extract_map_tree(post.stats, hp)
     assert tree.dims_padded == dims
     assert tree_to_structure(tree) == structure
     order = permutation_from_tree(tree)
@@ -240,18 +244,17 @@ class TestMatchesReference:
             vals[:half] = 90.0
             corner = vals[:half, : shape[1] // 2]
             corner += rng.integers(0, 4, size=corner.shape)
-            post = build_posterior(grid_of(vals), Hyperparams(sigma=sigma, eta0=eta0))
-            assert_matches_reference(post)
+            assert_matches_reference(vals, Hyperparams(sigma=sigma, eta0=eta0))
 
     @pytest.mark.parametrize("sigma,eta0", [(1.0, 0.0), (1.0, 0.4), (0.01, 0.4)])
     def test_constant_image(self, sigma, eta0):
-        post = posterior_of(np.full((16, 16), 91.0), sigma=sigma, eta0=eta0)
-        assert_matches_reference(post)
+        assert_matches_reference(np.full((16, 16), 91.0),
+                                 Hyperparams(sigma=sigma, eta0=eta0))
 
     @pytest.mark.parametrize("sigma,eta0", [(1.0, 0.0), (8.0, 0.4), (200.0, 0.4)])
     def test_checkerboard(self, sigma, eta0):
         board = 255.0 * (np.indices((16, 16)).sum(axis=0) % 2)
-        assert_matches_reference(posterior_of(board, sigma=sigma, eta0=eta0))
+        assert_matches_reference(board, Hyperparams(sigma=sigma, eta0=eta0))
 
     def test_axis_tie_takes_lowest_axis(self):
         # equal split scores on every axis: the lowest axis wins, also when
