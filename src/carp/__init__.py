@@ -6,11 +6,11 @@ recursive dyadic partitions of the pixel space; a single knob (sigma)
 controls how aggressively near-constant regions are collapsed, and maps
 monotonically to the achieved compression ratio.
 
-Blocks of the partition lattice, their posteriors and the MAP tree are
-all held as numpy arrays: one array per block shape, indexed by grid
-position (:class:`StatsLattice`, :class:`PosteriorLattice`), and per-node
-arrays in level order (:class:`MapTree`).  No per-block or per-node objects
-exist.
+Blocks of the partition lattice are held as numpy arrays: statistics as
+one array per block shape (:class:`StatsLattice`), MAP decisions as one
+array indexed by a block's cells, one heap interval per axis
+(:class:`PosteriorLattice`), and the MAP tree as per-node arrays in level
+order (:class:`MapTree`).  No per-block or per-node objects exist.
 """
 
 __version__ = "0.1.0"

@@ -93,7 +93,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     for a padded grid, from its dims and channels alone, the grid not counted.
 
     The block statistics are counted at 16 bytes per lattice block and the
-    int8 decisions at one byte per block, held from their construction to
+    int8 decisions at 2^m bytes per pixel, held from their construction to
     the end.  That covers a lattice the caller built and holds, as the
     ratio search and the hyperparameter fit do, and bounds from above the
     encode that streams its statistics, which holds two levels of them and
@@ -115,7 +115,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     level_blocks = [0] * (sum(exps) + 1)
     for shape in shapes:
         level_blocks[sum(shape)] += n >> sum(shape)
-    held = 17 * math.prod(2 ** (e + 1) - 1 for e in exps)
+    held = 16 * math.prod(2 ** (e + 1) - 1 for e in exps) + 2**m * n
     # the channel sum, the integrality test, one shape's sums and squares
     build = 8 * n * (channels > 1) + 9 * n + 32 * n
     # two levels of log psi and log kappa (the atomic level is one
@@ -127,7 +127,7 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                  + 8 * (2 * sum(a > 0 for a in b[0]) + 8) * len(b) * (n >> sum(b[0]))
                  for b in _batches(shapes, n)), default=0)
     nodes = 2 * n - 1
-    tree = nodes * (16 * m + 9)  # shape, index, heap, axis
+    tree = nodes * (8 * m + 9)  # cell, heap, axis
     # the tree, its rows once more per level, and under 8 B per node to
     # look up a level's decisions or grow it
     extract = 2 * tree + 8 * nodes
@@ -287,10 +287,10 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     leaves = splits + 1
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
-    tree = nodes * (16 * m + 9)  # shape, index, heap, axis
+    tree = nodes * (8 * m + 9)  # cell, heap, axis
     # one byte per tree bit; per node its rows, held per level and then
     # concatenated, and room for one level's split rows and grower arrays
-    parse = stream.tree_nbits + nodes * (32 * m + 24)
+    parse = stream.tree_nbits + nodes * (16 * m + 24)
     coefficients = 8 * channels * splits
     values = 8 * channels * nodes
     planes = 8 * n * channels
@@ -305,9 +305,9 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     # level's values and children, or the pruned leaves' values
     walk = 8 * leaves + 8 * splits + max(nodes, 24 * channels * min(splits, wide),
                                          8 * channels * min(leaves, wide))
-    # per leaf its rows, shape columns, shape id and sort, grid index and
-    # painted values
-    paint = leaves * (16 * m + 8 * channels + 24)
+    # per leaf its row and grid index, plus its per-axis depths and their
+    # mantissas, or its shape id, sort order, and a sorted copy or values
+    paint = leaves * (8 * m + 8 + max(12 * m, 8 * m + 24, 8 * channels + 16))
     crop = 8 * channels * math.prod(stream.dims_original) * (
         tuple(stream.dims_original) != tuple(stream.dims_padded))
     return dict(parse=parse, total=_DECODE_SLACK + max(

@@ -6,8 +6,11 @@ power of two 2^a_i and whose offset is a multiple of that extent.  The same
 block is reachable through many ancestor split orders, so aggregates are
 computed once per block, not per tree.  Blocks are grouped by extent shape
 (a_1, ..., a_m) and each shape is one dense array indexed by the block's
-grid position, which keeps the whole sweep vectorized.  A block is
-addressed only by that pair: its shape a and its grid index offset >> a.
+grid position, which keeps the whole sweep vectorized.  Outside the
+sweep a block is addressed by its cells, one interval per axis: on an
+axis of n samples interval 1 is the whole axis and interval c has halves
+2c and 2c + 1, so grid index g of extent 2^a is interval (n >> a) + g and
+any c >= n is one sample.  :func:`cells` maps a shape to its intervals.
 
 Sums and corrected sums of squares are accumulated bottom-up from atomic
 blocks via the split identity
@@ -56,6 +59,11 @@ def _halves(m: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
 def _child(shape: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Shape of both children of a block of this shape halved along axis d."""
     return shape[:d] + (shape[d] - 1,) + shape[d + 1 :]
+
+
+def cells(dims: tuple[int, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """Per axis, the intervals [n >> a, 2n >> a) of this shape's blocks."""
+    return tuple(slice(n >> a, 2 * n >> a) for n, a in zip(dims, shape))
 
 
 def _check_pow2_dims(dims: tuple[int, ...]) -> list[int]:

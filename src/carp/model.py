@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import PixelGrid
-from .lattice import StatsLattice, _child, _halves, build_stats
+from .lattice import StatsLattice, _child, _halves, build_stats, cells
 
 # Hyperparams clamps a smaller sigma to this one
 SIGMA_CLAMP = 1e-6
@@ -249,8 +249,7 @@ def _segments(buf: np.ndarray, grids: list[tuple[int, ...]]) -> list[np.ndarray]
     return [run.reshape(g) for run, g in zip(buf.reshape(len(grids), -1), grids)]
 
 
-def _sweep(stats: StatsLattice, hp: Hyperparams,
-           decisions: dict[tuple[int, ...], np.ndarray] | None
+def _sweep(stats: StatsLattice, hp: Hyperparams, decisions: np.ndarray | None
            ) -> tuple[float, float | None]:
     """One bottom-up pass over the lattice: (log marginal, log kappa of the
     root), the former the channel mean's (see the module docstring).
@@ -259,11 +258,11 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
     over each batch's buffers but for the per-shape reads of the children
     (see the module docstring).
 
-    With a decisions dict, each non-atomic shape's int8 decisions are
-    stored in it; without one, only the marginal likelihood is computed
-    and the root's log kappa is None.  A shape's log psi and log kappa are
-    read by its parents alone, one level up, so each is dropped once the
-    sweep moves two levels past it.  On reaching blocks of 2^e pixels the
+    With a decisions array, each non-atomic block's int8 decision is
+    stored at its cells; without one, only the marginal likelihood is
+    computed and the root's log kappa is None.  A shape's log psi and log
+    kappa are read by its parents alone, one level up, so each is dropped
+    once the sweep moves two levels past it.  On reaching blocks of 2^e pixels the
     sweep calls ``stats._reach_level(e)``, after which stats holds the
     SSTs of level e and the sums of levels e - 1 and e: a stored lattice
     holds them all along, and a ``LevelStream`` builds level e then and
@@ -369,7 +368,7 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
         kappa, axis = _decide(log_prune, log_not_prune, div, d_terms)
         log_kappa.update(zip(shapes, _segments(kappa, grids)))
         for shape, run in zip(shapes, _segments(axis, grids)):
-            decisions[shape] = run if run.base is None else run.copy()
+            decisions[cells(stats.dims, shape)] = run
     root = tuple(stats.axis_exps)
     log_map = float(log_kappa[root].reshape(-1)[0]) if decisions is not None else None
     # the channel mean's log marginal, not the sum's; one channel adds 0
@@ -378,21 +377,22 @@ def _sweep(stats: StatsLattice, hp: Hyperparams,
 
 
 class PosteriorLattice:
-    """The MAP decision for every lattice block, stored per shape.
+    """The MAP decision for every lattice block, in one array.
 
-    decisions[shape] is an int8 array over the blocks of that shape: -1
-    where the MAP tree stops at the block, otherwise the axis it splits.
-    Atomic blocks have no entry.  log_marginal is the log marginal
-    likelihood of the whole image, and log_map the log posterior
-    probability of the MAP tree (log kappa of the root).  The posterior
-    tables the decisions come from are not kept.  stats is the lattice the
-    sweep read; of a ``LevelStream`` only the last levels are left, so of
-    that one only the dims and shapes serve afterwards.
+    decisions is int8 of shape (2 n_1, ..., 2 n_m), indexed by a block's
+    cells (``lattice.cells``): -1 where the MAP tree stops at the block,
+    otherwise the axis it splits.  Other entries, the atomic blocks' too,
+    stay 0, and pages no block's entry is on take no memory.  log_marginal
+    is the log marginal likelihood of the whole image, and log_map the log
+    posterior probability of the MAP tree (log kappa of the root).  The
+    posterior tables the decisions come from are not kept.  stats is the
+    lattice the sweep read; of a ``LevelStream`` only the last levels are
+    left, so of that one only the dims and shapes serve afterwards.
     """
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):
         self.stats = stats
-        self.decisions: dict[tuple[int, ...], np.ndarray] = {}
+        self.decisions = np.zeros(tuple(2 * n for n in stats.dims), dtype=np.int8)
         self.log_marginal, self.log_map = _sweep(stats, hp, self.decisions)
 
 

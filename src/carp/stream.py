@@ -96,21 +96,19 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     parse after the axis words read are checked, as a bit-by-bit parse
     meets them.
     """
-    m = len(dims_padded)
-    exps = [int(d).bit_length() - 1 for d in dims_padded]
-    j_total = sum(exps)
-    if j_total > 62 or m > 127:
-        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
-                          f"or 127 axes")
+    dims = tuple(int(d) for d in dims_padded)
+    m = len(dims)
+    j_total = sum(d.bit_length() - 1 for d in dims)
+    if j_total > 62 or m > 127 or max(dims, default=1) > 1 << 31:  # cells < 2^32
+        raise StreamError(f"padded dims {dims} exceed 2^62 samples, 2^31 a side or 127 axes")
     width = axis_bit_width(m)
     weights = 1 << np.arange(width - 1, -1, -1)
     bits = unpack_bits(data, nbits)
-    level = (np.array([exps], dtype=np.int64), np.zeros((1, m), dtype=np.int64),
-             np.ones(1, dtype=np.int64))
+    level = (np.ones((1, m), dtype=np.int64), np.ones(1, dtype=np.int64))
     levels = []
     cursor = 0
     for _ in range(j_total):
-        count = len(level[2])
+        count = len(level[1])
         if not count:
             break
         split = (bits[cursor : cursor + count] == 0).nonzero()[0]
@@ -121,16 +119,15 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
         axis = np.full(count, -1, dtype=np.int8)
         axis[split[:read]] = words[: width * read].reshape(read, width) @ weights
         levels.append(level + (axis,))
-        level = grow_level(*levels[-1])
+        level = grow_level(dims, *levels[-1])
         if cursor > nbits:
             raise StreamError("tree bits end mid-tree")
     if cursor < nbits:
         raise StreamError(f"{nbits - cursor} unread bits after tree")
     # the level grown from the last one with bits holds only atomic nodes
-    levels.append(level + (np.full(len(level[2]), -1, dtype=np.int8),))
-    shape, index, heap, axis = (np.concatenate(col) for col in zip(*levels))
-    return MapTree(dims_padded=tuple(int(d) for d in dims_padded), shape=shape,
-                   index=index, heap=heap, axis=axis)
+    levels.append(level + (np.full(len(level[1]), -1, dtype=np.int8),))
+    cell, heap, axis = (np.concatenate(col) for col in zip(*levels))
+    return MapTree(dims_padded=dims, cell=cell, heap=heap, axis=axis)
 
 
 # ---------------------------------------------------------------------------

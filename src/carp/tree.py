@@ -16,10 +16,11 @@ and the block becomes a leaf iff the stop branch strictly beats it,
 At exact equality the block is split.  Axis ties resolve to the lowest
 index; both rules are fixed so identical inputs always produce identical
 trees and therefore bit-identical streams.  Only the decisions are kept,
-one int8 array per block shape: -1 to stop, otherwise the split axis.
+in one int8 array indexed by a block's cells (``lattice.cells``): -1 to
+stop, otherwise the split axis.
 
-Extraction then follows the decisions top-down, one tree level at a time
-and over the reached blocks only, so everything after the sweep costs
+Extraction then follows the decisions top-down, one gather per tree
+level over the reached blocks only, so everything after the sweep costs
 time proportional to the tree, not the lattice.  The tree-bit parser
 grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
 a set of per-node arrays in level order, as the levels are grown, and the
@@ -55,15 +56,14 @@ class MapTree:
     """Binary partition tree over the padded pixel space.
 
     Row k of every array describes the k-th node in level order, which is
-    ascending heap order.  A node's block has extent 2^shape[k] and offset
-    index[k] * 2^shape[k]; heap[k] is its heap index.  axis[k] is the split
-    axis, or -1 for a leaf.  The nodes of depth J, the sum of the padded
-    dims' exponents, are single pixels; a leaf above them is pruned.
+    ascending heap order: its block, one interval per axis (``lattice.cells``),
+    its heap index, and its split axis, -1 for a leaf.  The nodes of depth
+    J, the sum of the padded dims' exponents, are single pixels; a leaf
+    above them is pruned.
     """
 
     dims_padded: tuple[int, ...]
-    shape: np.ndarray  # (nodes, m) extent exponents
-    index: np.ndarray  # (nodes, m) grid index within the node's shape
+    cell: np.ndarray   # (nodes, m) per axis, the block's interval
     heap: np.ndarray   # (nodes,) heap index: root 1, children 2h and 2h + 1
     axis: np.ndarray   # (nodes,) int8 split axis, -1 for leaves
 
@@ -79,12 +79,8 @@ class MapTree:
         internal = int(np.count_nonzero(self.axis >= 0))
         atomic = len(self.axis) - self.level_starts()[-2]
         pruned = len(self.axis) - internal - atomic
-        return {
-            "internal": internal,
-            "pruned_leaves": pruned,
-            "atomic_leaves": atomic,
-            "total": internal + pruned + atomic,
-        }
+        return dict(internal=internal, pruned_leaves=pruned, atomic_leaves=atomic,
+                    total=len(self.axis))
 
     def pruned_pixel_fraction(self) -> float:
         # the leaves tile the pixels, and each atomic leaf is one of them
@@ -92,85 +88,87 @@ class MapTree:
         return (n - self.node_counts()["atomic_leaves"]) / n
 
 
-def compute_kappa(lattice: PosteriorLattice) -> dict[tuple[int, ...], np.ndarray]:
-    """The int8 decision of every non-atomic block, per shape: -1 to stop,
-    otherwise the split axis.  The posterior sweep computes them in the
-    same pass as the marginal likelihood.  A pass-through, kept so that the
-    benchmark's traced run can rebind it and record a ``tree.compute_kappa``
-    span until carp records its own stage times (ROADMAP item 1)."""
+def compute_kappa(lattice: PosteriorLattice) -> np.ndarray:
+    """The sweep's int8 decisions, -1 to stop or the split axis, at each
+    block's cells.  A pass-through, kept so that the benchmark's traced run
+    can rebind it and record a ``tree.compute_kappa`` span until carp
+    records its own stage times (ROADMAP item 1)."""
     return lattice.decisions
 
 
-def _shape_groups(shape: np.ndarray, rows: np.ndarray, dims: tuple[int, ...]):
-    """(shape tuple, rows of that shape) for each distinct shape among rows,
-    shapes in row-major order and rows in their given order."""
-    if not len(rows):
-        return
-    columns = shape.take(rows, axis=0).T
-    ids = columns[0].copy()
-    for a, n in zip(columns[1:], dims[1:]):
-        ids *= int(n).bit_length()
-        ids += a
-    if (ids == ids[0]).all():
-        yield tuple(shape[rows[0]].tolist()), rows
-        return
-    by_shape = ids.argsort(kind="stable")
-    ids, rows = ids[by_shape], rows[by_shape]
-    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), len(rows)]):
-        yield tuple(shape[rows[lo]].tolist()), rows[lo:hi]
+def _leaf_groups(tree: MapTree):
+    """(shape, rows, grid index) for each block shape among the leaves:
+    shapes by their per-axis depths in row-major order, rows ascending."""
+    rows = np.flatnonzero(tree.axis < 0)
+    index = tree.cell.take(rows, axis=0)
+    depth = np.frexp(index)[1]
+    depth -= 1
+    index -= np.int64(1) << depth  # cell c of depth d is grid index c - 2^d
+    radix = [int(n).bit_length() for n in tree.dims_padded]  # depths 0..log2 n
+    ids = np.ravel_multi_index(tuple(depth.T), radix)
+    del depth
+    if (ids != ids[0]).any():
+        by_shape = ids.argsort(kind="stable")
+        rows = rows[by_shape]  # one sorted copy at a time
+        index = index[by_shape]
+        ids = ids[by_shape]
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(rows)]
+    shapes = np.subtract(radix, 1) - np.transpose(np.unravel_index(ids[bounds[:-1]], radix))
+    for shape, lo, hi in zip(shapes.tolist(), bounds[:-1], bounds[1:]):
+        yield tuple(shape), rows[lo:hi], index[lo:hi]
 
 
 @functools.lru_cache
 def _split_steps(m: int) -> np.ndarray:
-    """Row d is the one-hot extent step of a split along axis d < m; any other
-    int8 axis steps by 64, past every extent exponent, to a negative child."""
-    steps = np.full((128, m), 64, dtype=np.int64)
+    """Row d is the one-hot step of a split along axis d < m.  Any other int8
+    axis steps axis 0 by 2^31: every cell is below 2^32, so no product
+    leaves int64, and each is at least 2^31 >= n."""
+    steps = np.zeros((128, m), dtype=np.int64)
     steps[:m] = np.eye(m, dtype=np.int64)
+    steps[m:, 0] = 1 << 31
     steps.setflags(write=False)
     return steps
 
 
-def grow_level(shape: np.ndarray, index: np.ndarray, heap: np.ndarray,
-               axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grow_level(dims: tuple[int, ...], cell: np.ndarray, heap: np.ndarray,
+               axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The next tree level: from one level's rows in heap order and their
-    int8 split axes (-1 for leaves), each split's left child, then its
-    right one.  A split along d halves the extent on d, and its right
-    child lies one child extent further along d.  Raises StreamError when
-    an axis names no axis or an extent of 1."""
+    int8 split axes (-1 for leaves), each split's left child, its cell on
+    the split axis doubled, then its right one, that cell plus 1.  Raises
+    StreamError when an axis names no axis or a single sample (cell >= n)."""
     split = (axis >= 0).nonzero()[0]
-    step = _split_steps(shape.shape[1]).take(axis[split], axis=0)
-    child = shape.take(split, axis=0) - step
-    if child.min(initial=0) < 0:
-        row = int((child < 0).any(axis=1).argmax())
+    step = _split_steps(len(dims)).take(axis[split], axis=0)
+    child = cell.take(split, axis=0)
+    grown = child * step  # the cell on the split axis, 0 on the others
+    if (grown >= dims).any():
+        row = int((grown >= dims).any(axis=1).argmax())
         raise StreamError(
             f"tree names split axis {axis[split[row]]} on extent "
-            f"{tuple(1 << a for a in shape[split[row]].tolist())}"
-        )
-    index = (index.take(split, axis=0) << step).repeat(2, axis=0)
-    index[1::2] += step  # the right children
+            f"{tuple(n >> c.bit_length() - 1 for n, c in zip(dims, child[row].tolist()))}")
+    child += grown
+    child = child.repeat(2, axis=0)
+    child[1::2] += step  # the right children
     heap = (heap.take(split) << 1).repeat(2)
     heap[1::2] += 1
-    return child.repeat(2, axis=0), index, heap
+    return child, heap
 
 
 def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
     """Follow the sweep's decisions from the root, level by level."""
     decisions = compute_kappa(lattice)
-    stats = lattice.stats
-    shape = np.array([stats.axis_exps], dtype=np.int64)
-    index = np.zeros((1, stats.m), dtype=np.int64)
+    dims = lattice.stats.dims
+    cell = np.ones((1, len(dims)), dtype=np.int64)
     heap = np.ones(1, dtype=np.int64)
     levels = []
     while len(heap):
-        axis = np.full(len(heap), -1, dtype=np.int8)
-        if len(levels) < sum(stats.axis_exps):  # nodes at depth J are single pixels
-            for s, rows in _shape_groups(shape, np.arange(len(heap)), stats.dims):
-                axis[rows] = decisions[s][tuple(index.take(rows, axis=0).T)]
-        levels.append((shape, index, heap, axis))
-        shape, index, heap = grow_level(shape, index, heap, axis)
-    shape, index, heap, axis = (np.concatenate(col) for col in zip(*levels))
-    return MapTree(dims_padded=stats.dims, shape=shape, index=index, heap=heap, axis=axis)
+        if len(levels) < sum(lattice.stats.axis_exps):
+            axis = decisions[tuple(cell.T)]
+        else:  # nodes at depth J are single pixels
+            axis = np.full(len(heap), -1, dtype=np.int8)
+        levels.append((cell, heap, axis))
+        cell, heap = grow_level(dims, cell, heap, axis)
+    cell, heap, axis = (np.concatenate(col) for col in zip(*levels))
+    return MapTree(dims_padded=dims, cell=cell, heap=heap, axis=axis)
 
 
 def permutation_from_tree(tree: MapTree) -> np.ndarray:
@@ -185,12 +183,10 @@ def permutation_from_tree(tree: MapTree) -> np.ndarray:
     """
     dims = tree.dims_padded
     order = np.empty(int(np.prod(dims)), dtype=np.int64)
-    strides = np.array([int(np.prod(dims[i + 1:])) for i in range(len(dims))],
-                       dtype=np.int64)
-    for s, rows in _shape_groups(tree.shape, np.flatnonzero(tree.axis < 0), dims):
-        extent = tuple(1 << a for a in s)
-        local = np.indices(extent).reshape(len(dims), -1).T @ strides
-        base = (tree.index.take(rows, axis=0) << np.array(s)) @ strides
+    for s, rows, index in _leaf_groups(tree):
+        extent = [1 << a for a in s]
+        local = np.ravel_multi_index(np.indices(extent).reshape(len(dims), -1), dims)
+        base = np.ravel_multi_index(tuple((index << np.array(s)).T), dims)
         runs = order.reshape(-1, len(local))  # one row per node of the leaves' depth
         runs[tree.heap.take(rows) - len(runs)] = base[:, None] + local
     order.setflags(write=False)
@@ -241,12 +237,11 @@ def paint_leaves(tree: MapTree, values: np.ndarray, planes: np.ndarray) -> None:
     """
     dims = tree.dims_padded
     channel = np.arange(len(planes))[:, None]
-    for s, rows in _shape_groups(tree.shape, np.flatnonzero(tree.axis < 0), dims):
+    for s, rows, index in _leaf_groups(tree):
         leaf = values.take(rows, axis=1)
         view = planes.reshape((len(planes),) + sum(((n >> a, 1 << a)
                                                     for n, a in zip(dims, s)), ()))
         # the channel and grid indices broadcast to (channels, leaves), which
         # numpy puts first because slices separate them
-        key = (channel,) + sum(((i, slice(None))
-                                for i in tree.index.take(rows, axis=0).T), ())
+        key = (channel,) + sum(((i, slice(None)) for i in index.T), ())
         view[key] = leaf.reshape(leaf.shape + (1,) * len(dims))

@@ -9,7 +9,7 @@ import pytest
 from carp import Hyperparams, MapTree, PixelGrid, compress, serialize_tree
 from carp.stream import detokenize
 
-from oracles import preorder_rows
+from oracles import preorder_rows, shape_index
 
 
 def _spectral_field(rng, size: int, exponent: float) -> np.ndarray:
@@ -81,11 +81,11 @@ def random_grid(rng, shape, bit_depth=8, channels=1) -> PixelGrid:
 
 def same_tree(a, b) -> bool:
     """MapTree equality, whatever order the rows come in: in preorder the
-    four node arrays fix the tree."""
+    three node arrays fix the tree."""
     a, b = preorder_rows(a), preorder_rows(b)
     return tuple(a.dims_padded) == tuple(b.dims_padded) and all(
         np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("shape", "index", "heap", "axis"))
+        for name in ("cell", "heap", "axis"))
 
 
 def forged_huge_dims_stream() -> bytes:
@@ -112,15 +112,15 @@ def stray_coefficient_stream() -> bytes:
     tree = stream.decode_tree()
     split = np.flatnonzero(tree.axis >= 0)
     row = int(split[np.isin(tree.heap[split], at[symbols != 0])][-1])
-    size = tree.shape.sum(axis=1)
+    size = shape_index(tree)[0].sum(axis=1)
     under = size < size[row]
     keep = ~under
     # drop the split's descendants: a node k levels under it has heap >> k == heap[row]
     keep[under] = (tree.heap[under] >> (size[row] - size[under])) != tree.heap[row]
     axis = tree.axis.copy()
     axis[row] = -1
-    leaf = MapTree(dims_padded=tree.dims_padded, shape=tree.shape[keep],
-                   index=tree.index[keep], heap=tree.heap[keep], axis=axis[keep])
+    leaf = MapTree(dims_padded=tree.dims_padded, cell=tree.cell[keep],
+                   heap=tree.heap[keep], axis=axis[keep])
     bits, nbits = serialize_tree(leaf)
     return replace(stream, tree_bits=bits, tree_nbits=nbits).to_bytes()
 

@@ -246,22 +246,39 @@ def brute_force_map(image, hp):
     return best, float(peak - log_marginal), log_marginal
 
 
+def shape_index(tree):
+    """(shape, index), each (nodes, m) int64, of a MapTree's rows: per axis
+    the extent exponent and grid index of the node's block, from its cell
+    with Python's int.bit_length.  Cell c of an axis of n samples lies in
+    [2^d, 2^(d+1)) for d = c.bit_length() - 1, has extent n >> d and grid
+    index c - 2^d."""
+    m = len(tree.dims_padded)
+    shape, index = [], []
+    for row in tree.cell.tolist():
+        depth = [c.bit_length() - 1 for c in row]
+        shape += [int(n).bit_length() - 1 - d for n, d in zip(tree.dims_padded, depth)]
+        index += [c - (1 << d) for c, d in zip(row, depth)]
+    return (np.array(shape, dtype=np.int64).reshape(-1, m),
+            np.array(index, dtype=np.int64).reshape(-1, m))
+
+
 def preorder_rows(tree):
     """The MapTree with its rows in preorder (a node, then its left
     subtree, then its right one): by the position of a node's first pixel
     in tree order, and at equal position the larger block first.  Node h
     of 2^s pixels starts at (h << s) - 2^J."""
-    size = tree.shape.sum(axis=1)
+    size = shape_index(tree)[0].sum(axis=1)
     rows = np.lexsort((-size, tree.heap << size))
-    return MapTree(dims_padded=tree.dims_padded, shape=tree.shape[rows],
-                   index=tree.index[rows], heap=tree.heap[rows], axis=tree.axis[rows])
+    return MapTree(dims_padded=tree.dims_padded, cell=tree.cell[rows],
+                   heap=tree.heap[rows], axis=tree.axis[rows])
 
 
 def tree_to_structure(tree):
     """Convert a package MapTree's arrays, in any row order, into the
     tuple form."""
     tree = preorder_rows(tree)
-    rows = zip(tree.shape.tolist(), tree.index.tolist(), tree.axis.tolist())
+    shape, index = shape_index(tree)
+    rows = zip(shape.tolist(), index.tolist(), tree.axis.tolist())
 
     def take():
         shape, index, axis = next(rows)
@@ -411,8 +428,8 @@ def map_tree_log_posterior(tree, tables):
     """
     log_prune, log_not_prune, log_split, _ = tables
     total = 0.0
-    for shape, index, axis in zip(tree.shape.tolist(), tree.index.tolist(),
-                                  tree.axis.tolist()):
+    shapes, indices = shape_index(tree)
+    for shape, index, axis in zip(shapes.tolist(), indices.tolist(), tree.axis.tolist()):
         if not any(shape):
             continue
         shape, index = tuple(shape), tuple(index)
@@ -668,9 +685,9 @@ def reference_deserialize_tree(data, nbits, dims_padded):
         raise StreamError(f"tree bit length {nbits} exceeds {len(data)} bytes")
     m = len(dims_padded)
     exps = tuple(int(d).bit_length() - 1 for d in dims_padded)
-    if sum(exps) > 62 or m > 127:
-        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples "
-                          f"or 127 axes")
+    if sum(exps) > 62 or m > 127 or max(dims_padded, default=1) > 2**31:
+        raise StreamError(f"padded dims {tuple(dims_padded)} exceed 2^62 samples, "
+                          f"2^31 a side or 127 axes")
     nbits_axis = (m - 1).bit_length()
     reader = ReferenceBitReader(data, nbits)
 
@@ -679,7 +696,7 @@ def reference_deserialize_tree(data, nbits, dims_padded):
             raise StreamError("tree bits end mid-tree")
         return reader.read(1)
 
-    shapes, indices, heaps, axes = [], [], [], []
+    cells, heaps, axes = [], [], []
     level = [(exps, (0,) * m, 1)]
     size_exp = sum(exps)
     while level:
@@ -700,8 +717,7 @@ def reference_deserialize_tree(data, nbits, dims_padded):
                 level_axes[k] = axis
         children = []
         for (shape, index, heap), axis in zip(level, level_axes):
-            shapes += shape
-            indices += index
+            cells += [(int(n) >> a) + i for n, a, i in zip(dims_padded, shape, index)]
             heaps.append(heap)
             axes.append(axis)
             if axis < 0:
@@ -715,8 +731,7 @@ def reference_deserialize_tree(data, nbits, dims_padded):
     if reader.pos != nbits:
         raise StreamError(f"{nbits - reader.pos} unread bits after tree")
     return MapTree(dims_padded=tuple(int(d) for d in dims_padded),
-                   shape=np.array(shapes, dtype=np.int64).reshape(-1, m),
-                   index=np.array(indices, dtype=np.int64).reshape(-1, m),
+                   cell=np.array(cells, dtype=np.int64).reshape(-1, m),
                    heap=np.array(heaps, dtype=np.int64),
                    axis=np.array(axes, dtype=np.int8))
 
@@ -815,9 +830,10 @@ def reference_decompress(stream, prefix_scales=None):
 def reference_substitute_pruned_means(plane, tree):
     """A copy of the plane with each pruned leaf's block set to its mean."""
     out = plane.copy()
-    for k in np.flatnonzero((tree.axis < 0) & tree.shape.any(axis=1)).tolist():
-        extent = 1 << tree.shape[k]
-        sl = tuple(slice(o, o + e) for o, e in zip(tree.index[k] * extent, extent))
+    shape, index = shape_index(tree)
+    for k in np.flatnonzero((tree.axis < 0) & shape.any(axis=1)).tolist():
+        extent = 1 << shape[k]
+        sl = tuple(slice(o, o + e) for o, e in zip(index[k] * extent, extent))
         out[sl] = out[sl].mean()
     return out
 

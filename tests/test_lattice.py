@@ -7,7 +7,7 @@ import pytest
 
 from carp import DimensionError, PixelGrid, ResourceError, build_stats, pad
 from carp import lattice
-from carp.lattice import LevelStream, StatsLattice, _child, _halves
+from carp.lattice import LevelStream, StatsLattice, _child, _halves, cells
 
 from conftest import random_grid, synthetic_photo
 from oracles import child_sum_arrays, haar_array
@@ -15,6 +15,26 @@ from oracles import child_sum_arrays, haar_array
 
 def grid_of(arr):
     return PixelGrid.from_array(np.asarray(arr, dtype=float))
+
+
+class TestCells:
+    @pytest.mark.parametrize("dims", [(1,), (32,), (8, 4), (1, 16), (4, 2, 8),
+                                      (2, 4, 1, 4)])
+    def test_shapes_tile_the_indices_from_one(self, dims):
+        # each shape's blocks are one box of the (2 n_1, ..., 2 n_m) array,
+        # the boxes are disjoint, and together they are every entry whose
+        # indices are all at least 1, one per lattice block
+        stats = StatsLattice(np.zeros(dims))
+        count = np.zeros(tuple(2 * n for n in dims), dtype=int)
+        for shape in stats.shapes:
+            box = count[cells(dims, shape)]
+            assert box.shape == stats.grid_shape(shape)
+            box += 1
+        assert count.max() == 1
+        ones = np.zeros_like(count)
+        ones[(slice(1, None),) * len(dims)] = 1
+        np.testing.assert_array_equal(count, ones)
+        assert count.sum() == stats.node_count
 
 
 class TestHaarCoefficient:

@@ -8,7 +8,7 @@ import pytest
 from carp import (Hyperparams, NumericError, PixelGrid, build_posterior, build_stats,
                   compress, empirical_bayes_fit, extract_map_tree)
 from carp import model
-from carp.lattice import LevelStream, StatsLattice
+from carp.lattice import LevelStream, StatsLattice, cells
 from carp.model import PosteriorLattice
 from conftest import random_grid, synthetic_photo
 from oracles import (brute_force_log_marginal, brute_force_map, haar_array,
@@ -141,7 +141,7 @@ class TestBuildPosterior:
             if sum(shape) == 0:
                 continue
             assert np.all(np.exp(log_prune[shape]) == 0.0)
-            assert np.all(post.decisions[shape] >= 0)
+            assert np.all(post.decisions[cells(post.stats.dims, shape)] >= 0)
 
     def test_single_axis_split_posterior_is_one(self):
         log_split = tables_of(grid_of([[3.0, 100.0]]), Hyperparams(sigma=1.0))[2]
@@ -286,10 +286,10 @@ class TestSweepMatchesReference:
         plane = stats.sums[stats.shapes[0]]
         for lattice in (stats, LevelStream(plane, stats.channels)):
             post = PosteriorLattice(lattice, hp)
-            assert post.decisions.keys() == decisions.keys()
+            assert post.decisions.dtype == np.int8
             for key in decisions:
-                assert post.decisions[key].dtype == np.int8
-                assert np.array_equal(post.decisions[key], decisions[key]), key
+                got = post.decisions[cells(stats.dims, key)]
+                assert np.array_equal(got, decisions[key]), key
             assert _same_bits(post.log_marginal, tables[3])
             assert _same_bits(post.log_map, log_kappa[root_shape(stats)].reshape(-1)[0])
         for lattice in (stats, LevelStream(plane, stats.channels)):
@@ -547,12 +547,18 @@ class TestMemory:
         assert vars(post).keys() == {"stats", "decisions", "log_marginal", "log_map"}
         assert isinstance(post.log_marginal, float) and isinstance(post.log_map, float)
         stats = post.stats
-        assert post.decisions.keys() == {s for s in stats.shapes if any(s)}
-        for shape, axis in post.decisions.items():
-            assert axis.dtype == np.int8 and axis.base is None
-            assert axis.shape == stats.grid_shape(shape)
-        n = int(np.prod(stats.dims))
-        assert sum(a.nbytes for a in post.decisions.values()) == stats.node_count - n
+        decisions = post.decisions
+        assert decisions.dtype == np.int8 and decisions.base is None
+        assert decisions.shape == tuple(2 * n for n in stats.dims)
+        # every non-atomic block's decision names one of its divisible axes
+        # or stops, and every entry that is no such block's stays 0
+        written = np.zeros(decisions.shape, dtype=bool)
+        for shape in stats.shapes[1:]:
+            axis = decisions[cells(stats.dims, shape)]
+            div = [-1] + [i for i, a in enumerate(shape) if a > 0]
+            assert np.isin(axis, div).all()
+            written[cells(stats.dims, shape)] = True
+        assert not decisions[~written].any()
 
     def test_sweep_peak_within_the_stats_lattice(self):
         grid = synthetic_photo(512, seed=7)

@@ -1,3 +1,4 @@
+import re
 import struct
 import time
 import tracemalloc
@@ -16,7 +17,7 @@ from carp.stream import (PRIOR_FIELDS, ZERO_RUN_MAX, axis_bit_width,
 
 from conftest import random_grid, same_tree, synthetic_photo
 from oracles import (preorder_rows, reference_deserialize_tree, reference_detokenize,
-                     reference_serialize_tree, reference_tokenize_scale,
+                     reference_serialize_tree, reference_tokenize_scale, shape_index,
                      tree_to_structure)
 
 
@@ -112,6 +113,25 @@ class TestTreeBits:
         with pytest.raises(StreamError, match="split axis"):
             deserialize_tree(bytes([bits]), 8, dims)
 
+    @pytest.mark.parametrize("depth,axis", [(30, 3), (31, 3), (31, 0)])
+    def test_bad_axis_on_deep_cells_raises(self, depth, axis):
+        # the root and then each level's left node split on axis 0 and the
+        # right ones stop, so the left node at depth 30 has cell 2^30 on
+        # axis 0, and at depth 31 cell 2^31, a single sample; the step that
+        # catches axis 3 there must not overflow int64
+        bits = [0, 0, 0] + [0, 1, 0, 0] * (depth - 1) + [0, 1, axis >> 1, axis & 1]
+        data, dims = np.packbits(bits).tobytes(), (2**31, 2, 2)
+        with pytest.raises(StreamError, match="split axis") as want:
+            reference_deserialize_tree(data, len(bits), dims)
+        with pytest.raises(StreamError, match=f"^{re.escape(str(want.value))}$"):
+            deserialize_tree(data, len(bits), dims)
+
+    def test_bad_axis_at_the_root_of_huge_dims_raises(self):
+        # the root's cell is 1 on every axis, and axis 0 holds 2^31 samples
+        dims = (2**31, 2**31, 1)
+        with pytest.raises(StreamError, match=re.escape(f"axis 3 on extent {dims}")):
+            deserialize_tree(bytes([0b01100000]), 3, dims)
+
     def test_huge_header_dims_fail_fast(self):
         tracemalloc.start()
         t0 = time.perf_counter()
@@ -124,8 +144,10 @@ class TestTreeBits:
         assert time.perf_counter() - t0 < 1.0
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("dims", [(2**31, 2**31, 2**31), (1,) * 128])
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 2**31), (1,) * 128, (2**40, 2**20, 1)])
     def test_unaddressable_dims_raise(self, dims):
+        with pytest.raises(StreamError, match="exceed"):
+            reference_deserialize_tree(b"\x80", 1, dims)
         with pytest.raises(StreamError, match="exceed"):
             deserialize_tree(b"\x80", 1, dims)
 
@@ -138,7 +160,7 @@ class TestLevelOrder:
 
     @staticmethod
     def rows(tree):
-        return [tree.shape, tree.index, tree.heap, tree.axis]
+        return [tree.cell, tree.heap, tree.axis]
 
     @pytest.mark.parametrize("shape,sigma,eta0", MAP_TREE_CASES)
     def test_extracted_and_parsed_rows_are_in_level_order(self, shape, sigma, eta0):
@@ -150,7 +172,7 @@ class TestLevelOrder:
             for t in (tree, parsed):
                 assert (np.diff(t.heap) > 0).all()
                 # depth d, from the block size, is the heap range [2^d, 2^(d+1))
-                depth = j_total - t.shape.sum(axis=1)
+                depth = j_total - shape_index(t)[0].sum(axis=1)
                 assert ((t.heap >> depth) == 1).all()
                 assert np.diff(t.level_starts()).tolist() == np.bincount(
                     depth, minlength=j_total + 1).tolist()

@@ -7,13 +7,14 @@ import pytest
 from carp import (Hyperparams, PixelGrid, build_posterior, compute_kappa,
                   deserialize_tree, extract_map_tree, permutation_from_tree,
                   serialize_tree)
+from carp.lattice import cells
 from carp.model import _decide
-from carp.tree import _shape_groups
+from carp.tree import _leaf_groups
 from conftest import random_grid, same_tree, synthetic_photo
 from oracles import (brute_force_map, map_tree_log_posterior,
                      reference_extract_map_tree, reference_log_kappa,
                      reference_permutation, reference_posterior,
-                     reference_serialize_tree, tree_to_structure)
+                     reference_serialize_tree, shape_index, tree_to_structure)
 
 
 def grid_of(arr):
@@ -38,14 +39,15 @@ class TestKappa:
         tables = reference_posterior(post.stats, Hyperparams(sigma=1.0))
         kappa, _ = reference_log_kappa(post.stats, tables)
         np.testing.assert_array_equal(kappa[(0, 0)], 0.0)
-        assert (0, 0) not in compute_kappa(post)
-        assert compute_kappa(post)[(1, 1)].dtype == np.int8
+        decisions = compute_kappa(post)
+        assert decisions.dtype == np.int8
+        assert not decisions[cells(post.stats.dims, (0, 0))].any()
 
     def test_certain_prune_gives_kappa_one(self):
         # at huge sigma everything looks like noise and eta0 -> 1 forces pruning
         post = posterior_of(np.zeros((2, 2)), sigma=5.0, eta0=1.0)
         assert post.log_map == pytest.approx(0.0, abs=1e-12)
-        assert compute_kappa(post)[(1, 1)][0, 0] == -1
+        assert compute_kappa(post)[1, 1] == -1  # the root's cells
 
     @pytest.mark.parametrize("trial", range(4))
     def test_kappa_equals_max_posterior(self, trial):
@@ -63,7 +65,7 @@ class TestExtractMapTree:
         grid = random_grid(rng, (4, 4))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=2.0, eta0=0.0)))
         leaves = tree.axis < 0
-        assert not tree.shape[leaves].any()
+        assert not shape_index(tree)[0][leaves].any()
         assert np.count_nonzero(leaves) == 16
         assert tree.node_counts()["pruned_leaves"] == 0
 
@@ -114,8 +116,9 @@ class TestExtractMapTree:
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=6.0)))
         coverage = np.zeros((8, 4), dtype=int)
         leaves = tree.axis < 0
-        extents = 1 << tree.shape[leaves]
-        for offset, extent in zip(tree.index[leaves] * extents, extents):
+        shape, index = shape_index(tree)
+        extents = 1 << shape[leaves]
+        for offset, extent in zip(index[leaves] * extents, extents):
             coverage[tuple(slice(o, o + e) for o, e in zip(offset, extent))] += 1
         np.testing.assert_array_equal(coverage, 1)
 
@@ -180,7 +183,8 @@ class TestPermutation:
         grid = random_grid(rng, (8, 8))
         tree = extract_map_tree(build_posterior(grid, Hyperparams(sigma=2.0)))
         pos = inverse_of(permutation_from_tree(tree))  # pixel -> tree order
-        for shape, index, heap in zip(tree.shape.tolist(), tree.index.tolist(),
+        shapes, indices = shape_index(tree)
+        for shape, index, heap in zip(shapes.tolist(), indices.tolist(),
                                       tree.heap.tolist()):
             extent = [1 << a for a in shape]
             size = int(np.prod(extent))
@@ -197,19 +201,23 @@ class TestPermutation:
                 positions, np.arange(positions[0], positions[0] + size))
 
 
-class TestShapeGroups:
-    @pytest.mark.parametrize("dims", [(64,), (16, 8), (4, 8, 2), (2, 4, 4, 8)])
-    @pytest.mark.parametrize("kinds", [1, 5])
-    def test_groups_each_shape_in_row_order(self, dims, kinds):
-        rng = np.random.default_rng(10 * len(dims) + kinds)
-        exps = np.array([int(n).bit_length() - 1 for n in dims])
-        shape = rng.integers(0, exps + 1, size=(kinds, len(dims)))[
-            rng.integers(0, kinds, size=200)]
-        rows = np.sort(rng.choice(200, size=120, replace=False))
-        got = [(s, r.tolist()) for s, r in _shape_groups(shape, rows, dims)]
-        want = [(s, [r for r in rows.tolist() if tuple(shape[r].tolist()) == s])
-                for s in sorted(set(map(tuple, shape[rows].tolist())))]
-        assert got == want
+class TestLeafGroups:
+    @pytest.mark.parametrize("shape,sigma,eta0", [
+        ((64,), 4.0, 0.4), ((16, 8), 0.01, 0.0), ((16, 8), 2.0, 0.4),
+        ((4, 8, 2), 1.0, 0.4), ((2, 4, 4, 8), 2.0, 0.4)])
+    def test_groups_each_leaf_shape_once(self, shape, sigma, eta0):
+        rng = np.random.default_rng(len(shape))
+        tree = extract_map_tree(build_posterior(random_grid(rng, shape),
+                                                Hyperparams(sigma=sigma, eta0=eta0)))
+        shapes, indices = shape_index(tree)
+        groups = list(_leaf_groups(tree))
+        assert len({s for s, _, _ in groups}) == len(groups)
+        got = np.concatenate([rows for _, rows, _ in groups])
+        np.testing.assert_array_equal(np.sort(got), np.flatnonzero(tree.axis < 0))
+        for s, rows, index in groups:
+            assert (np.diff(rows) > 0).all()
+            assert (shapes[rows] == s).all()
+            np.testing.assert_array_equal(index, indices[rows])
 
 
 def assert_matches_reference(vals, hp):
