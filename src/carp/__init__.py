@@ -2,7 +2,8 @@
 image-adaptive pixel permutation, a 1D Haar transform, and Huffman coding.
 
 The permutation comes from the MAP estimate of a Bayesian model over
-recursive dyadic partitions of the pixel space; a single knob (sigma)
+recursive dyadic partitions of the pixel space, found by one bottom-up
+max-product sweep of the partition lattice; a single knob (sigma)
 controls how aggressively near-constant regions are collapsed, and maps
 monotonically to the achieved compression ratio.
 

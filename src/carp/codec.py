@@ -99,8 +99,8 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     encode that streams its statistics, which holds two levels of them and
     drops the decisions after extraction.  Next to them, encoding runs in
     phases, each holding what the earlier ones keep: building the
-    statistics; the posterior sweep, which holds log psi and log kappa of
-    two block levels plus the in-flight arrays of one batch of shapes
+    statistics; the posterior sweep, which holds one score per block of two
+    block levels plus the in-flight arrays of one batch of shapes
     (``model._batches``); extracting the tree; building the order from
     it; coding the channels one at a time; and serializing the tree.  The
     tree may reach every pixel, and a channel's Huffman bits number at
@@ -118,13 +118,14 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     held = 16 * math.prod(2 ** (e + 1) - 1 for e in exps) + 2**m * n
     # the channel sum, the integrality test, one shape's sums and squares
     build = 8 * n * (channels > 1) + 9 * n + 32 * n
-    # two levels of log psi and log kappa (the atomic level is one
-    # zero-strided array), then per divisible axis a mixture term and its
-    # share of the log-sum-exp, and about eight more arrays over the
-    # blocks of one batch of shapes, which share their level and axes
-    sweep = max((16 * (level_blocks[sum(b[0]) - 1] * (sum(b[0]) > 1)
-                       + level_blocks[sum(b[0])])
-                 + 8 * (2 * sum(a > 0 for a in b[0]) + 8) * len(b) * (n >> sum(b[0]))
+    # the scores of two levels (the atomic level is one zero-strided
+    # array), then per divisible axis one split term, and six more arrays
+    # over the blocks of one batch of shapes, which share their level and
+    # axes: the stop term, the child sum differences, the running best
+    # and the mixture's temporaries
+    sweep = max((8 * (level_blocks[sum(b[0]) - 1] * (sum(b[0]) > 1)
+                      + level_blocks[sum(b[0])])
+                 + 8 * (sum(a > 0 for a in b[0]) + 6) * len(b) * (n >> sum(b[0]))
                  for b in _batches(shapes, n)), default=0)
     nodes = 2 * n - 1
     tree = nodes * (8 * m + 9)  # cell, heap, axis

@@ -1,52 +1,64 @@
 """Marginal likelihood recursion and the MAP decision of every block.
 
-The model scores every block A of the lattice with three quantities, all
-in natural-log domain because the linear values underflow double
-precision past a few hundred pixels:
+The model scores every block A of the lattice in natural-log domain,
+because the linear values underflow double precision past a few hundred
+pixels:
 
 * log_psi0(A): marginal likelihood if partitioning stops at A; every
   coefficient below A is then pure noise, giving
   -((|A|-1)/2) log(2 pi sigma^2) - SST(A) / (2 sigma^2).
-* log_psi_d(A): marginal likelihood if A is halved along axis d; the
-  block's own coefficient w_d(A) is scored by a two-component normal
-  mixture (a wide "active" component with weight rho and variance
-  (1 + tau_j^2) sigma^2 at block level j, and a narrow noise component),
-  multiplied by the children's marginal likelihoods.
-* log_psi(A): prior-weighted combination
-  eta0 * psi0 + (1 - eta0) * mean_d psi_d, with the uniform split prior
-  over divisible axes.
+* mix_d(A): log density of the block's own coefficient w_d(A) if A is
+  halved along axis d, under a two-component normal mixture (a wide
+  "active" component with weight rho and variance (1 + tau_j^2) sigma^2
+  at block level j, and a narrow noise component).
+* log_psi(A): the marginal likelihood, eta0 * psi0 + (1 - eta0) *
+  mean_d [exp(mix_d) psi(A_left) psi(A_right)], with the uniform split
+  prior over divisible axes.
 
-Atomic blocks carry log_psi = 0 by convention.  From these, Bayes' theorem
-yields the posterior stop probability and the posterior split distribution
-per block, which completely describe the posterior over partition trees.
-The same bottom-up sweep then finds the MAP tree (see :mod:`carp.tree`):
-per block, log kappa, the best log posterior of any pruned subtree rooted
-there, and the int8 decision achieving it.  Only the decisions are kept.
+Atomic blocks score 0.  The MAP tree, the recursive partition with the
+largest prior times likelihood, comes from the same recursion with the
+sum replaced by a maximum, the min/+ tree pruning of Chou, Lookabaugh
+and Gray in log form:
+
+    G(A) = max(log eta0 + log_psi0(A),
+               max_d [log((1 - eta0) / #axes) + mix_d(A) + G(A_left) + G(A_right)]).
+
+A block's int8 decision is the argmax: -1 to stop, otherwise the split
+axis.  G of the root is the log joint of the image and the MAP tree, and
+less the log marginal, the MAP tree's log posterior.  The normalized
+posterior of the optional Polya tree (per block the stop probability,
+the split distribution and kappa, the best posterior of a subtree) has
+the same argmax, but the two forms round differently, so MAP ties are
+broken in the max-product form: among axes the lowest wins, and a block
+splits when stopping and splitting score equally.
 
 The shared tree of C channels is fitted on their per-pixel sum at noise
 scale C sigma, with tau0, rho and eta0 unchanged.  Every block sum and
 coefficient of the sum is C times the channel mean's and every SST C^2
-times, so each log psi is the mean's at sigma less (|A| - 1) log C, and
-the posteriors and the MAP tree are the mean's.  log_marginal adds
-(N - 1) log C back, for N pixels, so it is the mean's too.
+times, so each log psi and G is the mean's at sigma less (|A| - 1) log C,
+and the MAP tree is the mean's.  The root's score gets (N - 1) log C
+back, for N pixels, so it is the mean's too.
 
-The sweep goes level by level, smallest blocks first, and every shape of
-one level has the same number of blocks.  It cuts each level into
-batches: runs of consecutive shapes that also share their divisible
-axes, of at most 2^13 blocks together unless one shape is larger and
-runs alone.  A batch's blocks lie in one flat buffer per quantity, one
-shape's run after the other, so the steps that treat each block alone
-(the stop term, the mixture, both log-sum-exps, the NaN check, the prune
-terms and the MAP decision) cost one set of numpy calls per batch, not
-per shape; on small images that call overhead, not the arithmetic, is
-most of the sweep.  Only the child sum differences and the adds of the
-children's log psi and log kappa, strided reads of each shape's own
-children, run per shape into its run.  The posterior tables and log
-kappa of a batch exist while the sweep is at that batch, log psi and log
-kappa until the parents, one level up, are done; so besides the
-decisions, the sweep holds two levels of the lattice at a time.  What
-remains is log_marginal, log psi of the root, and log_map, log kappa of
-the root.
+One sweep, level by level and smallest blocks first, computes either
+score: with decisions, G and the decisions; without, log psi alone, for
+``empirical_bayes_fit`` and ``PosteriorLattice.log_marginal``.  Both take
+the same stop term and the same split terms, mix_d plus the children's
+scores, and differ only in how they combine them: a log-sum-exp for log
+psi, ``max`` and ``+`` for G (``_decide``).  Every shape of one level has
+the same number of blocks.  The sweep cuts each level into batches: runs
+of consecutive shapes that also share their divisible axes, of at most
+2^13 blocks together unless one shape is larger and runs alone.  A
+batch's blocks lie in one flat buffer per quantity, one shape's run after
+the other, so the steps that treat each block alone (the stop term, the
+mixture, the combination, the finiteness check and the MAP decision)
+cost one set of numpy calls per batch, not per shape; on small images
+that call overhead, not the arithmetic, is most of the sweep.  Only the
+child sum differences and the adds of the children's scores, strided
+reads of each shape's own children, run per shape into its run.  The
+split terms come one axis at a time; G folds each into a running best and
+drops it.  A shape's score is read by its parents alone, one level up, so
+besides the decisions, the sweep holds the scores of two levels of the
+lattice at a time.  What remains is the root's score.
 
 The block statistics come in the same order.  At blocks of 2^e pixels
 the sweep reads the SSTs of level e and the sums of level e - 1, the
@@ -55,8 +67,8 @@ A stored :class:`~carp.lattice.StatsLattice` holds every level already.
 A :class:`~carp.lattice.LevelStream`, which ``codec.compress`` builds
 when it is not handed statistics, builds level e then and drops what the
 sweep has passed, so at level e such a sweep holds the sums of levels
-e - 1 and e, the SSTs of level e, log psi and log kappa of levels e - 1
-and e, and the decisions so far; the atomic sums are the plane itself.
+e - 1 and e, the SSTs of level e, the scores of levels e - 1 and e, and
+the decisions so far; the atomic sums are the plane itself.
 
 The mixture term is the sweep's one costly function: ``np.logaddexp`` is
 a scalar loop, an order of magnitude slower per element than numpy's
@@ -69,15 +81,16 @@ w * w, so it is a function of |D|.  For each batch and axis whose largest
 value 0..max |D| and gathered by |D|; any other batch and axis, and every
 plane with a fractional or non-finite value, evaluates it per block.  The
 channel sum of integer samples is integer-valued, so colour images and
-video are served by the tables too.  The log-sum-exps run in place, with
+video are served by the tables too.  The log-sum-exp runs in place, with
 the operations of a reduction over stacked terms in the same order.  A
 batch gives each block the same operations in the same order as a
-shape alone, so every posterior array is bit for bit what the per-block,
-per-shape evaluation gives, whatever the batches.
+shape alone, so every score and decision is bit for bit what the
+per-block, per-shape evaluation gives, whatever the batches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -87,7 +100,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import PixelGrid
-from .lattice import StatsLattice, _child, _halves, build_stats, cells
+from .lattice import LevelStream, StatsLattice, _child, _halves, build_stats, cells
 
 # Hyperparams clamps a smaller sigma to this one
 SIGMA_CLAMP = 1e-6
@@ -184,18 +197,18 @@ def _log_sum_exp(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _decide(log_prune: np.ndarray, log_not_prune: np.ndarray, axes: list[int],
-            scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(log kappa, decision) of every block of one batch of shapes.
+def _decide(stop: np.ndarray, log_go: float, scores) -> tuple[np.ndarray, np.ndarray]:
+    """(G, decision) of every block of one batch of shapes, by max-product.
 
-    scores[k] is log_split + log kappa(left) + log kappa(right) for the
-    split along axes[k].  The split axis is the best score's, where a
-    strict ``>`` lets the lowest axis win ties; the decision is -1 where
-    stopping strictly beats that split, so at equality the block splits.
-    The inputs are overwritten.
+    scores yields (d, mix_d + G(A_left) + G(A_right)) for each divisible
+    axis d in ascending order, and each is folded into a running best,
+    where a strict ``>`` lets the lowest axis win ties.  The split scores
+    log_go plus that best; the decision is -1 where stop strictly beats
+    it, so at equality the block splits, and G is the larger of the two.
+    stop and the scores are overwritten.
     """
     best = axis = None
-    for d, t in zip(axes, scores):
+    for d, t in scores:
         if best is None:
             best, axis = t, np.full(t.shape, d, dtype=np.int8)
         else:
@@ -203,9 +216,9 @@ def _decide(log_prune: np.ndarray, log_not_prune: np.ndarray, axes: list[int],
             # masked store
             axis += (d - axis) * (t > best).view(np.int8)
             np.maximum(best, t, out=best)
-    split = np.add(log_not_prune, best, out=log_not_prune)
-    axis -= (axis + 1) * (log_prune > split).view(np.int8)
-    return np.maximum(log_prune, split, out=log_prune), axis
+    best += log_go
+    axis -= (axis + 1) * (stop > best).view(np.int8)
+    return np.maximum(stop, best, out=stop), axis
 
 
 # The sweep runs consecutive shapes of one level and one set of divisible
@@ -249,24 +262,43 @@ def _segments(buf: np.ndarray, grids: list[tuple[int, ...]]) -> list[np.ndarray]
     return [run.reshape(g) for run, g in zip(buf.reshape(len(grids), -1), grids)]
 
 
-def _sweep(stats: StatsLattice, hp: Hyperparams, decisions: np.ndarray | None
-           ) -> tuple[float, float | None]:
-    """One bottom-up pass over the lattice: (log marginal, log kappa of the
-    root), the former the channel mean's (see the module docstring).
+def _split_terms(stats: StatsLattice, shapes: list[tuple[int, ...]],
+                 grids: list[tuple[int, ...]], buffer: tuple[int, ...],
+                 score: dict, mix: tuple[float, ...], scale: float):
+    """(d, mix_d + score(A_left) + score(A_right)) of one batch's blocks for
+    each divisible axis d, a new array per axis (see the module docstring)."""
+    diff = np.empty(buffer)
+    diff_runs = _segments(diff, grids)
+    for d in [i for i, a in enumerate(shapes[0]) if a > 0]:
+        left, right = _halves(stats.m, d)
+        for shape, run in zip(shapes, diff_runs):
+            cs = stats.sums[_child(shape, d)]
+            np.subtract(cs[left], cs[right], out=run)
+        # w enters the mixture only as w * w, so |diff| serves too
+        np.abs(diff, out=diff)
+        top = diff.max() if stats.integral else math.inf
+        if top < diff.size:  # integers, no more values than blocks
+            term = _mixture(np.arange(int(top) + 1) / scale, *mix)[diff.astype(np.intp)]
+        else:
+            term = _mixture(diff / scale, *mix)
+        for shape, run in zip(shapes, _segments(term, grids)):
+            cp = score[_child(shape, d)]
+            run += cp[left]
+            run += cp[right]
+        yield d, term
 
-    The shapes go in the batches of ``_batches``, one set of numpy passes
-    over each batch's buffers but for the per-shape reads of the children
-    (see the module docstring).
 
-    With a decisions array, each non-atomic block's int8 decision is
-    stored at its cells; without one, only the marginal likelihood is
-    computed and the root's log kappa is None.  A shape's log psi and log
-    kappa are read by its parents alone, one level up, so each is dropped
-    once the sweep moves two levels past it.  On reaching blocks of 2^e pixels the
-    sweep calls ``stats._reach_level(e)``, after which stats holds the
-    SSTs of level e and the sums of levels e - 1 and e: a stored lattice
-    holds them all along, and a ``LevelStream`` builds level e then and
-    drops the levels below these.
+def _sweep(stats: StatsLattice, hp: Hyperparams, decisions: np.ndarray | None) -> float:
+    """One bottom-up pass over the lattice in the batches of ``_batches``:
+    the root's score, the channel mean's (see the module docstring).  With
+    a decisions array the score is G, the log joint of the image and the
+    MAP tree, and each non-atomic block's int8 decision is stored at its
+    cells; without one it is log psi, the log marginal likelihood.
+
+    On reaching blocks of 2^e pixels the sweep calls
+    ``stats._reach_level(e)``, after which stats holds the SSTs of level e
+    and the sums of levels e - 1 and e, and it drops the scores of level
+    e - 2, whose parents are done.
     """
     # a sum of C channels carries C times the noise of one
     sigma = hp.sigma * stats.channels
@@ -274,35 +306,31 @@ def _sweep(stats: StatsLattice, hp: Hyperparams, decisions: np.ndarray | None
     log_const = LOG_2PI + math.log(sigma2)
     log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
     log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
-    halves = [_halves(stats.m, d) for d in range(stats.m)]
     n = math.prod(stats.dims)
     atomic = stats.shapes[0]
-    log_psi: dict[tuple[int, ...], np.ndarray] = {
-        atomic: np.broadcast_to(0.0, stats.grid_shape(atomic))}
-    log_kappa = dict(log_psi)
+    # log psi or G of each shape, by the block
+    score = {atomic: np.broadcast_to(0.0, stats.grid_shape(atomic))}
     size_exp = 0
 
     for shapes in _batches(stats.shapes, n):
         if sum(shapes[0]) != size_exp:
             size_exp = sum(shapes[0])
             stats._reach_level(size_exp)
-            for done in [s for s in log_psi if sum(s) < size_exp - 1]:
-                del log_psi[done]
-                log_kappa.pop(done, None)
+            for done in [s for s in score if sum(s) < size_exp - 1]:
+                del score[done]
             size = 2 ** size_exp
             log_psi0_const = -((size - 1) / 2.0) * log_const
             level = stats.level_of_shape(shapes[0])
             rho = hp.rho(level)
             tau = hp.tau(level)
-            var_wide = (1.0 + tau * tau) * sigma2
-            log_rho = math.log(rho) if rho > 0 else -math.inf
-            log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
+            mix = (math.log(rho) if rho > 0 else -math.inf,
+                   math.log1p(-rho) if rho < 1 else -math.inf,
+                   (1.0 + tau * tau) * sigma2, sigma2)
             scale = math.sqrt(float(size))
 
         grids = [stats.grid_shape(s) for s in shapes]
         buffer = grids[0] if len(shapes) == 1 else (len(shapes) * (n >> size_exp),)
-        div = [i for i, a in enumerate(shapes[0]) if a > 0]
-        log_go = log_1m_eta0 - math.log(len(div))
+        log_go = log_1m_eta0 - math.log(sum(a > 0 for a in shapes[0]))
 
         # log eta0 + log psi0
         stop = np.empty(buffer)
@@ -311,35 +339,17 @@ def _sweep(stats: StatsLattice, hp: Hyperparams, decisions: np.ndarray | None
         np.subtract(log_psi0_const, stop, out=stop)
         np.add(log_eta0, stop, out=stop)
 
-        diff = np.empty(buffer)
-        diff_runs = _segments(diff, grids)
-        d_terms, d_runs = [], []
-        for d in div:
-            left, right = halves[d]
-            for shape, run in zip(shapes, diff_runs):
-                cs = stats.sums[_child(shape, d)]
-                np.subtract(cs[left], cs[right], out=run)
-            # w enters the mixture only as w * w, so |diff| serves too
-            np.abs(diff, out=diff)
-            top = diff.max() if stats.integral else math.inf
-            if top < diff.size:  # integers, no more values than blocks
-                table = _mixture(np.arange(int(top) + 1) / scale, log_rho,
-                                 log_1m_rho, var_wide, sigma2)
-                lpd = table[diff.astype(np.intp)]
-            else:
-                lpd = _mixture(diff / scale, log_rho, log_1m_rho, var_wide, sigma2)
-            runs = _segments(lpd, grids)
-            for shape, run in zip(shapes, runs):
-                cp = log_psi[_child(shape, d)]
-                run += cp[left]
-                run += cp[right]
-            d_terms.append(lpd)
-            d_runs.append(runs)
-        del diff, diff_runs
-
-        lpsi = _log_sum_exp([stop] + [log_go + lpd for lpd in d_terms])
-        if np.isnan(lpsi).any():
-            first = int(np.isnan(lpsi).reshape(-1).argmax())
+        terms = _split_terms(stats, shapes, grids, buffer, score, mix, scale)
+        if decisions is None:
+            total = _log_sum_exp([stop] + [log_go + t for _, t in terms])
+        else:
+            total, axis = _decide(stop, log_go, terms)
+            for shape, run in zip(shapes, _segments(axis, grids)):
+                decisions[cells(stats.dims, shape)] = run
+        # where a term is NaN or all are -inf: log psi is NaN, G not finite
+        finite = np.isfinite(total)
+        if not finite.all():
+            first = int(finite.reshape(-1).argmin())
             k, local = divmod(first, n >> size_exp)
             idx = np.unravel_index(local, grids[k])
             off = tuple(int(i) * (1 << a) for i, a in zip(idx, shapes[k]))
@@ -347,33 +357,10 @@ def _sweep(stats: StatsLattice, hp: Hyperparams, decisions: np.ndarray | None
                 f"non-finite marginal likelihood at block offset {off}, "
                 f"extent {tuple(1 << a for a in shapes[k])}"
             )
-        log_psi.update(zip(shapes, _segments(lpsi, grids)))
-        if decisions is None:
-            continue
-
-        # the posterior split distribution, stop and go probabilities
-        lse_d = _log_sum_exp(d_terms)
-        for d, lpd, runs in zip(div, d_terms, d_runs):
-            np.subtract(lpd, lse_d, out=lpd)
-            left, right = halves[d]
-            for shape, run in zip(shapes, runs):
-                kc = log_kappa[_child(shape, d)]
-                run += kc[left]
-                run += kc[right]
-        stop -= lpsi
-        log_prune = np.minimum(stop, 0.0, out=stop)
-        lse_d += log_go
-        lse_d -= lpsi
-        log_not_prune = np.minimum(lse_d, 0.0, out=lse_d)
-        kappa, axis = _decide(log_prune, log_not_prune, div, d_terms)
-        log_kappa.update(zip(shapes, _segments(kappa, grids)))
-        for shape, run in zip(shapes, _segments(axis, grids)):
-            decisions[cells(stats.dims, shape)] = run
-    root = tuple(stats.axis_exps)
-    log_map = float(log_kappa[root].reshape(-1)[0]) if decisions is not None else None
-    # the channel mean's log marginal, not the sum's; one channel adds 0
-    log_marginal = float(log_psi[root].reshape(-1)[0])
-    return log_marginal + (n - 1) * math.log(stats.channels), log_map
+        score.update(zip(shapes, _segments(total, grids)))
+    root = float(score[tuple(stats.axis_exps)].reshape(-1)[0])
+    # the channel mean's, not the sum's; one channel adds 0
+    return root + (n - 1) * math.log(stats.channels)
 
 
 class PosteriorLattice:
@@ -382,18 +369,31 @@ class PosteriorLattice:
     decisions is int8 of shape (2 n_1, ..., 2 n_m), indexed by a block's
     cells (``lattice.cells``): -1 where the MAP tree stops at the block,
     otherwise the axis it splits.  Other entries, the atomic blocks' too,
-    stay 0, and pages no block's entry is on take no memory.  log_marginal
-    is the log marginal likelihood of the whole image, and log_map the log
-    posterior probability of the MAP tree (log kappa of the root).  The
-    posterior tables the decisions come from are not kept.  stats is the
-    lattice the sweep read; of a ``LevelStream`` only the last levels are
-    left, so of that one only the dims and shapes serve afterwards.
+    stay 0, and pages no block's entry is on take no memory.  log_joint is
+    G of the root, the log prior times likelihood of the MAP tree and the
+    image.  log_marginal, the image's log marginal likelihood, takes a
+    marginal-only sweep of stats, the lattice the sweep read, on first
+    use, and log_map, the MAP tree's log posterior, is their difference.
+    A ``LevelStream`` is spent by the sweep: only its dims and shapes
+    serve afterwards, and log_marginal raises ValueError.
     """
 
     def __init__(self, stats: StatsLattice, hp: Hyperparams):
         self.stats = stats
+        self.hp = hp
         self.decisions = np.zeros(tuple(2 * n for n in stats.dims), dtype=np.int8)
-        self.log_marginal, self.log_map = _sweep(stats, hp, self.decisions)
+        self.log_joint = _sweep(stats, hp, self.decisions)
+
+    @functools.cached_property
+    def log_marginal(self) -> float:
+        if isinstance(self.stats, LevelStream):
+            raise ValueError("log_marginal needs the stored statistics (build_stats); "
+                             "the LevelStream this posterior was swept from is spent")
+        return _sweep(self.stats, self.hp, None)
+
+    @property
+    def log_map(self) -> float:
+        return self.log_joint - self.log_marginal
 
 
 def build_posterior(grid: PixelGrid, hp: Hyperparams,
@@ -417,7 +417,7 @@ def empirical_bayes_fit(grid: PixelGrid, sigma: float,
     best_lp = -math.inf
     for a, b, c, t, e in itertools.product(*FIT_GRID):
         hp = Hyperparams(sigma=sigma, alpha=a, beta=b, c=c, tau0=t / sigma, eta0=e)
-        lp, _ = _sweep(stats, hp, None)
+        lp = _sweep(stats, hp, None)
         if lp > best_lp:
             best_lp, best_hp = lp, hp
     assert best_hp is not None

@@ -1,17 +1,16 @@
 """MAP partition tree extraction and the induced pixel permutation.
 
-The posterior sweep of :mod:`carp.model` computes, for every block, the
-largest posterior mass any pruned partition subtree rooted there can
-achieve (kappa, held as log kappa to survive deep trees), in the same
-bottom-up pass as the marginal likelihood, and records the decision that
-achieves it.  The best split axis is
+The max-product sweep of :mod:`carp.model` computes, for every block,
+G, the largest log prior times likelihood any pruned partition subtree
+rooted there can achieve, and records the decision that achieves it.
+The best split axis is
 
-    d_hat = argmax_d  split_post(A, d) * kappa(A_left) * kappa(A_right)
+    d_hat = argmax_d  mix_d(A) + G(A_left) + G(A_right)
 
 and the block becomes a leaf iff the stop branch strictly beats it,
 
-    prune_post(A) > (1 - prune_post(A)) * split_post(A, d_hat)
-                    * kappa(A_left) * kappa(A_right).
+    log eta0 + log_psi0(A) > log((1 - eta0) / #axes)
+                             + mix_d_hat(A) + G(A_left) + G(A_right).
 
 At exact equality the block is split.  Axis ties resolve to the lowest
 index; both rules are fixed so identical inputs always produce identical
@@ -105,7 +104,10 @@ def _leaf_groups(tree: MapTree):
     depth -= 1
     index -= np.int64(1) << depth  # cell c of depth d is grid index c - 2^d
     radix = [int(n).bit_length() for n in tree.dims_padded]  # depths 0..log2 n
-    ids = np.ravel_multi_index(tuple(depth.T), radix)
+    ids = depth[:, 0].astype(np.int64)  # row-major over the depths
+    for d, r in enumerate(radix[1:], 1):
+        ids *= r
+        ids += depth[:, d]
     del depth
     if (ids != ids[0]).any():
         by_shape = ids.argsort(kind="stable")

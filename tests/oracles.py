@@ -8,14 +8,19 @@ directly, not against the package's recursion paths:
   tree, giving a brute-force marginal likelihood and posterior argmax.
 * ``reference_posterior`` is the direct posterior sweep: the mixture at
   every block and axis, and each log-sum-exp over stacked terms.  It keeps
-  the posterior tables (stop, not-stop and split probabilities) that the
-  package computes in flight and drops; ``reference_log_kappa`` runs the
-  kappa step over them as a separate pass, and ``map_tree_log_posterior``
-  scores a tree with them.  The package's marginal likelihood, root log
-  kappa and int8 decisions must match them bit for bit.
+  the posterior tables (stop, not-stop and split probabilities) of the
+  optional Polya tree, which the package never computes;
+  ``reference_log_kappa`` runs the kappa step over them as a separate
+  pass, and ``map_tree_log_posterior`` scores a tree with them.  The
+  package's marginal likelihood must match it bit for bit, and its int8
+  decisions must equal the kappa decisions wherever they are no rounding
+  tie.
+* ``reference_map_decisions`` is the max-product recursion shape by
+  shape, with the direct mixture; the package's decisions and log joint
+  must match it bit for bit.
 * ``reference_extract_map_tree`` and ``reference_permutation`` are a
-  recursive tree path over the same structure tuples, reading the
-  reference tables one block at a time, and ``reference_serialize_tree``
+  recursive tree path over the same structure tuples, deciding one
+  block at a time, and ``reference_serialize_tree``
   writes their tree bits breadth first, one bit at a time; the
   differential tests require them and the package's array-native tree to
   agree exactly.
@@ -305,22 +310,61 @@ def _sweep_log_normal(w, var):
     return -0.5 * (_LOG_2PI + math.log(var) + (w * w) / var)
 
 
-def reference_posterior(stats, hp):
-    """(log_prune, log_not_prune, log_split, log_marginal) by the direct
-    sweep: the mixture evaluated at every block and axis, and each
-    log-sum-exp taken over stacked terms.  The package's sweep must match
-    it bit for bit, and raise the same NumericError on the same input.  A
-    lattice of the sum of C channels is swept at C sigma, and its log
-    marginal gets (N - 1) log C back, for N pixels."""
-    log_psi, log_prune, log_not_prune, log_split = {}, {}, {}, {}
+def _reference_terms(stats, hp, shape, score):
+    """(lpsi0, {d: mix_d + score(A_left) + score(A_right)}) of every block
+    of one non-atomic shape, the mixture evaluated at every block and axis
+    of a lattice of the sum of C channels at C sigma."""
     sigma = hp.sigma * stats.channels
     sigma2 = sigma * sigma
     log_const = _LOG_2PI + math.log(sigma2)
-    log_eta0 = math.log(hp.eta0) if hp.eta0 > 0 else -math.inf
-    log_1m_eta0 = math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf
+    size = 2 ** sum(shape)
+    lpsi0 = -((size - 1) / 2.0) * log_const - stats.ssts[shape] / (2.0 * sigma2)
+    level = stats.level_of_shape(shape)
+    rho = hp.rho(level)
+    tau = hp.tau(level)
+    var_wide = (1.0 + tau * tau) * sigma2
+    log_rho = math.log(rho) if rho > 0 else -math.inf
+    log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
+    d_terms = {}
+    for d in [i for i, a in enumerate(shape) if a > 0]:
+        w = haar_array(stats, shape, d)
+        with np.errstate(invalid="ignore"):  # NaN inputs are caught by the callers
+            mix = np.logaddexp(log_rho + _sweep_log_normal(w, var_wide),
+                               log_1m_rho + _sweep_log_normal(w, sigma2))
+        cp = score[_child(shape, d)]
+        left, right = _halves(stats.m, d)
+        d_terms[d] = mix + cp[left] + cp[right]
+    return lpsi0, d_terms
+
+
+def _log_eta(hp):
+    """(log eta0, log (1 - eta0)), -inf at the ends of [0, 1]."""
+    return (math.log(hp.eta0) if hp.eta0 > 0 else -math.inf,
+            math.log1p(-hp.eta0) if hp.eta0 < 1 else -math.inf)
+
+
+def _raise_non_finite(bad, shape):
+    """The package's NumericError at the first block where bad holds."""
+    idx = tuple(int(v) for v in np.argwhere(bad)[0])
+    off = tuple(i * (1 << a) for i, a in zip(idx, shape))
+    raise NumericError(
+        f"non-finite marginal likelihood at block offset {off}, "
+        f"extent {tuple(1 << a for a in shape)}"
+    )
+
+
+def reference_posterior(stats, hp):
+    """(log_prune, log_not_prune, log_split, log_marginal) by the direct
+    sweep: the mixture evaluated at every block and axis, and each
+    log-sum-exp taken over stacked terms.  The package's marginal-only
+    sweep must match log_marginal bit for bit, and the package raise the
+    same NumericError on the same input.  A lattice of the sum of C
+    channels is swept at C sigma, and its log marginal gets (N - 1) log C
+    back, for N pixels."""
+    log_psi, log_prune, log_not_prune, log_split = {}, {}, {}, {}
+    log_eta0, log_1m_eta0 = _log_eta(hp)
 
     for shape in stats.shapes:
-        size = 2 ** sum(shape)
         div = [i for i, a in enumerate(shape) if a > 0]
         if not div:
             zero = np.zeros(stats.grid_shape(shape))
@@ -329,39 +373,18 @@ def reference_posterior(stats, hp):
             log_not_prune[shape] = zero
             continue
 
-        level = stats.level_of_shape(shape)
-        lpsi0 = -((size - 1) / 2.0) * log_const - stats.ssts[shape] / (2.0 * sigma2)
-
-        rho = hp.rho(level)
-        tau = hp.tau(level)
-        var_wide = (1.0 + tau * tau) * sigma2
-        log_rho = math.log(rho) if rho > 0 else -math.inf
-        log_1m_rho = math.log1p(-rho) if rho < 1 else -math.inf
-
+        lpsi0, by_axis = _reference_terms(stats, hp, shape, log_psi)
         terms = [log_eta0 + lpsi0]
         log_lambda = -math.log(len(div))
-        d_terms = []
-        for d in div:
-            w = haar_array(stats, shape, d)
-            with np.errstate(invalid="ignore"):  # NaN inputs caught below
-                mix = np.logaddexp(log_rho + _sweep_log_normal(w, var_wide),
-                                   log_1m_rho + _sweep_log_normal(w, sigma2))
-            cp = log_psi[_child(shape, d)]
-            left, right = _halves(stats.m, d)
-            lpd = mix + cp[left] + cp[right]
-            d_terms.append(lpd)
+        d_terms = list(by_axis.values())
+        for lpd in d_terms:
             terms.append(log_1m_eta0 + log_lambda + lpd)
 
         stacked = np.stack(terms)
         peak = np.max(stacked, axis=0)
         lpsi = peak + np.log(np.sum(np.exp(stacked - peak), axis=0))
         if np.isnan(lpsi).any():
-            idx = tuple(int(v) for v in np.argwhere(np.isnan(lpsi))[0])
-            off = tuple(i * (1 << a) for i, a in zip(idx, shape))
-            raise NumericError(
-                f"non-finite marginal likelihood at block offset {off}, "
-                f"extent {tuple(1 << a for a in shape)}"
-            )
+            _raise_non_finite(np.isnan(lpsi), shape)
         log_psi[shape] = lpsi
 
         d_stack = np.stack(d_terms)
@@ -389,12 +412,13 @@ def reference_posterior(stats, hp):
 
 
 def reference_log_kappa(stats, tables):
-    """(log kappa, decisions) per shape, bottom-up, from the posterior
-    tables of ``reference_posterior``.  The split axis is the first
-    maximum of the stacked scores, and a block stops only where stopping
-    scores strictly higher."""
+    """(log kappa, decisions, margin) per shape, bottom-up, from the
+    posterior tables of ``reference_posterior``.  The split axis is the
+    first maximum of the stacked scores, and a block stops only where
+    stopping scores strictly higher.  margin is the best of a block's
+    candidates, stopping and each split, less the runner-up."""
     log_prune, log_not_prune, log_split, _ = tables
-    log_kappa, decisions = {}, {}
+    log_kappa, decisions, margin = {}, {}, {}
     for shape in stats.shapes:
         div = [i for i, a in enumerate(shape) if a > 0]
         if not div:
@@ -415,7 +439,44 @@ def reference_log_kappa(stats, tables):
         decisions[shape] = np.where(stop, -1, np.array(div)[scores.argmax(axis=0)]
                                     ).astype(np.int8)
         log_kappa[shape] = np.maximum(log_prune[shape], split)
-    return log_kappa, decisions
+        ranked = np.sort([log_prune[shape], *(log_not_prune[shape] + scores)], axis=0)
+        with np.errstate(invalid="ignore"):  # -inf less -inf: no runner-up
+            margin[shape] = ranked[-1] - ranked[-2]
+    return log_kappa, decisions, margin
+
+
+def reference_map_decisions(stats, hp):
+    """(G, decisions, log_joint) by the max-product recursion, shape by
+    shape, with the mixture evaluated at every block and axis:
+
+        G(A) = max(log eta0 + lpsi0(A),
+                   log_go + max_d [mix_d(A) + G(A_left) + G(A_right)]),
+
+    log_go = log((1 - eta0) / #axes), in the package's order of
+    operations.  The split axis is the first maximum, and a block stops
+    only where stopping scores strictly higher.  log_joint is G of the
+    root with (N - 1) log C back, the channel mean's.  The package's MAP
+    sweep must match the decisions and log_joint bit for bit, and raise
+    ``reference_posterior``'s NumericError."""
+    log_eta0, log_1m_eta0 = _log_eta(hp)
+    log_g, decisions = {}, {}
+    for shape in stats.shapes:
+        div = [i for i, a in enumerate(shape) if a > 0]
+        if not div:
+            log_g[shape] = np.zeros(stats.grid_shape(shape))
+            continue
+        lpsi0, by_axis = _reference_terms(stats, hp, shape, log_g)
+        stop = log_eta0 + lpsi0
+        scores = np.stack([by_axis[d] for d in div])
+        split = scores.max(axis=0) + (log_1m_eta0 - math.log(len(div)))
+        g = np.maximum(stop, split)
+        if not np.isfinite(g).all():
+            _raise_non_finite(~np.isfinite(g), shape)
+        decisions[shape] = np.where(stop > split, -1, np.array(div)[scores.argmax(axis=0)]
+                                    ).astype(np.int8)
+        log_g[shape] = g
+    root = float(log_g[root_shape(stats)].reshape(-1)[0])
+    return log_g, decisions, root + (math.prod(stats.dims) - 1) * math.log(stats.channels)
 
 
 def map_tree_log_posterior(tree, tables):
@@ -447,32 +508,45 @@ def _key(offset, extent):
     return shape, tuple(o >> a for o, a in zip(offset, shape))
 
 
-def reference_extract_map_tree(stats, hp):
-    """Top-down recursive MAP tree: (structure, dims_padded)."""
-    tables = reference_posterior(stats, hp)
-    log_prune, log_not_prune, log_split, _ = tables
-    log_kappa, _ = reference_log_kappa(stats, tables)
+def reference_extract_map_tree(stats, hp, max_product=False):
+    """Top-down recursive MAP tree: (structure, dims_padded).  Each block
+    is decided from the kappa tables, one block at a time, or with
+    max_product, read from ``reference_map_decisions``."""
+    if max_product:
+        map_decisions = reference_map_decisions(stats, hp)[1]
+    else:
+        tables = reference_posterior(stats, hp)
+        log_prune, log_not_prune, log_split, _ = tables
+        log_kappa = reference_log_kappa(stats, tables)[0]
 
     def kappa_at(offset, extent):
         shape, idx = _key(offset, extent)
         return float(log_kappa[shape][idx])
 
-    def build(offset, extent):
-        div = _divisible(extent)
-        if not div:
-            return ("atom", offset, extent)
+    def decide(offset, extent, div):
         shape, idx = _key(offset, extent)
-        best_d, best_t, best_kids = -1, -np.inf, None
+        if max_product:
+            return int(map_decisions[shape][idx])
+        best_d, best_t = -1, -np.inf
         for d in div:
             kids = _children(offset, extent, d)
             t = (float(log_split[(shape, d)][idx])
                  + kappa_at(*kids[0]) + kappa_at(*kids[1]))
             if t > best_t:
-                best_d, best_t, best_kids = d, t, kids
+                best_d, best_t = d, t
         if float(log_prune[shape][idx]) > float(log_not_prune[shape][idx]) + best_t:
+            return -1
+        return best_d
+
+    def build(offset, extent):
+        div = _divisible(extent)
+        if not div:
+            return ("atom", offset, extent)
+        d = decide(offset, extent, div)
+        if d < 0:
             return ("prune", offset, extent)
-        return ("split", offset, extent, best_d,
-                build(*best_kids[0]), build(*best_kids[1]))
+        kids = _children(offset, extent, d)
+        return ("split", offset, extent, d, build(*kids[0]), build(*kids[1]))
 
     dims = stats.dims
     return build(tuple(0 for _ in dims), tuple(dims)), dims

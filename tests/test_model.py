@@ -12,7 +12,7 @@ from carp.lattice import LevelStream, StatsLattice, cells
 from carp.model import PosteriorLattice
 from conftest import random_grid, synthetic_photo
 from oracles import (brute_force_log_marginal, brute_force_map, haar_array,
-                     reference_log_kappa, reference_posterior, root_shape,
+                     reference_log_kappa, reference_map_decisions, reference_posterior,
                      tree_to_structure)
 
 
@@ -25,9 +25,10 @@ def log_normal(w, var):
 
 
 def tables_of(grid, hp):
-    """The posterior tables the sweep computes in flight and drops:
-    (log_prune, log_not_prune, log_split, log_marginal) by the reference
-    sweep, which TestSweepMatchesReference ties to the package's."""
+    """The posterior tables of the optional Polya tree, which the package's
+    max-product sweep does not compute: (log_prune, log_not_prune,
+    log_split, log_marginal) by the reference sweep, whose marginal and
+    kappa decisions TestSweepMatchesReference ties to the package's."""
     return reference_posterior(build_stats(grid), hp)
 
 
@@ -271,35 +272,58 @@ SWEEP_HYPERPARAMS = {
 
 
 class TestSweepMatchesReference:
-    """The fused sweep, with its mixture tables, in-place log-sum-exp and
-    in-flight kappa step, reproduces the direct posterior sweep followed by
-    a separate kappa pass bit for bit: the same int8 decisions, marginal
-    likelihood and root log kappa.  The fit's marginal-only pass gives the
-    same marginal likelihood."""
+    """The fused sweep, with its mixture tables and in-place combination of
+    the terms, reproduces the direct per-shape max-product recursion bit
+    for bit: the same int8 decisions and log joint.  Its marginal-only
+    pass reproduces the direct posterior sweep's marginal likelihood."""
 
     @staticmethod
     def check(stats, hp):
-        tables = reference_posterior(stats, hp)
-        log_kappa, decisions = reference_log_kappa(stats, tables)
+        _, decisions, log_joint = reference_map_decisions(stats, hp)
+        log_marginal = reference_posterior(stats, hp)[3]
         # the stored lattice, then its plane's levels streamed as the sweep
         # reaches them
         plane = stats.sums[stats.shapes[0]]
-        for lattice in (stats, LevelStream(plane, stats.channels)):
-            post = PosteriorLattice(lattice, hp)
+        posts = [PosteriorLattice(lattice, hp)
+                 for lattice in (stats, LevelStream(plane, stats.channels))]
+        for post in posts:
             assert post.decisions.dtype == np.int8
             for key in decisions:
                 got = post.decisions[cells(stats.dims, key)]
                 assert np.array_equal(got, decisions[key]), key
-            assert _same_bits(post.log_marginal, tables[3])
-            assert _same_bits(post.log_map, log_kappa[root_shape(stats)].reshape(-1)[0])
-        for lattice in (stats, LevelStream(plane, stats.channels)):
-            log_marginal, log_map = model._sweep(lattice, hp, None)
-            assert _same_bits(log_marginal, tables[3]) and log_map is None
+            assert _same_bits(post.log_joint, log_joint)
+        assert _same_bits(posts[0].log_marginal, log_marginal)
+        streamed = model._sweep(LevelStream(plane, stats.channels), hp, None)
+        assert _same_bits(streamed, log_marginal)
 
     @pytest.mark.parametrize("plane", SWEEP_PLANES)
     @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
     def test_bit_identical(self, plane, hp):
         self.check(StatsLattice(SWEEP_PLANES[plane]()), Hyperparams(**SWEEP_HYPERPARAMS[hp]))
+
+    @pytest.mark.parametrize("plane", SWEEP_PLANES)
+    @pytest.mark.parametrize("hp", SWEEP_HYPERPARAMS)
+    def test_decisions_are_the_kappa_forms_but_at_rounding_ties(self, plane, hp):
+        # kappa(A) is G(A) less log psi(A), so the two forms rank a block's
+        # candidates alike but for rounding; wherever the kappa form's best
+        # and runner-up differ by more than 1e-12 of |G(A)|, the decisions
+        # agree
+        stats = StatsLattice(SWEEP_PLANES[plane]())
+        hp = Hyperparams(**SWEEP_HYPERPARAMS[hp])
+        _, want, margin = reference_log_kappa(stats, reference_posterior(stats, hp))
+        log_g = reference_map_decisions(stats, hp)[0]
+        post = PosteriorLattice(stats, hp)
+        for shape in want:
+            clear = margin[shape] > 1e-12 * np.abs(log_g[shape])
+            got = post.decisions[cells(stats.dims, shape)]
+            np.testing.assert_array_equal(got[clear], want[shape][clear], str(shape))
+
+    def test_log_marginal_of_a_spent_stream_raises(self):
+        plane = _integers((8, 8), 256)
+        post = PosteriorLattice(LevelStream(plane), Hyperparams(sigma=1.0))
+        assert isinstance(post.log_joint, float)
+        with pytest.raises(ValueError, match="LevelStream"):
+            post.log_marginal
 
     @pytest.mark.parametrize("cap", ["1", "2^62"])
     @pytest.mark.parametrize("plane", SWEEP_PLANES)
@@ -544,8 +568,11 @@ class TestMemory:
     def test_only_int8_decisions_are_held(self):
         grid = random_grid(np.random.default_rng(17), (16, 8, 4))
         post = build_posterior(grid, Hyperparams(sigma=2.0))
-        assert vars(post).keys() == {"stats", "decisions", "log_marginal", "log_map"}
-        assert isinstance(post.log_marginal, float) and isinstance(post.log_map, float)
+        assert vars(post).keys() == {"stats", "hp", "decisions", "log_joint"}
+        assert isinstance(post.log_joint, float)
+        # the marginal sweep runs on first use, and its result is kept
+        assert isinstance(post.log_map, float) and isinstance(post.log_marginal, float)
+        assert vars(post).keys() == {"stats", "hp", "decisions", "log_joint", "log_marginal"}
         stats = post.stats
         decisions = post.decisions
         assert decisions.dtype == np.int8 and decisions.base is None

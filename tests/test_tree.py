@@ -37,7 +37,7 @@ class TestKappa:
         # log kappa is 0 on atomic blocks, which carry no decision
         post = posterior_of([[1.0, 2.0], [3.0, 4.0]], sigma=1.0)
         tables = reference_posterior(post.stats, Hyperparams(sigma=1.0))
-        kappa, _ = reference_log_kappa(post.stats, tables)
+        kappa = reference_log_kappa(post.stats, tables)[0]
         np.testing.assert_array_equal(kappa[(0, 0)], 0.0)
         decisions = compute_kappa(post)
         assert decisions.dtype == np.int8
@@ -220,11 +220,11 @@ class TestLeafGroups:
             np.testing.assert_array_equal(index, indices[rows])
 
 
-def assert_matches_reference(vals, hp):
+def assert_matches_reference(vals, hp, max_product=False):
     """Array-native tree path == recursive reference path, exactly."""
     post = build_posterior(grid_of(vals), hp)
     tree = extract_map_tree(post)
-    structure, dims = reference_extract_map_tree(post.stats, hp)
+    structure, dims = reference_extract_map_tree(post.stats, hp, max_product)
     assert tree.dims_padded == dims
     assert tree_to_structure(tree) == structure
     order = permutation_from_tree(tree)
@@ -252,7 +252,9 @@ class TestMatchesReference:
             vals[:half] = 90.0
             corner = vals[:half, : shape[1] // 2]
             corner += rng.integers(0, 4, size=corner.shape)
-            assert_matches_reference(vals, Hyperparams(sigma=sigma, eta0=eta0))
+            # near-lossless trees hold rounding ties of the kappa form
+            assert_matches_reference(vals, Hyperparams(sigma=sigma, eta0=eta0),
+                                     max_product=sigma < 0.1)
 
     @pytest.mark.parametrize("sigma,eta0", [(1.0, 0.0), (1.0, 0.4), (0.01, 0.4)])
     def test_constant_image(self, sigma, eta0):
@@ -269,27 +271,24 @@ class TestMatchesReference:
         # a later axis ties the best so far after a worse one
         scores = [np.array([1.5, 0.0, 2.0]), np.array([1.5, 1.0, 2.0]),
                   np.array([1.5, 1.0, 2.0])]
-        log_kappa, axis = _decide(np.full(3, -np.inf), np.zeros(3), [0, 1, 2],
-                                  scores)
+        log_g, axis = _decide(np.full(3, -np.inf), 0.0, zip([0, 1, 2], scores))
         assert axis.dtype == np.int8
         np.testing.assert_array_equal(axis, [0, 1, 0])
-        np.testing.assert_array_equal(log_kappa, [1.5, 1.0, 2.0])
-        _, axis = _decide(np.full(2, -np.inf), np.zeros(2), [1, 2],
-                          [np.array([-3.0, 0.5]), np.array([-3.0, 0.5])])
+        np.testing.assert_array_equal(log_g, [1.5, 1.0, 2.0])
+        _, axis = _decide(np.full(2, -np.inf), 0.0,
+                          zip([1, 2], [np.array([-3.0, 0.5]), np.array([-3.0, 0.5])]))
         np.testing.assert_array_equal(axis, [1, 1])
 
     def test_prune_split_tie_splits(self):
         # stopping must score strictly higher than splitting to win
-        log_not_prune = np.array([-0.75, -0.75])
+        log_go = -0.75
         score = np.array([-0.5, -0.5])
-        split = log_not_prune + score
-        log_prune = np.array([split[0], np.nextafter(split[1], np.inf)])
-        log_kappa, axis = _decide(log_prune.copy(), log_not_prune.copy(), [0],
-                                  [score.copy()])
+        split = score + log_go
+        stop = np.array([split[0], np.nextafter(split[1], np.inf)])
+        log_g, axis = _decide(stop.copy(), log_go, [(0, score.copy())])
         np.testing.assert_array_equal(axis, [0, -1])
-        np.testing.assert_array_equal(log_kappa, log_prune)
+        np.testing.assert_array_equal(log_g, stop)
         # the same rule on a two-axis block, where the tie is with the
         # better axis
-        _, axis = _decide(log_prune.copy(), log_not_prune.copy(), [0, 1],
-                          [score - 1.0, score.copy()])
+        _, axis = _decide(stop.copy(), log_go, [(0, score - 1.0), (1, score.copy())])
         np.testing.assert_array_equal(axis, [1, -1])
