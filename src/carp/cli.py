@@ -32,11 +32,12 @@ PROGRESSIVE_COLUMNS = ["scales", "bits_used", "psnr_db"]
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=None,
                    help="quantizer step override (default max(sigma, 0.5))")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--eta0", type=float, default=None)
+    for name in PRIOR_FIELDS:
+        p.add_argument(f"--{name}", type=float, default=None)
+
+
+def _prior_overrides(args) -> dict[str, float]:
+    return {k: getattr(args, k) for k in PRIOR_FIELDS if getattr(args, k) is not None}
 
 
 def _resolve_hyperparams(args, sigma: float, grid: PixelGrid,
@@ -45,11 +46,7 @@ def _resolve_hyperparams(args, sigma: float, grid: PixelGrid,
         hp = empirical_bayes_fit(grid, sigma, stats=stats)
     else:
         hp = Hyperparams(sigma=sigma)
-    overrides = {k: getattr(args, k) for k in ("alpha", "beta", "c", "tau0", "eta0")
-                 if getattr(args, k) is not None}
-    if overrides:
-        hp = replace(hp, **overrides)
-    return hp
+    return replace(hp, **_prior_overrides(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +216,7 @@ def _cmd_sweep(args) -> int:
     for value in [value for kind, value in points if kind == "ratio"]:
         _check_search_arguments(value, args.tol)
     grid = _load_padded(args.input)
-    hp_kwargs = {k: getattr(args, k) for k in ("alpha", "beta", "c", "tau0", "eta0")
-                 if getattr(args, k) is not None}
+    hp_kwargs = _prior_overrides(args)
     # check the encode before the ratio searches of one process get their one
     # shared lattice; sigma points stream theirs
     _check_encode_budget(grid.dims_padded, grid.channels)

@@ -129,8 +129,9 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                  for b in _batches(shapes, n)), default=0)
     nodes = 2 * n - 1
     tree = nodes * (8 * m + 9)  # cell, heap, axis
-    # the tree, its rows once more per level, and under 8 B per node to
-    # look up a level's decisions or grow it
+    # the rows twice, a bound on the levels and the one column joined at
+    # a time, and under 8 B per node to look up a level's decisions or
+    # grow it
     extract = 2 * tree + 8 * nodes
     # the order, the leaf shape groups, and one leaf shape's painted values
     order = 8 * n + 16 * nodes + (8 * m + 24) * n
@@ -148,26 +149,27 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                 total=_ENCODE_SLACK + held + max(build, sweep, post))
 
 
+def _refuse_over_budget(verb: str, dims: tuple[int, ...], channels: int,
+                        need: int) -> None:
+    """Raise ResourceError when need bytes go over the budget."""
+    if need > DEFAULT_MAX_BYTES:
+        raise ResourceError(
+            f"{verb} {'x'.join(map(str, dims))} x{channels} would "
+            f"take ~{need / 2**20:.0f} MiB, over the "
+            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
+        )
+
+
 def _check_encode_budget(dims: tuple[int, ...], channels: int) -> None:
     """Refuse a padded grid of these dims and channels when encoding it, or
     decoding the largest stream its encode can write, would go over the
     budget.  That stream has a full tree and every payload at the
     encoder's bound of ceil(log2 tokens) bits per token."""
     tokens = math.prod(dims) - 1
-    worst = CompressedStream(
-        dims_original=dims, dims_padded=dims, bit_depth=8, sigma=1.0, q=1.0,
-        prior=(0.0,) * len(PRIOR_FIELDS), tree_bits=b"",
-        tree_nbits=tokens * (1 + axis_bit_width(len(dims))),
-        channels=[ChannelPayload(0, {}, b"", tokens * max(1, (tokens - 1).bit_length()))]
-        * channels)
-    for verb, need in (("encoding", _encode_bytes(dims, channels)["total"]),
-                       ("decoding", _decode_bytes(worst)["total"])):
-        if need > DEFAULT_MAX_BYTES:
-            raise ResourceError(
-                f"{verb} {'x'.join(map(str, dims))} x{channels} would "
-                f"take ~{need / 2**20:.0f} MiB, over the "
-                f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
-            )
+    _refuse_over_budget("encoding", dims, channels, _encode_bytes(dims, channels)["total"])
+    need = _decode_bytes(dims, dims, channels, tokens * (1 + axis_bit_width(len(dims))),
+                         tokens * max(1, (tokens - 1).bit_length()))["total"]
+    _refuse_over_budget("decoding", dims, channels, need)
 
 
 def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
@@ -219,6 +221,11 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
         q = default_q(hp.sigma)
     if not (math.isfinite(q) and q > 0):
         raise ValueError(f"quantizer step must be finite and positive, got {q}")
+    # no coefficient of the orthonormal transform exceeds peak * sqrt(N),
+    # and its literal token, twice its symbol, must fit int64
+    if grid.peak * math.sqrt(math.prod(grid.dims)) / q >= 2**62:
+        raise ValueError(f"quantizer step q={q} is too small for "
+                         f"{'x'.join(map(str, grid.dims))} samples of peak {grid.peak:g}")
 
     _check_encode_budget(grid.dims_padded, grid.channels)
     if stats is None:
@@ -267,9 +274,12 @@ def _decode_channel(ch: ChannelPayload, stream: CompressedStream, split_heap: np
     return coefficients, consumed
 
 
-def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
+def _decode_bytes(dims_padded: tuple[int, ...], dims_original: tuple[int, ...],
+                  channels: int, tree_nbits: int, bits: int) -> dict[str, int]:
     """Upper bound, in total and for the parse, on what decompress_with_bits
-    allocates, from the header fields alone, to check before allocating.
+    allocates, from the header numbers alone, to check before allocating:
+    the dims, the channel count, the tree bits and the longest payload's
+    bits.
 
     Decoding runs in five phases, each holding the tree once it is parsed:
     parsing the tree; decoding every channel's split coefficients; rebuilding
@@ -279,19 +289,18 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     node values are counted for every node of every channel.  Per item, the
     counts below are the arrays each phase allocates, rounded up.
     """
-    n = math.prod(int(d) for d in stream.dims_padded)
-    m = len(stream.dims_padded)
-    channels = len(stream.channels)
+    n = math.prod(int(d) for d in dims_padded)
+    m = len(dims_padded)
     # every parsed node but the implicit atomic ones takes a tree bit
-    nodes = min(2 * n - 1, 3 * stream.tree_nbits + 1)
+    nodes = min(2 * n - 1, 3 * tree_nbits + 1)
     splits = nodes // 2
     leaves = splits + 1
-    bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     tokens = min(bits, n)
     tree = nodes * (8 * m + 9)  # cell, heap, axis
-    # one byte per tree bit; per node its rows, held per level and then
-    # concatenated, and room for one level's split rows and grower arrays
-    parse = stream.tree_nbits + nodes * (16 * m + 24)
+    # one byte per tree bit; per node its rows twice, a bound on the levels
+    # and the one column joined at a time, and room for one level's split
+    # rows and grower arrays
+    parse = tree_nbits + nodes * (16 * m + 24)
     coefficients = 8 * channels * splits
     values = 8 * channels * nodes
     planes = 8 * n * channels
@@ -309,8 +318,8 @@ def _decode_bytes(stream: CompressedStream) -> dict[str, int]:
     # per leaf its row and grid index, plus its per-axis depths and their
     # mantissas, or its shape id, sort order, and a sorted copy or values
     paint = leaves * (8 * m + 8 + max(12 * m, 8 * m + 24, 8 * channels + 16))
-    crop = 8 * channels * math.prod(stream.dims_original) * (
-        tuple(stream.dims_original) != tuple(stream.dims_padded))
+    crop = 8 * channels * math.prod(dims_original) * (
+        tuple(dims_original) != tuple(dims_padded))
     return dict(parse=parse, total=_DECODE_SLACK + max(
         parse,
         tree + coefficients + max(heap, values + walk),
@@ -342,13 +351,10 @@ def decompress_with_bits(stream: CompressedStream | bytes,
 
     dims_padded = tuple(int(d) for d in stream.dims_padded)
     n_channels = len(stream.channels)
-    need = _decode_bytes(stream)["total"]
-    if need > DEFAULT_MAX_BYTES:
-        raise ResourceError(
-            f"decoding {'x'.join(map(str, dims_padded))} x{n_channels} would "
-            f"take ~{need / 2**20:.0f} MiB, over the "
-            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
-        )
+    bits = max((ch.payload_nbits for ch in stream.channels), default=0)
+    need = _decode_bytes(dims_padded, stream.dims_original, n_channels,
+                         stream.tree_nbits, bits)["total"]
+    _refuse_over_budget("decoding", dims_padded, n_channels, need)
 
     tree = stream.decode_tree()
     split_heap = tree.heap[tree.axis >= 0]

@@ -40,7 +40,7 @@ import numpy as np
 from .bitio import unpack_bits
 from .errors import StreamError
 from .huffman import check_code_lengths, decode_symbols
-from .tree import MapTree, grow_level
+from .tree import MapTree, grow_tree
 
 MAGIC = b"CARP"
 VERSION = 2
@@ -89,12 +89,12 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     """Parse level-order tree bits into a MapTree, its rows in level order.
 
     The levels above depth j_total, whose nodes are not single pixels,
-    take one stop bit per node and then one axis word per split, and
-    ``tree.grow_level`` derives the next level from each, as in extraction.
-    Every node takes a bit before its level grows, so work and memory are
-    bounded by nbits, whatever the header dims claim.  Cut-off bits end the
-    parse after the axis words read are checked, as a bit-by-bit parse
-    meets them.
+    take one stop bit per node and then one axis word per split, which
+    ``tree.grow_tree`` reads a level at a time to grow the tree, as in
+    extraction.  Every node takes a bit before its level grows, so work and
+    memory are bounded by nbits, whatever the header dims claim.  Cut-off
+    bits end the parse after the axis words read are checked, as a
+    bit-by-bit parse meets them.
     """
     dims = tuple(int(d) for d in dims_padded)
     m = len(dims)
@@ -104,13 +104,13 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     width = axis_bit_width(m)
     weights = 1 << np.arange(width - 1, -1, -1)
     bits = unpack_bits(data, nbits)
-    level = (np.ones((1, m), dtype=np.int64), np.ones(1, dtype=np.int64))
-    levels = []
     cursor = 0
-    for _ in range(j_total):
-        count = len(level[1])
-        if not count:
-            break
+
+    def read_level(cell: np.ndarray) -> np.ndarray:
+        nonlocal cursor
+        if cursor > nbits:
+            raise StreamError("tree bits end mid-tree")
+        count = len(cell)
         split = (bits[cursor : cursor + count] == 0).nonzero()[0]
         cursor += count
         words = bits[cursor : cursor + width * len(split)]
@@ -118,16 +118,14 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
         read = len(words) // width if width else len(split)
         axis = np.full(count, -1, dtype=np.int8)
         axis[split[:read]] = words[: width * read].reshape(read, width) @ weights
-        levels.append(level + (axis,))
-        level = grow_level(dims, *levels[-1])
-        if cursor > nbits:
-            raise StreamError("tree bits end mid-tree")
+        return axis
+
+    tree = grow_tree(dims, read_level)
+    if cursor > nbits:
+        raise StreamError("tree bits end mid-tree")
     if cursor < nbits:
         raise StreamError(f"{nbits - cursor} unread bits after tree")
-    # the level grown from the last one with bits holds only atomic nodes
-    levels.append(level + (np.full(len(level[1]), -1, dtype=np.int8),))
-    cell, heap, axis = (np.concatenate(col) for col in zip(*levels))
-    return MapTree(dims_padded=dims, cell=cell, heap=heap, axis=axis)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ trees and therefore bit-identical streams.  Only the decisions are kept,
 in one int8 array indexed by a block's cells (``lattice.cells``): -1 to
 stop, otherwise the split axis.
 
-Extraction then follows the decisions top-down, one gather per tree
-level over the reached blocks only, so everything after the sweep costs
-time proportional to the tree, not the lattice.  The tree-bit parser
-grows its levels with the same :func:`grow_level`.  A :class:`MapTree` is
+Extraction then follows the decisions top-down with :func:`grow_tree`,
+one gather per tree level over the reached blocks only, so everything
+after the sweep costs time proportional to the tree, not the lattice.
+The tree-bit parser grows its tree with the same :func:`grow_tree`,
+reading each level's axes from the tree bits.  A :class:`MapTree` is
 a set of per-node arrays in level order, as the levels are grown, and the
 tree bits follow the same order.  Each row carries its node's heap index:
 the root is 1 and node h has children 2h and 2h + 1, so level order is
@@ -41,6 +42,7 @@ they would be subdivided.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,22 +157,35 @@ def grow_level(dims: tuple[int, ...], cell: np.ndarray, heap: np.ndarray,
     return child, heap
 
 
-def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
-    """Follow the sweep's decisions from the root, level by level."""
-    decisions = compute_kappa(lattice)
-    dims = lattice.stats.dims
+def grow_tree(dims: tuple[int, ...],
+              axes: Callable[[np.ndarray], np.ndarray]) -> MapTree:
+    """Grow a MapTree from the root, one level at a time: axes(cell) gives
+    the int8 split axes of a level's rows from their cells, and
+    :func:`grow_level` the next level, until a level has no nodes.  The
+    level at depth J holds single pixels, so its axes are -1 without a
+    call.  The rows are joined a column at a time, each column's levels
+    dropped once joined, so they are held once plus one column."""
+    j_total = sum(int(n).bit_length() - 1 for n in dims)
     cell = np.ones((1, len(dims)), dtype=np.int64)
     heap = np.ones(1, dtype=np.int64)
     levels = []
     while len(heap):
-        if len(levels) < sum(lattice.stats.axis_exps):
-            axis = decisions[tuple(cell.T)]
-        else:  # nodes at depth J are single pixels
+        if len(levels) < j_total:
+            axis = axes(cell)
+        else:
             axis = np.full(len(heap), -1, dtype=np.int8)
         levels.append((cell, heap, axis))
         cell, heap = grow_level(dims, cell, heap, axis)
-    cell, heap, axis = (np.concatenate(col) for col in zip(*levels))
+    columns = [list(column) for column in zip(*levels)]
+    del levels
+    cell, heap, axis = (np.concatenate(columns.pop(0)) for _ in range(3))
     return MapTree(dims_padded=dims, cell=cell, heap=heap, axis=axis)
+
+
+def extract_map_tree(lattice: PosteriorLattice) -> MapTree:
+    """Follow the sweep's decisions from the root, level by level."""
+    decisions = compute_kappa(lattice)
+    return grow_tree(lattice.stats.dims, lambda cell: decisions[tuple(cell.T)])
 
 
 def permutation_from_tree(tree: MapTree) -> np.ndarray:

@@ -291,6 +291,13 @@ class TestExitCodes:
         assert "quantizer step" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_tiny_q_compress_is_exit_1(self, photo_path, tmp_path, capsys):
+        out = tmp_path / "x.carp"
+        assert main(["compress", photo_path, str(out), "--sigma", "1", "--q", "1e-16"]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "quantizer step" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_trailing_bytes_is_exit_1(self, photo_path, tmp_path, capsys):
         out = tmp_path / "x.carp"
         assert main(["compress", photo_path, str(out), "--sigma", "4"]) == 0

@@ -16,7 +16,7 @@ from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
                   compress, decompress, decompress_with_bits, default_q,
                   deserialize_tree, extract_map_tree, pad, psnr, serialize_tree,
                   target_ratio_search)
-from carp.stream import PRIOR_FIELDS, ChannelPayload, axis_bit_width
+from carp.stream import axis_bit_width
 
 from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
                       stray_coefficient_stream, synthetic_photo, tableless_stream)
@@ -24,6 +24,13 @@ from test_golden import CASES as GOLDEN_CASES
 import oracles
 from oracles import (reference_decompress, reference_substitute_pruned_means,
                      reference_target_ratio_search)
+
+
+def decode_bytes(stream):
+    """codec._decode_bytes from a stream's header numbers."""
+    return codec._decode_bytes(stream.dims_padded, stream.dims_original,
+                               len(stream.channels), stream.tree_nbits,
+                               max(ch.payload_nbits for ch in stream.channels))
 
 
 def grid_of(arr, **kwargs):
@@ -47,6 +54,22 @@ class TestDefaults:
         grid = random_grid(np.random.default_rng(5), (4, 4))
         with pytest.raises(ValueError, match="quantizer step"):
             compress(grid, Hyperparams(sigma=1.0), q=q)
+
+    @pytest.mark.parametrize("grid,q", [
+        (grid_of(np.arange(64.0).reshape(8, 8) * 4), 1e-16),
+        (grid_of(np.full((64, 64), 65535.0), bit_depth=16), 1e-14),
+    ], ids=["ramp", "16-bit"])
+    def test_q_whose_symbols_overflow_int64_rejected(self, grid, q):
+        # peak * sqrt(N) / q reaches 2^62, so a literal token 2v could leave
+        # int64 and the stream would decode to other pixels
+        with pytest.raises(ValueError, match="quantizer step"):
+            compress(pad(grid), Hyperparams(sigma=1.0), q=q)
+
+    def test_tiny_q_under_the_symbol_limit_round_trips(self):
+        grid = pad(grid_of(np.arange(64.0).reshape(8, 8) * 4))
+        stream = compress(grid, Hyperparams(sigma=1.0), q=1e-12)
+        recon = decompress(CompressedStream.from_bytes(stream.to_bytes()))
+        assert psnr(grid, recon) == pytest.approx(35.12, abs=0.01)
 
 
 class TestEndToEnd:
@@ -198,7 +221,7 @@ class TestResources:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= codec._decode_bytes(stream)["total"]
+        assert peak <= decode_bytes(stream)["total"]
 
     @pytest.mark.parametrize("dims,channels", [
         ((1 << 23,), 3), ((2048, 4096), 3), ((32, 512, 512), 3), ((2048, 4096), 4),
@@ -208,29 +231,21 @@ class TestResources:
         # ceil(log2 tokens) bits per token
         n = math.prod(dims)
         assert codec._encode_bytes(dims, channels)["total"] <= codec.DEFAULT_MAX_BYTES
-        payload = ChannelPayload(scaling_symbol=0, code_lengths={}, payload=b"",
-                                 payload_nbits=(n - 1) * (n - 2).bit_length())
-        stream = CompressedStream(
-            dims_original=dims, dims_padded=dims, bit_depth=8, sigma=1.0, q=1.0,
-            prior=(0.0,) * len(PRIOR_FIELDS), tree_bits=b"",
-            tree_nbits=(n - 1) * (1 + axis_bit_width(len(dims))),
-            channels=[payload] * channels)
-        assert 3 * stream.tree_nbits + 1 >= 2 * n - 1
-        assert codec._decode_bytes(stream)["total"] <= codec.DEFAULT_MAX_BYTES
+        tree_nbits = (n - 1) * (1 + axis_bit_width(len(dims)))
+        assert 3 * tree_nbits + 1 >= 2 * n - 1
+        need = codec._decode_bytes(dims, dims, channels, tree_nbits,
+                                   (n - 1) * (n - 2).bit_length())["total"]
+        assert need <= codec.DEFAULT_MAX_BYTES
 
     def test_encoder_admits_no_grid_whose_worst_stream_the_decoder_refuses(self):
         # power-of-two grids of 2^10 to 2^27 samples in 1D to 3D with 1 to 8
         # channels; the decode bound depends on the dims only through their
         # product and count, so one order of a 3D grid's axes stands for all
-        def worst_stream(dims, channels):
+        def worst_stream_bytes(dims, channels):
             n = math.prod(dims)
-            payload = ChannelPayload(scaling_symbol=0, code_lengths={}, payload=b"",
-                                     payload_nbits=(n - 1) * max(1, (n - 2).bit_length()))
-            return CompressedStream(
-                dims_original=dims, dims_padded=dims, bit_depth=8, sigma=1.0, q=1.0,
-                prior=(0.0,) * len(PRIOR_FIELDS), tree_bits=b"",
-                tree_nbits=(n - 1) * (1 + axis_bit_width(len(dims))),
-                channels=[payload] * channels)
+            return codec._decode_bytes(dims, dims, channels,
+                                       (n - 1) * (1 + axis_bit_width(len(dims))),
+                                       (n - 1) * max(1, (n - 2).bit_length()))
 
         admitted = 0
         for e in range(10, 28):
@@ -245,7 +260,7 @@ class TestResources:
                     except ResourceError:
                         break  # more channels only need more
                     admitted += 1
-                    need = codec._decode_bytes(worst_stream(dims, channels))["total"]
+                    need = worst_stream_bytes(dims, channels)["total"]
                     assert need <= codec.DEFAULT_MAX_BYTES, (dims, channels)
         assert admitted > 1000
         # the encode bound alone admits these, and decoding would refuse them
@@ -310,7 +325,7 @@ class TestResources:
         encode = codec._encode_bytes(grid.dims, grid.channels)
         for phase, term in ((lambda: extract_map_tree(post), encode["extract"]),
                             (lambda: serialize_tree(tree), encode["serial"]),
-                            (parse, codec._decode_bytes(stream)["parse"])):
+                            (parse, decode_bytes(stream)["parse"])):
             gc.collect()
             tracemalloc.start()
             try:

@@ -131,6 +131,32 @@ class TestExtractMapTree:
         assert same_tree(t1, t2)
 
 
+class TestGrowTreeMemory:
+    def test_extraction_and_parsing_hold_the_rows_once_plus_a_column(self):
+        # the full near-lossless tree of 32,767 nodes; its rows are (8m + 9)
+        # bytes per node, and a grower holds them per level and joins them
+        # one column at a time, so no more than (16m + 9) per node
+        grid = synthetic_photo(128, seed=7)
+        hp = Hyperparams(sigma=0.01, eta0=0.0)
+        post = build_posterior(grid, hp)
+        tree = extract_map_tree(post)
+        data, nbits = serialize_tree(tree)
+        nodes, m = len(tree.heap), len(grid.dims)
+        assert nodes == 32767
+        bound = (16 * m + 9) * nodes + nbits + (64 << 10)
+        deserialize_tree(data, nbits, grid.dims)  # first-call allocations
+        for grow in (lambda: extract_map_tree(post),
+                     lambda: deserialize_tree(data, nbits, grid.dims)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                grow()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+
 class TestPermutation:
     def test_1d_full_tree_is_identity(self):
         grid = grid_of([10.0, 20.0, 30.0, 40.0])
