@@ -36,7 +36,13 @@ their crop, and the painting indices) fits in ``lattice.DEFAULT_MAX_BYTES``.
 The encoder checks the same budget against an upper bound from the
 dimensions and channel count alone, before it allocates anything sized by
 the image, and against the decode bound of the largest stream it could
-write, so that it writes no stream the decoder refuses.
+write, so that it writes no stream the decoder refuses.  The bounds are
+summed here from terms stated once where the work is done: the budget and
+its one refusal, ``refuse_over_budget``, and the 16 bytes per block in
+``lattice``; a tree row's bytes and the tree grower's footprint in
+``tree``; and the tree parse's bound, ``stream.parse_bytes``, which the
+parse checks itself, so ``CompressedStream.decode_tree`` and ``carp info``
+refuse the trees ``decompress`` refuses.
 
 ``target_ratio_search`` builds the block statistics once (unless they
 are passed in) and hands them to every ``compress`` attempt, since they do
@@ -50,7 +56,6 @@ when a step reaches it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -58,20 +63,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ResourceError, StreamError
+from .errors import DimensionError, StreamError
 from .grid import PixelGrid, _freeze, original_region
 from .huffman import (CHUNK_BITS, build_code_lengths, canonical_codes,
                       encode_symbols, histogram)
-from .lattice import DEFAULT_MAX_BYTES, LevelStream, StatsLattice, build_stats
+from .lattice import (BYTES_PER_BLOCK, LevelStream, StatsLattice, block_count, build_stats,
+                      lattice_shapes, refuse_over_budget)
 from .model import Hyperparams, _batches, build_posterior
 from .stream import (PRIOR_FIELDS, ChannelPayload, CompressedStream, axis_bit_width,
-                     detokenize, serialize_tree, tokenize_scale)
+                     detokenize, parse_bytes, serialize_tree, tokenize_scale, tree_nodes)
 # haar_inverse is not called here; it stays imported because the
 # benchmark's traced run rebinds it, as it does tree.compute_kappa, until
 # carp records its own stage times (ROADMAP item 1)
-from .transform import dequantize, haar_forward, haar_inverse, quantize
-from .tree import (MapTree, extract_map_tree, node_values, paint_leaves,
-                   permutation_from_tree)
+from .transform import check_step, dequantize, haar_forward, haar_inverse, quantize
+from .tree import (MapTree, extract_map_tree, grow_bytes, node_values, paint_leaves,
+                   permutation_from_tree, row_bytes)
 
 
 # Decoding allocations of fixed size: small arrays, Python objects.
@@ -110,12 +116,11 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
     """
     n = math.prod(dims)
     m = len(dims)
-    exps = [int(d).bit_length() - 1 for d in dims]
-    shapes = sorted(itertools.product(*(range(e + 1) for e in exps)), key=sum)
-    level_blocks = [0] * (sum(exps) + 1)
+    shapes = lattice_shapes(dims)
+    level_blocks = [0] * (sum(shapes[-1]) + 1)
     for shape in shapes:
         level_blocks[sum(shape)] += n >> sum(shape)
-    held = 16 * math.prod(2 ** (e + 1) - 1 for e in exps) + 2**m * n
+    held = BYTES_PER_BLOCK * block_count(dims) + 2**m * n
     # the channel sum, the integrality test, one shape's sums and squares
     build = 8 * n * (channels > 1) + 9 * n + 32 * n
     # the scores of two levels (the atomic level is one zero-strided
@@ -128,11 +133,10 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                  + 8 * (sum(a > 0 for a in b[0]) + 6) * len(b) * (n >> sum(b[0]))
                  for b in _batches(shapes, n)), default=0)
     nodes = 2 * n - 1
-    tree = nodes * (8 * m + 9)  # cell, heap, axis
-    # the rows twice, a bound on the levels and the one column joined at
-    # a time, and under 8 B per node to look up a level's decisions or
+    tree = nodes * row_bytes(m)
+    # the grower, and under 8 B per node to look up a level's decisions or
     # grow it
-    extract = 2 * tree + 8 * nodes
+    extract = grow_bytes(nodes, m) + 8 * nodes
     # the order, the leaf shape groups, and one leaf shape's painted values
     order = 8 * n + 16 * nodes + (8 * m + 24) * n
     tokens = n - 1
@@ -149,27 +153,17 @@ def _encode_bytes(dims: tuple[int, ...], channels: int) -> dict[str, int]:
                 total=_ENCODE_SLACK + held + max(build, sweep, post))
 
 
-def _refuse_over_budget(verb: str, dims: tuple[int, ...], channels: int,
-                        need: int) -> None:
-    """Raise ResourceError when need bytes go over the budget."""
-    if need > DEFAULT_MAX_BYTES:
-        raise ResourceError(
-            f"{verb} {'x'.join(map(str, dims))} x{channels} would "
-            f"take ~{need / 2**20:.0f} MiB, over the "
-            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
-        )
-
-
 def _check_encode_budget(dims: tuple[int, ...], channels: int) -> None:
     """Refuse a padded grid of these dims and channels when encoding it, or
     decoding the largest stream its encode can write, would go over the
     budget.  That stream has a full tree and every payload at the
     encoder's bound of ceil(log2 tokens) bits per token."""
     tokens = math.prod(dims) - 1
-    _refuse_over_budget("encoding", dims, channels, _encode_bytes(dims, channels)["total"])
+    label = f"{'x'.join(map(str, dims))} x{channels}"
+    refuse_over_budget(_encode_bytes(dims, channels)["total"], f"encoding {label}")
     need = _decode_bytes(dims, dims, channels, tokens * (1 + axis_bit_width(len(dims))),
                          tokens * max(1, (tokens - 1).bit_length()))["total"]
-    _refuse_over_budget("decoding", dims, channels, need)
+    refuse_over_budget(need, f"decoding {label}")
 
 
 def _encode_channel(plane: np.ndarray, tree: MapTree, order: np.ndarray,
@@ -208,7 +202,8 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
     """Compress a padded grid into an in-memory stream.
 
     ``stats`` may pass in the grid's block statistics, which do not depend
-    on the hyperparameters, so that repeated encodes of one grid share them.
+    on the hyperparameters, so that repeated encodes of one grid share them;
+    statistics of other dims or channel counts raise DimensionError.
     Raises ResourceError, before allocating anything sized by the image,
     when the encode budget would not cover the grid.
     """
@@ -219,8 +214,7 @@ def compress(grid: PixelGrid, hp: Hyperparams, q: float | None = None,
         )
     if q is None:
         q = default_q(hp.sigma)
-    if not (math.isfinite(q) and q > 0):
-        raise ValueError(f"quantizer step must be finite and positive, got {q}")
+    check_step(q)
     # no coefficient of the orthonormal transform exceeds peak * sqrt(N),
     # and its literal token, twice its symbol, must fit int64
     if grid.peak * math.sqrt(math.prod(grid.dims)) / q >= 2**62:
@@ -291,16 +285,12 @@ def _decode_bytes(dims_padded: tuple[int, ...], dims_original: tuple[int, ...],
     """
     n = math.prod(int(d) for d in dims_padded)
     m = len(dims_padded)
-    # every parsed node but the implicit atomic ones takes a tree bit
-    nodes = min(2 * n - 1, 3 * tree_nbits + 1)
+    nodes = tree_nodes(tree_nbits, dims_padded)
     splits = nodes // 2
     leaves = splits + 1
     tokens = min(bits, n)
-    tree = nodes * (8 * m + 9)  # cell, heap, axis
-    # one byte per tree bit; per node its rows twice, a bound on the levels
-    # and the one column joined at a time, and room for one level's split
-    # rows and grower arrays
-    parse = tree_nbits + nodes * (16 * m + 24)
+    tree = nodes * row_bytes(m)
+    parse = parse_bytes(tree_nbits, dims_padded)
     coefficients = 8 * channels * splits
     values = 8 * channels * nodes
     planes = 8 * n * channels
@@ -354,7 +344,7 @@ def decompress_with_bits(stream: CompressedStream | bytes,
     bits = max((ch.payload_nbits for ch in stream.channels), default=0)
     need = _decode_bytes(dims_padded, stream.dims_original, n_channels,
                          stream.tree_nbits, bits)["total"]
-    _refuse_over_budget("decoding", dims_padded, n_channels, need)
+    refuse_over_budget(need, f"decoding {'x'.join(map(str, dims_padded))} x{n_channels}")
 
     tree = stream.decode_tree()
     split_heap = tree.heap[tree.axis >= 0]

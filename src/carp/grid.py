@@ -60,6 +60,8 @@ class PixelGrid:
             raise ValueError(f"bit_depth must be 8 or 16, got {self.bit_depth}")
         if any(d < 1 for d in self.dims_original):
             raise DimensionError(f"dims must be positive, got {self.dims_original}")
+        if not len(vals):
+            raise DimensionError("a grid needs at least one channel, got 0")
         if any(p < o for p, o in zip(vals.shape[1:], self.dims_original)):
             raise DimensionError(
                 f"stored dims {vals.shape[1:]} smaller than original {self.dims_original}"

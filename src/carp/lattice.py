@@ -31,6 +31,10 @@ hyperparameter fit, the ratio search's attempts) share it.  A
 reaches it, which walks the levels in the same order, and drops what the
 sweep has passed: it holds two levels of sums and one of SSTs, so an
 encode that builds its own statistics never holds the whole lattice.
+
+The module also holds the memory budget, ``DEFAULT_MAX_BYTES``, and the
+one check against it, :func:`refuse_over_budget`, which the lattice, the
+encoder, the decoder and the tree parse all call with their own bounds.
 """
 
 from __future__ import annotations
@@ -44,8 +48,30 @@ from .errors import DimensionError, ResourceError
 from .grid import PixelGrid
 
 # sum + sst arrays, 8 bytes each
-_BYTES_PER_NODE = 16
+BYTES_PER_BLOCK = 16
+# what one encode, decode or tree parse may allocate, by its own upper bound
 DEFAULT_MAX_BYTES = 4 << 30
+
+
+def refuse_over_budget(need: int, what: str) -> None:
+    """Raise ResourceError when `what` would take need bytes, over
+    ``DEFAULT_MAX_BYTES``."""
+    if need > DEFAULT_MAX_BYTES:
+        raise ResourceError(f"{what} would take ~{need / 2**20:.0f} MiB, over the "
+                            f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget")
+
+
+def lattice_shapes(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The block shapes of power-of-two dims, smallest blocks first, so
+    that a shape's children come before it."""
+    exps = [int(d).bit_length() - 1 for d in dims]
+    return sorted(itertools.product(*(range(e + 1) for e in exps)), key=sum)
+
+
+def block_count(dims: tuple[int, ...]) -> int:
+    """The blocks of the lattice over power-of-two dims: 2n - 1 intervals
+    on an axis of n samples, one block per choice of interval per axis."""
+    return math.prod(2 * int(d) - 1 for d in dims)
 
 
 def _halves(m: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
@@ -67,13 +93,9 @@ def cells(dims: tuple[int, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
 
 
 def _check_pow2_dims(dims: tuple[int, ...]) -> list[int]:
-    exps = []
-    for d in dims:
-        e = int(d).bit_length() - 1
-        if d < 1 or (1 << e) != d:
-            raise DimensionError(f"lattice requires power-of-two dims, got {dims}")
-        exps.append(e)
-    return exps
+    if any(d < 1 or d & (d - 1) for d in dims):
+        raise DimensionError(f"lattice requires power-of-two dims, got {dims}")
+    return [int(d).bit_length() - 1 for d in dims]
 
 
 class StatsLattice:
@@ -94,23 +116,14 @@ class StatsLattice:
         self.j_total: int = sum(self.axis_exps)
         self.m: int = len(self.dims)
 
-        node_count = self.node_count
-        estimate = node_count * _BYTES_PER_NODE
-        if estimate > DEFAULT_MAX_BYTES:
-            raise ResourceError(
-                f"lattice would hold {node_count} blocks "
-                f"(~{estimate / 2**20:.0f} MiB of aggregates), over the "
-                f"{DEFAULT_MAX_BYTES / 2**20:.0f} MiB budget"
-            )
+        refuse_over_budget(BYTES_PER_BLOCK * self.node_count,
+                           f"a lattice of {self.node_count} blocks")
         # every block sum of an integer-valued plane is an integer too
         self.integral: bool = bool(np.isfinite(plane).all()
                                    and np.array_equal(plane, np.trunc(plane)))
 
         # shapes ordered smallest blocks first so children always exist
-        self.shapes: list[tuple[int, ...]] = sorted(
-            itertools.product(*(range(e + 1) for e in self.axis_exps)),
-            key=sum,
-        )
+        self.shapes: list[tuple[int, ...]] = lattice_shapes(self.dims)
         self.sums: dict[tuple[int, ...], np.ndarray] = {}
         self.ssts: dict[tuple[int, ...], np.ndarray] = {}
         self._build(plane)
@@ -125,7 +138,7 @@ class StatsLattice:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod([2 ** (e + 1) - 1 for e in self.axis_exps]))
+        return block_count(self.dims)
 
     def level_of_shape(self, shape: tuple[int, ...]) -> int:
         return self.j_total - sum(shape)

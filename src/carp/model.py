@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DimensionError, NumericError
 from .grid import PixelGrid
 from .lattice import LevelStream, StatsLattice, _child, _halves, build_stats, cells
 
@@ -396,12 +396,23 @@ class PosteriorLattice:
         return self.log_joint - self.log_marginal
 
 
+def _stats_of(grid: PixelGrid, stats: StatsLattice | None) -> StatsLattice:
+    """The grid's block statistics: stats when given, else built.  Raises
+    DimensionError when stats were built for other dims or channel counts;
+    stats of other pixels in the same dims and channels go undetected."""
+    if stats is None:
+        return build_stats(grid)
+    if stats.dims != grid.dims or stats.channels != grid.channels:
+        raise DimensionError(f"statistics of {stats.dims} x{stats.channels} do not fit "
+                             f"a grid of {grid.dims} x{grid.channels}")
+    return stats
+
+
 def build_posterior(grid: PixelGrid, hp: Hyperparams,
                     stats: StatsLattice | None = None) -> PosteriorLattice:
-    """Run the bottom-up likelihood recursion over the whole lattice."""
-    if stats is None:
-        stats = build_stats(grid)
-    return PosteriorLattice(stats, hp)
+    """Run the bottom-up likelihood recursion over the whole lattice of
+    the grid, or of the grid's statistics ``stats`` (see ``_stats_of``)."""
+    return PosteriorLattice(_stats_of(grid, stats), hp)
 
 
 def empirical_bayes_fit(grid: PixelGrid, sigma: float,
@@ -409,10 +420,10 @@ def empirical_bayes_fit(grid: PixelGrid, sigma: float,
     """Pick the ``FIT_GRID`` point maximizing the image's marginal likelihood.
 
     Ties break in favor of the earliest grid point.  The block statistics
-    do not depend on the hyperparameters, so they are shared across points.
+    do not depend on the hyperparameters, so they are shared across points;
+    ``stats`` may pass them in, as for :func:`build_posterior`.
     """
-    if stats is None:
-        stats = build_stats(grid)
+    stats = _stats_of(grid, stats)
     best_hp: Hyperparams | None = None
     best_lp = -math.inf
     for a, b, c, t, e in itertools.product(*FIT_GRID):

@@ -4,7 +4,7 @@ Layout (all integers little-endian, bitstreams packed MSB-first):
 
     magic "CARP" | version u8 | m u8 | channels u16 | bit_depth u8
     sigma f64 | q f64 | alpha f64 | beta f64 | c f64 | tau0 f64 | eta0 f64
-    dims_original m x u32 | dims_padded m x u32
+    dims_original m x u32 | dims_padded m x u32 (each original's next power of 2)
     tree_nbits u32 | tree bits (padded to bytes)
         per tree level, coarsest first, down to the level above the pixels:
             stop bit per node, in position order
@@ -25,12 +25,16 @@ they are written, each length must lie in 1..L_MAX and the Kraft sum may
 not exceed 1, so a table always describes a prefix code.  The stream
 ends with the last payload, and bytes after it are rejected.  Each tree
 level's bits are two slices of the bitstream, so the tree is parsed with
-numpy work per level; payloads are decoded in bulk.  Version 1 streams,
-whose tree bits were in preorder, are refused.
+numpy work per level; payloads are decoded in bulk.  The tree parse
+checks its own bound, :func:`parse_bytes`, against the memory budget
+(``lattice.DEFAULT_MAX_BYTES``) before it unpacks a bit, so every parse
+of a stream, not only ``decompress``, refuses a tree too large to hold.
+Version 1 streams, whose tree bits were in preorder, are refused.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -39,8 +43,10 @@ import numpy as np
 
 from .bitio import unpack_bits
 from .errors import StreamError
+from .grid import next_pow2
 from .huffman import check_code_lengths, decode_symbols
-from .tree import MapTree, grow_tree
+from .lattice import refuse_over_budget
+from .tree import MapTree, grow_bytes, grow_tree
 
 MAGIC = b"CARP"
 VERSION = 2
@@ -85,6 +91,20 @@ def serialize_tree(tree: MapTree) -> tuple[bytes, int]:
     return np.packbits(bits).tobytes(), len(bits)
 
 
+def tree_nodes(nbits: int, dims_padded: tuple[int, ...]) -> int:
+    """The most nodes nbits tree bits parse to over these padded dims:
+    every node but the implicit atomic ones takes a bit."""
+    return min(2 * math.prod(dims_padded) - 1, 3 * nbits + 1)
+
+
+def parse_bytes(nbits: int, dims_padded: tuple[int, ...]) -> int:
+    """Upper bound on what :func:`deserialize_tree` allocates: one byte per
+    unpacked tree bit, the grower (``tree.grow_bytes``), and 6 bytes per
+    node for one level's stop bits, split rows and axis words."""
+    nodes = tree_nodes(nbits, dims_padded)
+    return nbits + grow_bytes(nodes, len(dims_padded)) + 6 * nodes
+
+
 def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> MapTree:
     """Parse level-order tree bits into a MapTree, its rows in level order.
 
@@ -92,15 +112,18 @@ def deserialize_tree(data: bytes, nbits: int, dims_padded: tuple[int, ...]) -> M
     take one stop bit per node and then one axis word per split, which
     ``tree.grow_tree`` reads a level at a time to grow the tree, as in
     extraction.  Every node takes a bit before its level grows, so work and
-    memory are bounded by nbits, whatever the header dims claim.  Cut-off
-    bits end the parse after the axis words read are checked, as a
-    bit-by-bit parse meets them.
+    memory are bounded by nbits, whatever the header dims claim, and a
+    parse whose bound, :func:`parse_bytes`, is over the budget is refused
+    with ResourceError before a bit is unpacked.  Cut-off bits end the
+    parse after the axis words read are checked, as a bit-by-bit parse
+    meets them.
     """
     dims = tuple(int(d) for d in dims_padded)
     m = len(dims)
     j_total = sum(d.bit_length() - 1 for d in dims)
     if j_total > 62 or m > 127 or max(dims, default=1) > 1 << 31:  # cells < 2^32
         raise StreamError(f"padded dims {dims} exceed 2^62 samples, 2^31 a side or 127 axes")
+    refuse_over_budget(parse_bytes(nbits, dims), f"parsing {nbits} tree bits")
     width = axis_bit_width(m)
     weights = 1 << np.arange(width - 1, -1, -1)
     bits = unpack_bits(data, nbits)
@@ -273,43 +296,50 @@ class CompressedStream:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CompressedStream":
-        cursor = _Cursor(data)
-        if cursor.take(4) != MAGIC:
+        reader = io.BytesIO(data)
+
+        def take(n: int) -> bytes:
+            out = reader.read(n)
+            if len(out) < n:
+                raise StreamError("truncated stream")
+            return out
+
+        if take(4) != MAGIC:
             raise StreamError("bad magic; not a compressed stream")
-        version, m, n_channels, bit_depth = struct.unpack("<BBHB", cursor.take(5))
+        version, m, n_channels, bit_depth = struct.unpack("<BBHB", take(5))
         if version != VERSION:
             raise StreamError(f"unsupported stream version {version}")
         if m < 1 or n_channels < 1 or bit_depth not in (8, 16):
             raise StreamError(
                 f"invalid header: m={m}, channels={n_channels}, bit_depth={bit_depth}"
             )
-        sigma, q, *prior = struct.unpack("<7d", cursor.take(56))
+        sigma, q, *prior = struct.unpack("<7d", take(56))
         if not (math.isfinite(q) and q > 0):
             raise StreamError(f"invalid quantizer step q={q} in header")
-        dims_original = struct.unpack(f"<{m}I", cursor.take(4 * m))
-        dims_padded = struct.unpack(f"<{m}I", cursor.take(4 * m))
-        for orig, padded in zip(dims_original, dims_padded):
-            if padded < 1 or padded & (padded - 1) or orig < 1 or orig > padded:
-                raise StreamError(f"invalid dims {dims_original} / {dims_padded}")
-        (tree_nbits,) = struct.unpack("<I", cursor.take(4))
-        tree_bits = cursor.take((tree_nbits + 7) // 8)
+        dims_original = struct.unpack(f"<{m}I", take(4 * m))
+        dims_padded = struct.unpack(f"<{m}I", take(4 * m))
+        if min(dims_original) < 1 or dims_padded != tuple(map(next_pow2, dims_original)):
+            raise StreamError(f"invalid dims {dims_original} / {dims_padded}")
+        (tree_nbits,) = struct.unpack("<I", take(4))
+        tree_bits = take((tree_nbits + 7) // 8)
         channels = []
         for _ in range(n_channels):
-            (scaling_symbol,) = struct.unpack("<q", cursor.take(8))
-            (count,) = struct.unpack("<I", cursor.take(4))
-            table = np.frombuffer(cursor.take(count * TABLE_ENTRY.itemsize), TABLE_ENTRY)
+            (scaling_symbol,) = struct.unpack("<q", take(8))
+            (count,) = struct.unpack("<I", take(4))
+            table = np.frombuffer(take(count * TABLE_ENTRY.itemsize), TABLE_ENTRY)
             if (table["symbol"][1:] <= table["symbol"][:-1]).any():
                 raise StreamError("code table symbols are not strictly ascending")
             lengths = dict(zip(table["symbol"].tolist(), table["length"].tolist()))
             check_code_lengths(lengths)
-            (payload_nbits,) = struct.unpack("<Q", cursor.take(8))
-            payload = cursor.take((payload_nbits + 7) // 8)
+            (payload_nbits,) = struct.unpack("<Q", take(8))
+            payload = take((payload_nbits + 7) // 8)
             channels.append(ChannelPayload(scaling_symbol=scaling_symbol,
                                            code_lengths=lengths,
                                            payload=payload,
                                            payload_nbits=payload_nbits))
-        if cursor.remaining:
-            raise StreamError(f"{cursor.remaining} trailing bytes after the last payload")
+        trailing = len(data) - reader.tell()
+        if trailing:
+            raise StreamError(f"{trailing} trailing bytes after the last payload")
         return cls(dims_original=dims_original, dims_padded=dims_padded,
                    bit_depth=bit_depth, sigma=sigma, q=q, prior=tuple(prior),
                    tree_bits=tree_bits, tree_nbits=tree_nbits, channels=channels)
@@ -326,19 +356,3 @@ class CompressedStream:
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
 
-
-class _Cursor:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise StreamError("truncated stream")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out

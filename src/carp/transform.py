@@ -50,21 +50,25 @@ def haar_inverse(c: np.ndarray) -> np.ndarray:
     return approx
 
 
+def check_step(q: float) -> None:
+    """Raise ValueError unless the quantizer step q is finite and positive."""
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"quantizer step must be finite and positive, got {q}")
+
+
 def quantize(coefficients: np.ndarray | float, q: float) -> np.ndarray:
     """Dead-zone uniform quantizer: sign(c) * floor(|c| / q).
 
     Everything in (-q, q) maps to symbol 0, so the zero bin is twice as
     wide as the others.
     """
-    if q <= 0:
-        raise ValueError(f"quantizer step must be positive, got {q}")
+    check_step(q)
     c = np.asarray(coefficients, dtype=np.float64)
     return (np.sign(c) * np.floor(np.abs(c) / q)).astype(np.int64)
 
 
 def dequantize(symbols: np.ndarray | int, q: float) -> np.ndarray:
     """Midpoint reconstruction: sign(s) * (|s| + 0.5) * q, with 0 -> 0."""
-    if q <= 0:
-        raise ValueError(f"quantizer step must be positive, got {q}")
+    check_step(q)
     s = np.asarray(symbols, dtype=np.float64)
     return np.sign(s) * (np.abs(s) + 0.5) * q

@@ -157,6 +157,18 @@ def grow_level(dims: tuple[int, ...], cell: np.ndarray, heap: np.ndarray,
     return child, heap
 
 
+def row_bytes(m: int) -> int:
+    """The bytes of one MapTree row over m axes: its cell, heap and axis."""
+    return 8 * m + 9
+
+
+def grow_bytes(nodes: int, m: int) -> int:
+    """Upper bound on what :func:`grow_tree` holds for a tree of at most
+    `nodes` nodes over m axes, the axes callback's arrays not counted: the
+    rows twice, a bound on the levels and the one column joined at a time."""
+    return 2 * nodes * row_bytes(m)
+
+
 def grow_tree(dims: tuple[int, ...],
               axes: Callable[[np.ndarray], np.ndarray]) -> MapTree:
     """Grow a MapTree from the root, one level at a time: axes(cell) gives

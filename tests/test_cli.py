@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from carp import (Hyperparams, StatsLattice, build_stats, cli, codec, compress,
-                  load, pad, save, target_ratio_search)
+                  lattice, load, pad, save, target_ratio_search)
 from carp.cli import main
 
 from conftest import (forged_huge_dims_stream, overflowing_q_stream, random_grid,
@@ -212,7 +212,7 @@ class TestExitCodes:
         fits = []
         monkeypatch.setattr(cli, "empirical_bayes_fit",
                             lambda *args, **kwargs: fits.append(1))
-        monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", 1 << 20)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", 1 << 20)
         out = tmp_path / "x.carp"
         for rate in (["--sigma", "2"], ["--target-ratio", "8"]):
             assert main(["compress", photo_path, str(out), *rate,
@@ -221,6 +221,18 @@ class TestExitCodes:
         assert "ResourceError" in err and "budget" in err
         assert "Traceback" not in err
         assert not fits and not out.exists()
+
+    def test_over_budget_tree_is_exit_1_for_info(self, tmp_path, monkeypatch, capsys):
+        # info parses the tree, so it refuses a tree decompress refuses
+        path = str(tmp_path / "full_tree.carp")
+        compress(synthetic_photo(128, seed=7),
+                 Hyperparams(sigma=0.01, eta0=0.0)).write_file(path)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", 1 << 20)
+        for command in (["info", path], ["decompress", path, str(tmp_path / "y.pgm")]):
+            assert main(command) == 1
+            err = capsys.readouterr().err
+            assert "ResourceError" in err and "budget" in err and "Traceback" not in err
+        assert not (tmp_path / "y.pgm").exists()
 
     def test_pipeline_error_is_exit_1(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing.carp")]) == 1

@@ -14,7 +14,7 @@ import pytest
 from carp import (CompressedStream, DimensionError, Hyperparams, PixelGrid,
                   ResourceError, StreamError, build_posterior, build_stats, codec,
                   compress, decompress, decompress_with_bits, default_q,
-                  deserialize_tree, extract_map_tree, pad, psnr, serialize_tree,
+                  deserialize_tree, extract_map_tree, lattice, pad, psnr, serialize_tree,
                   target_ratio_search)
 from carp.stream import axis_bit_width
 
@@ -182,6 +182,23 @@ class TestResources:
                 gc.enable()
         assert alive == [False]
 
+    def test_every_tree_parse_refuses_an_over_budget_tree(self, monkeypatch):
+        # a full tree of 32767 nodes, whose parse bound is ~2 MiB
+        stream = compress(synthetic_photo(128, seed=7), Hyperparams(sigma=0.01, eta0=0.0))
+        assert len(stream.decode_tree().heap) == 32767
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", 1 << 20)
+        with pytest.raises(ResourceError, match="budget"):
+            decompress(stream)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="parsing 32766 tree bits would take "
+                                                   "~2 MiB, over the 1 MiB budget"):
+                stream.decode_tree()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
     def test_huge_header_dims_fail_before_allocating(self):
         data = forged_huge_dims_stream()
         stream = CompressedStream.from_bytes(data)
@@ -230,12 +247,12 @@ class TestResources:
         # a full tree of n - 1 splits, each payload at the encoder's bound of
         # ceil(log2 tokens) bits per token
         n = math.prod(dims)
-        assert codec._encode_bytes(dims, channels)["total"] <= codec.DEFAULT_MAX_BYTES
+        assert codec._encode_bytes(dims, channels)["total"] <= lattice.DEFAULT_MAX_BYTES
         tree_nbits = (n - 1) * (1 + axis_bit_width(len(dims)))
         assert 3 * tree_nbits + 1 >= 2 * n - 1
         need = codec._decode_bytes(dims, dims, channels, tree_nbits,
                                    (n - 1) * (n - 2).bit_length())["total"]
-        assert need <= codec.DEFAULT_MAX_BYTES
+        assert need <= lattice.DEFAULT_MAX_BYTES
 
     def test_encoder_admits_no_grid_whose_worst_stream_the_decoder_refuses(self):
         # power-of-two grids of 2^10 to 2^27 samples in 1D to 3D with 1 to 8
@@ -261,12 +278,12 @@ class TestResources:
                         break  # more channels only need more
                     admitted += 1
                     need = worst_stream_bytes(dims, channels)["total"]
-                    assert need <= codec.DEFAULT_MAX_BYTES, (dims, channels)
+                    assert need <= lattice.DEFAULT_MAX_BYTES, (dims, channels)
         assert admitted > 1000
         # the encode bound alone admits these, and decoding would refuse them
         for channels in (6, 7, 8):
             assert (codec._encode_bytes((1 << 24,), channels)["total"]
-                    <= codec.DEFAULT_MAX_BYTES)
+                    <= lattice.DEFAULT_MAX_BYTES)
             with pytest.raises(ResourceError, match="decoding 16777216 x"):
                 codec._check_encode_budget((1 << 24,), channels)
 
@@ -341,15 +358,15 @@ class TestResources:
         for dims in ((1 << 27,), (1 << 14, 1 << 13), (1 << 9, 1 << 9, 1 << 9)):
             blocks = int(np.prod([2 * d - 1 for d in dims]))
             assert codec._encode_bytes(dims, 1)["total"] >= 16 * blocks
-            assert codec._encode_bytes(dims, 1)["total"] > codec.DEFAULT_MAX_BYTES
+            assert codec._encode_bytes(dims, 1)["total"] > lattice.DEFAULT_MAX_BYTES
         # the 16 bytes per block alone let this image through
-        assert 16 * (2 * 8192 - 1) ** 2 <= codec.DEFAULT_MAX_BYTES
-        assert codec._encode_bytes((8192, 8192), 1)["total"] > codec.DEFAULT_MAX_BYTES
+        assert 16 * (2 * 8192 - 1) ** 2 <= lattice.DEFAULT_MAX_BYTES
+        assert codec._encode_bytes((8192, 8192), 1)["total"] > lattice.DEFAULT_MAX_BYTES
 
     def test_over_budget_encode_fails_before_allocating(self, monkeypatch):
         grid = synthetic_photo(512, seed=7)
         need = codec._encode_bytes(grid.dims, grid.channels)["total"]
-        monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", need - 1)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", need - 1)
         for encode in (lambda: compress(grid, Hyperparams(sigma=2.0)),
                        lambda: target_ratio_search(grid, Hyperparams(sigma=1.0), 20.0)):
             gc.collect()
@@ -361,7 +378,7 @@ class TestResources:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
-        monkeypatch.setattr(codec, "DEFAULT_MAX_BYTES", need)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_BYTES", need)
         compress(grid, Hyperparams(sigma=2.0))
 
     def test_ratio_search_builds_stats_once(self, monkeypatch):

@@ -154,6 +154,12 @@ class TestPixelGrid:
         with pytest.raises(ValueError, match="outside"):
             PixelGrid.from_array(np.array([[bad, 1.0]]))
 
+    def test_zero_channels_rejected(self):
+        with pytest.raises(DimensionError, match="channel"):
+            PixelGrid(values=np.zeros((0, 4, 4)), dims_original=(4, 4))
+        with pytest.raises(DimensionError, match="channel"):
+            PixelGrid.from_array(np.zeros((0, 4)), channels=0)
+
     def test_raw_bytes(self):
         grid = PixelGrid.from_array(np.zeros((4, 8)), bit_depth=16)
         assert grid.raw_bytes == 4 * 8 * 2

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carp import (Hyperparams, NumericError, PixelGrid, build_posterior, build_stats,
-                  compress, empirical_bayes_fit, extract_map_tree)
+from carp import (DimensionError, Hyperparams, NumericError, PixelGrid, build_posterior,
+                  build_stats, compress, empirical_bayes_fit, extract_map_tree)
 from carp import model
 from carp.lattice import LevelStream, StatsLattice, cells
 from carp.model import PosteriorLattice
@@ -562,6 +562,19 @@ class TestEmpiricalBayes:
                             ((0.5,), (1.0,), (0.05,), (0.5, 1.0, 2.0), (0.2, 0.6)))
         assert (empirical_bayes_fit(photo64, 2.0, stats=stats)
                 == empirical_bayes_fit(photo64, 2.0))
+
+    def test_stats_of_another_grid_are_refused(self):
+        rng = np.random.default_rng(3)
+        grid = random_grid(rng, (16, 16))
+        other_dims = build_stats(random_grid(rng, (8, 32)))
+        one_channel = build_stats(grid)
+        rgb = random_grid(rng, (16, 16), channels=3)
+        for use in (lambda: compress(grid, Hyperparams(sigma=1.0), stats=other_dims),
+                    lambda: compress(rgb, Hyperparams(sigma=1.0), stats=one_channel),
+                    lambda: build_posterior(rgb, Hyperparams(sigma=1.0), stats=one_channel),
+                    lambda: empirical_bayes_fit(grid, 1.0, stats=other_dims)):
+            with pytest.raises(DimensionError, match="statistics"):
+                use()
 
 
 class TestMemory:

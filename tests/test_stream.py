@@ -520,6 +520,16 @@ class TestContainer:
         return (4 + 5 + 56 + 8 * stream.m + 4 + len(stream.tree_bits)
                 + 8 + 4)
 
+    @pytest.mark.parametrize("dims_original", [(5, 6), (1, 1)])
+    def test_padded_dims_must_be_the_originals_next_powers_of_two(self, dims_original):
+        # compress pads 16x16 to itself, so these headers are forged
+        grid = random_grid(np.random.default_rng(6), (16, 16))
+        data = bytearray(compress(grid, Hyperparams(sigma=1.0)).to_bytes())
+        dims_at = 4 + 5 + 56  # magic, version/m/channels/depth, 7 doubles
+        data[dims_at : dims_at + 8] = struct.pack("<2I", *dims_original)
+        with pytest.raises(StreamError, match="invalid dims"):
+            CompressedStream.from_bytes(bytes(data))
+
     def test_huge_dims_in_header_fail_before_allocating(self):
         grid = random_grid(np.random.default_rng(6), (4, 4))
         data = bytearray(compress(grid, Hyperparams(sigma=0.01, eta0=0.0)).to_bytes())

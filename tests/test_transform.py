@@ -76,7 +76,8 @@ class TestQuantizer:
         assert np.all(err[outside] <= q / 2 + 1e-12)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            quantize(np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            dequantize(np.zeros(2, dtype=np.int64), -1.0)
+        for q in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="quantizer step"):
+                quantize(np.array([3.0, -7.5]), q)
+            with pytest.raises(ValueError, match="quantizer step"):
+                dequantize(np.array([1, -2], dtype=np.int64), q)
